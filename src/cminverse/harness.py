@@ -279,9 +279,20 @@ def build_consistency(config: ExperimentConfig, prior, operator):
     return prior.consistency(), False
 
 
+def _sampling_setup(config: ExperimentConfig):
+    """(operator, consistency, conditioned) for sampling under this config."""
+    operator = build_operator(config)
+    prior = load_prior(config)
+    return (operator,) + build_consistency(config, prior, operator)
+
+
 def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
-           recon_dir: str | None = None) -> str:
-    """Reconstruct every measurement; returns the manifest path."""
+           recon_dir: str | None = None, setup=None) -> str:
+    """Reconstruct every measurement; returns the manifest path.
+
+    ``setup`` is a ``_sampling_setup(config)`` result to reuse, so that
+    repeated passes share one consistency closure and its cached gains.
+    """
     _, records, ds_dir = load_dataset(config)
     paths = _stage_paths(config)
     degrade_manifest = os.path.join(paths["degraded"], "degrade.jsonl")
@@ -296,9 +307,9 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
     sampler = sampler if sampler is not None else config.sampler
     recon_dir = recon_dir if recon_dir is not None else paths["recon"]
     os.makedirs(recon_dir, exist_ok=True)
-    operator = build_operator(config)
-    prior = load_prior(config)
-    consistency, conditioned = build_consistency(config, prior, operator)
+    operator, consistency, conditioned = (
+        setup if setup is not None else _sampling_setup(config)
+    )
     shape = (config.channels, config.height, config.width)
 
     def work(i):
@@ -562,9 +573,11 @@ def tune_gamma(config: ExperimentConfig) -> dict:
 
     Each candidate re-runs sampling and evaluation into its own
     subdirectory; candidates are ranked by KID when enabled, otherwise by
-    PSNR.  Returns the winning row.
+    PSNR.  All candidates share one operator and consistency closure, so
+    each per-level gain is built once per run.  Returns the winning row.
     """
     paths = _stage_paths(config)
+    setup = _sampling_setup(config)
     rows = []
     for gamma in config.gamma_grid:
         sampler = SamplerConfig(
@@ -577,7 +590,7 @@ def tune_gamma(config: ExperimentConfig) -> dict:
             rho=config.sampler.rho,
         )
         sub = os.path.join(config.output_dir, "tune", f"gamma_{gamma:g}")
-        sample(config, sampler=sampler, recon_dir=sub)
+        sample(config, sampler=sampler, recon_dir=sub, setup=setup)
         aggregate = evaluate(config, recon_dir=sub, report_name=f"tune_gamma_{gamma:g}")
         rows.append(
             {

@@ -13,6 +13,7 @@ z ~ N(0, I), so as t -> 0 every denoiser here approaches the identity
 on x_t (the fixed-point boundary of a consistency function).
 """
 
+import threading
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -31,11 +32,50 @@ def operator_matrix(operator) -> np.ndarray:
     return np.ascontiguousarray(operator.apply(np.eye(operator.n)).T)
 
 
+def _as_matrix(operator) -> np.ndarray:
+    return operator if isinstance(operator, np.ndarray) else operator_matrix(operator)
+
+
 def _check_t(t: float) -> float:
     t = float(t)
     if not t > 0.0 or not np.isfinite(t):
         raise ValueError(f"noise level t must be positive and finite, got {t}")
     return t
+
+
+def _denoise_gain(cov: np.ndarray, t: float) -> np.ndarray:
+    """cov (cov + t^2 I)^-1, the gain of E[x | x_t] under x ~ N(., cov)."""
+    return np.linalg.solve(cov + t * t * np.eye(cov.shape[0]), cov).T
+
+
+def _per_level(build):
+    """Memoise build(t) per noise level.
+
+    The lock makes every level's gain be built exactly once, also when a
+    thread pool shares the closure and all workers miss the cache together.
+    """
+    gains: dict[float, np.ndarray] = {}
+    lock = threading.Lock()
+
+    def gain_at(t: float) -> np.ndarray:
+        gain = gains.get(t)
+        if gain is None:
+            with lock:
+                gain = gains.get(t)
+                if gain is None:
+                    gain = gains[t] = build(t)
+        return gain
+
+    return gain_at
+
+
+def _finite_or_raise(array: np.ndarray, sigma_y: float) -> np.ndarray:
+    if not np.all(np.isfinite(array)):
+        raise ValueError(
+            f"conditioning on the measurement with sigma_y = {sigma_y:g} gave "
+            "non-finite values; check the operator and the measurement noise level"
+        )
+    return array
 
 
 @dataclass(frozen=True)
@@ -74,66 +114,57 @@ class GaussianPrior:
         t = _check_t(t)
         x_t = np.asarray(x_t, dtype=np.float64)
         resid = (x_t - self.mean).reshape(-1, self.n)
-        gain = np.linalg.solve(
-            self.covariance + t * t * np.eye(self.n), self.covariance
-        ).T
-        out = self.mean + resid @ gain.T
+        out = self.mean + resid @ _denoise_gain(self.covariance, t).T
         return out.reshape(x_t.shape)
 
     def denoise_cov(self, t: float) -> np.ndarray:
         """Var[x | x_t] = t^2 Sigma (Sigma + t^2 I)^-1 (independent of x_t)."""
         t = _check_t(t)
-        gain = np.linalg.solve(self.covariance + t * t * np.eye(self.n), self.covariance).T
-        cov = t * t * gain
+        cov = t * t * _denoise_gain(self.covariance, t)
         return (cov + cov.T) / 2.0
 
-    # --- conditioning on latent and measurement -------------------------
-    def _joint_blocks(self, a: np.ndarray, sigma_y: float, t: float):
-        n, m = self.n, a.shape[0]
+    # --- conditioning on the measurement --------------------------------
+    def _condition_on_measurement(self, a: np.ndarray, sigma_y: float):
+        """Gain K_y and covariance Sigma_y of x | y for y = A x + sigma_y * noise.
+
+        K_y = Sigma A^T (A Sigma A^T + sigma_y^2 I)^+ and
+        Sigma_y = Sigma - K_y A Sigma, from one m x m eigendecomposition
+        that depends on neither t nor y.  The posterior mean is
+        mean + K_y (y - A mean).  Directions of the measurement whose
+        variance lies below working precision carry no information and
+        are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
+        numerically singular (a strong blur).
+        """
         sig_at = self.covariance @ a.T
-        c_xo = np.concatenate([self.covariance, sig_at], axis=1)
-        c_oo = np.empty((n + m, n + m))
-        c_oo[:n, :n] = self.covariance + t * t * np.eye(n)
-        c_oo[:n, n:] = sig_at
-        c_oo[n:, :n] = sig_at.T
-        c_oo[n:, n:] = a @ sig_at + sigma_y * sigma_y * np.eye(m)
-        return c_xo, c_oo
+        gram = a @ sig_at + sigma_y * sigma_y * np.eye(a.shape[0])
+        lam, vecs = np.linalg.eigh(_finite_or_raise(gram, sigma_y))
+        keep = lam > lam[-1] * a.shape[0] * np.finfo(np.float64).eps
+        lam, vecs = lam[keep], vecs[:, keep]
+        root = (sig_at @ vecs) / np.sqrt(lam)
+        gain = (root / np.sqrt(lam)) @ vecs.T
+        cov = self.covariance - root @ root.T
+        cov = (cov + cov.T) / 2.0
+        return _finite_or_raise(gain, sigma_y), _finite_or_raise(cov, sigma_y)
 
     def joint_denoise(
         self, x_t: np.ndarray, y: np.ndarray, t: float, operator, sigma_y: float
     ) -> np.ndarray:
         """E[x | x_t, y] for y = A x + sigma_y * noise, jointly Gaussian."""
-        t = _check_t(t)
-        a = operator if isinstance(operator, np.ndarray) else operator_matrix(operator)
-        x_t = np.asarray(x_t, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        single = x_t.ndim == 1
-        xt2 = x_t.reshape(-1, self.n)
-        y2 = np.broadcast_to(y.reshape(-1, a.shape[0]), (xt2.shape[0], a.shape[0]))
-        obs = np.concatenate([xt2 - self.mean, y2 - a @ self.mean], axis=1)
-        c_xo, c_oo = self._joint_blocks(a, sigma_y, t)
-        out = self.mean + (c_xo @ np.linalg.solve(c_oo, obs.T)).T
-        return out[0] if single else out
+        return self.measurement_consistency(operator, sigma_y)(x_t, y, t)
 
     def joint_denoise_cov(self, t: float, operator, sigma_y: float) -> np.ndarray:
-        """Var[x | x_t, y]; like denoise_cov, free of the conditioning point."""
+        """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y."""
         t = _check_t(t)
-        a = operator if isinstance(operator, np.ndarray) else operator_matrix(operator)
-        c_xo, c_oo = self._joint_blocks(a, sigma_y, t)
-        cov = self.covariance - c_xo @ np.linalg.solve(c_oo, c_xo.T)
+        _, cov_y = self._condition_on_measurement(_as_matrix(operator), sigma_y)
+        cov = t * t * _denoise_gain(cov_y, t)
         return (cov + cov.T) / 2.0
 
-    # --- conditioning on the measurement alone --------------------------
     def posterior(self, operator, y: np.ndarray, sigma_y: float):
         """Mean and covariance of x | y under y = A x + sigma_y * noise."""
-        a = operator if isinstance(operator, np.ndarray) else operator_matrix(operator)
-        y = np.asarray(y, dtype=np.float64)
-        sig_at = self.covariance @ a.T
-        gram = a @ sig_at + sigma_y * sigma_y * np.eye(a.shape[0])
-        gain = np.linalg.solve(gram, sig_at.T).T
-        mean = self.mean + gain @ (y - a @ self.mean)
-        cov = self.covariance - gain @ sig_at.T
-        return mean, (cov + cov.T) / 2.0
+        a = _as_matrix(operator)
+        gain, cov = self._condition_on_measurement(a, sigma_y)
+        mean = self.mean + gain @ (np.asarray(y, dtype=np.float64) - a @ self.mean)
+        return mean, cov
 
     # --- consistency-function views -------------------------------------
     def consistency(self) -> ConsistencyFn:
@@ -142,18 +173,10 @@ class GaussianPrior:
         Gain matrices are cached per noise level, so repeated calls at the
         handful of levels a sampler visits cost one solve each.
         """
-        gains: dict[float, np.ndarray] = {}
+        gain_at = _per_level(lambda t: _denoise_gain(self.covariance, t))
 
         def fn(x_t, y, t):
-            t = _check_t(t)
-            gain = gains.get(t)
-            if gain is None:
-                gain = gains.setdefault(
-                    t,
-                    np.linalg.solve(
-                        self.covariance + t * t * np.eye(self.n), self.covariance
-                    ).T,
-                )
+            gain = gain_at(_check_t(t))
             x_t = np.asarray(x_t, dtype=np.float64)
             resid = (x_t - self.mean).reshape(-1, self.n)
             return (self.mean + resid @ gain.T).reshape(x_t.shape)
@@ -163,28 +186,30 @@ class GaussianPrior:
     def measurement_consistency(self, operator, sigma_y: float) -> ConsistencyFn:
         """Denoiser that conditions on both the latent and the measurement.
 
-        Per-level gains are cached exactly as in consistency().
+        x | y is Gaussian, N(mean_y, Sigma_y), so E[x | x_t, y] is plain
+        denoising under that prior: mean_y + G_t (x_t - mean_y) with
+        G_t = Sigma_y (Sigma_y + t^2 I)^-1.  The closure conditions on y
+        once (one m x m eigendecomposition) and caches G_t per level as in
+        consistency() (one n x n solve each); a call then costs two
+        matrix-vector products.
         """
-        a = operator if isinstance(operator, np.ndarray) else operator_matrix(operator)
+        a = _as_matrix(operator)
         m = a.shape[0]
         a_mu = a @ self.mean
-        gains: dict[float, np.ndarray] = {}
+        gain_y, cov_y = self._condition_on_measurement(a, sigma_y)
+        gain_at = _per_level(
+            lambda t: _finite_or_raise(_denoise_gain(cov_y, t), sigma_y)
+        )
 
         def fn(x_t, y, t):
             if y is None:
                 raise ValueError("measurement-conditioned denoiser needs y")
-            t = _check_t(t)
-            gain = gains.get(t)
-            if gain is None:
-                c_xo, c_oo = self._joint_blocks(a, sigma_y, t)
-                gain = gains.setdefault(t, c_xo @ np.linalg.inv(c_oo))
+            gain = gain_at(_check_t(t))
             x_t = np.asarray(x_t, dtype=np.float64)
             y = np.asarray(y, dtype=np.float64)
             single = x_t.ndim == 1
-            xt2 = x_t.reshape(-1, self.n)
-            y2 = np.broadcast_to(y.reshape(-1, m), (xt2.shape[0], m))
-            obs = np.concatenate([xt2 - self.mean, y2 - a_mu], axis=1)
-            out = self.mean + obs @ gain.T
+            mean_y = self.mean + (y.reshape(-1, m) - a_mu) @ gain_y.T
+            out = mean_y + (x_t.reshape(-1, self.n) - mean_y) @ gain.T
             return out[0] if single else out
 
         return fn

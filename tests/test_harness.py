@@ -193,6 +193,22 @@ def test_sample_manifest_and_outputs(tmp_path):
         assert np.isfinite(recon).all()
 
 
+@pytest.mark.parametrize("blur_sigma", [1.5, 3.0])
+def test_sample_exact_measurement_deblur_is_accurate(tmp_path, blur_sigma):
+    # sigma_y = 0 makes A Sigma A^T numerically singular under a strong
+    # blur; conditioning must stay exact instead of amplifying round-off
+    config = make_config(
+        tmp_path, task="deblur", height=16, width=16, sigma_y=0.0,
+        blur_sigma=blur_sigma, sampler=SamplerConfig(variant="inverse_addim", steps=4),
+        metric_ssim=False, metric_kid=False, metric_fid=False,
+    )
+    run_pipeline(config)
+    for i in range(config.count):
+        recon = read_tensor(tmp_path / "recon" / f"recon_{i:05d}.cmt")
+        assert np.isfinite(recon).all()
+    assert harness.evaluate(config)["psnr"] > 30.0
+
+
 def test_sample_gamma_zero_matches_plain_interpolant(tmp_path):
     config = make_config(tmp_path)
     harness.synthesize(config)
@@ -372,6 +388,25 @@ def test_tune_gamma_ranks_and_records(tmp_path):
             tmp_path / "tune" / f"gamma_{gamma}" / "recon_00000.cmt"
         )
         assert os.path.isfile(tmp_path / "reports" / f"tune_gamma_{gamma}.jsonl")
+
+
+def test_tune_gamma_shares_one_closure_without_changing_bytes(tmp_path, monkeypatch):
+    config = make_config(tmp_path, gamma_grid=(0.0, 0.5, 1.0))
+    harness.synthesize(config)
+    harness.degrade(config)
+    load_prior, loads = harness.load_prior, []
+    monkeypatch.setattr(harness, "load_prior",
+                        lambda c: loads.append(1) or load_prior(c))
+    harness.tune_gamma(config)
+    assert len(loads) == 1
+
+    for gamma in config.gamma_grid:
+        alone = tmp_path / "alone" / f"gamma_{gamma:g}"
+        sampler = SamplerConfig(variant="inverse_addim", steps=2, gamma=gamma,
+                                t_min=0.01, t_max=5.0)
+        harness.sample(config, sampler=sampler, recon_dir=str(alone))
+        tuned = tmp_path / "tune" / f"gamma_{gamma:g}"
+        assert tree_bytes(tuned) == tree_bytes(alone)
 
 
 def test_tune_gamma_falls_back_to_psnr(tmp_path):

@@ -1,9 +1,25 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cminverse.operators import DenseOperator, IdentityOperator
-from cminverse.priors import EmpiricalPrior, GaussianPrior, rbf_covariance
+from cminverse import priors
+from cminverse.operators import (
+    DenseOperator,
+    IdentityOperator,
+    make_centered_square_inpaint,
+    make_downsample,
+)
+from cminverse.priors import (
+    EmpiricalPrior,
+    GaussianPrior,
+    operator_matrix,
+    rbf_covariance,
+)
+from cminverse.schedules import DEFAULT_T_MAX, DEFAULT_T_MIN
 
 
 def small_prior(seed=0, n=5):
@@ -132,6 +148,94 @@ def test_denoise_cov_is_psd_and_bounded_by_t_squared():
         vals = np.linalg.eigvalsh(cov)
         assert vals.min() >= -1e-10
         assert vals.max() <= t * t + 1e-10
+
+
+def _joint_oracle(prior, a, sigma_y, x_t, y, t):
+    """E and Var of x given the stacked (n+m) observation (x_t, y)."""
+    n, m = prior.n, a.shape[0]
+    noise_cov = np.zeros((n + m, n + m))
+    noise_cov[:n, :n] = t * t * np.eye(n)
+    noise_cov[n:, n:] = sigma_y * sigma_y * np.eye(m)
+    return _conditional_oracle(
+        prior.mean, prior.covariance, np.concatenate([np.eye(n), a], axis=0),
+        noise_cov, np.concatenate([x_t, y]),
+    )
+
+
+@pytest.mark.parametrize("t", [DEFAULT_T_MIN, DEFAULT_T_MAX])
+@pytest.mark.parametrize(
+    "make_op, sigma_y",
+    [
+        (lambda: make_downsample(1, 4, 4, 2), 0.05),
+        (lambda: make_centered_square_inpaint(1, 4, 4), 0.05),
+        (lambda: IdentityOperator(1, 4, 4), 0.0),
+    ],
+    ids=["downsample", "inpaint", "identity_exact"],
+)
+def test_measurement_conditioning_matches_joint_oracle(make_op, sigma_y, t):
+    rng = np.random.default_rng(10)
+    prior = small_prior(10, n=16)
+    op = make_op()
+    a = operator_matrix(op)
+    x = prior.sample(rng)
+    x_t = x + t * rng.standard_normal(prior.n)
+    y = a @ x + sigma_y * rng.standard_normal(a.shape[0])
+    oracle_mean, oracle_cov = _joint_oracle(prior, a, sigma_y, x_t, y, t)
+
+    fn = prior.measurement_consistency(op, sigma_y)
+    assert np.allclose(fn(x_t, y, t), oracle_mean, atol=1e-8)
+    assert np.allclose(prior.joint_denoise(x_t, y, t, op, sigma_y), oracle_mean, atol=1e-8)
+    assert np.allclose(prior.joint_denoise_cov(t, op, sigma_y), oracle_cov, atol=1e-8)
+
+
+@pytest.mark.parametrize("conditioned", [False, True], ids=["consistency", "measurement"])
+def test_shared_closure_builds_each_gain_once(monkeypatch, conditioned):
+    prior = small_prior(11, n=16)
+    op = IdentityOperator(1, 4, 4)
+    if conditioned:
+        fn = prior.measurement_consistency(op, 0.05)
+    else:
+        fn = prior.consistency()
+    solve, lock, builds = np.linalg.solve, threading.Lock(), []
+
+    def counting_solve(*args):
+        with lock:
+            builds.append(1)
+        time.sleep(0.05)  # hold the build open while the other threads arrive
+        return solve(*args)
+
+    monkeypatch.setattr(priors.np.linalg, "solve", counting_solve)
+    barrier = threading.Barrier(8)
+    x_t, y = np.ones(prior.n), np.zeros(prior.n)
+    results = [None] * 8
+
+    def work(k):
+        barrier.wait(timeout=10)
+        results[k] = fn(x_t, y, 0.5)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert all(np.array_equal(out, results[0]) for out in results)
+
+
+def test_non_finite_conditioning_names_sigma_y():
+    prior = small_prior(12)
+    huge = np.full((2, prior.n), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="sigma_y"):
+            prior.measurement_consistency(huge, 0.0)
+        with pytest.raises(ValueError, match="sigma_y"):
+            prior.posterior(huge, np.zeros(2), 0.0)
 
 
 def test_gaussian_validation_errors():
