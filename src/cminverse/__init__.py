@@ -5,11 +5,9 @@ updates: a deterministic interpolation rule, teacher- and
 residual-guided variance compensation, a spectral-domain posterior
 sampler with SVD-structured operators, an analytic Gaussian-prior
 reference, fidelity/distribution metrics, and a config-driven pipeline
-CLI.  Hot kernels run through a compiled extension when it is available
-(see cminverse.kernels.BACKEND) with a pure-numpy fallback.
+CLI.  The hot kernels are plain numpy (cminverse.kernels).
 """
 
-from .kernels import BACKEND as kernel_backend
 from .metrics import MetricReport, frechet_distance, kid, psnr, ssim
 from .operators import (
     BlockDownsampleOperator,
@@ -74,7 +72,6 @@ __all__ = [
     "ddrm_step",
     "frechet_distance",
     "inverse_addim_step",
-    "kernel_backend",
     "kid",
     "make_centered_square_inpaint",
     "make_downsample",

@@ -526,7 +526,7 @@ def verify(config: ExperimentConfig, check_filter: str = "") -> list:
         (
             "dropped_variance",
             lambda: mc_dropped_variance_check(
-                prior, t=1.0, s=0.5, t_min=0.01, n_samples=20000, seed=seed
+                prior, t=1.0, s=0.5, t_min=0.01, n_samples=80000, seed=seed
             ),
         ),
         (

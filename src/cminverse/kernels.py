@@ -1,12 +1,16 @@
-"""Pure-numpy implementations of the hot kernels.
+"""The hot kernels, in numpy: the spectral posterior update, the
+discrete-prior posterior mean and windowed SSIM.
 
-These mirror the compiled extension in ``_ckernels.pyx`` exactly; the
-backend is chosen once at import time (see ``kernels.__init__``).
+Callers go through the module attribute (``kernels.ssim_mean(...)``) so
+that a tracer can wrap each kernel in place.
 """
 
 import numpy as np
 
-BACKEND = "python"
+
+def backend_name() -> str:
+    """Name of the kernel implementation; numpy is the only one."""
+    return "python"
 
 
 def ddrm_update(
@@ -31,8 +35,8 @@ def ddrm_update(
       sigma_t <  sy/s_i  : mean pulls along (y_bar - x_theta) / (sy/s_i)
       sigma_t >= sy/s_i  : mean blends x_theta with y_bar via eta_b
 
-    ``noise`` supplies the standard-normal draws so that both backends
-    consume randomness identically.
+    ``noise`` supplies the standard-normal draws, so the caller owns the
+    random stream.
     """
     x_bar_next = np.asarray(x_bar_next, dtype=np.float64)
     x_bar_theta = np.asarray(x_bar_theta, dtype=np.float64)
@@ -101,30 +105,25 @@ def empirical_mean(atoms, log_weights, x, t):
 
 
 def ssim_mean(x, y, window, c1, c2):
-    """Mean local SSIM between two 2-D arrays under a weighted window.
+    """Mean local SSIM between two 2-D arrays under a separable window.
 
     Uses the standard weighted-moment form on every valid window position
-    (no padding); ``window`` must be a unit-sum (K, K) weight array.
+    (no padding).  ``window`` is the unit-sum 1-D profile g of length K;
+    the 2-D weights are outer(g, g), applied as one pass along each axis.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    window = np.asarray(window, dtype=np.float64)
-    k = window.shape[0]
+    g = np.asarray(window, dtype=np.float64)
+    k = g.shape[0]
     if x.shape[0] < k or x.shape[1] < k:
-        raise ValueError(f"image {x.shape} smaller than window {window.shape}")
+        raise ValueError(f"image {x.shape} smaller than window ({k}, {k})")
 
-    # The window is an outer product of its row/column marginals only when
-    # built separably; convolve with the full 2-D window to stay general.
     win = np.lib.stride_tricks.sliding_window_view
-
-    def wsum(a):
-        return np.tensordot(win(a, (k, k)), window, axes=([2, 3], [0, 1]))
-
-    mu_x = wsum(x)
-    mu_y = wsum(y)
-    var_x = wsum(x * x) - mu_x * mu_x
-    var_y = wsum(y * y) - mu_y * mu_y
-    cov = wsum(x * y) - mu_x * mu_y
+    maps = np.stack((x, y, x * x, y * y, x * y))
+    mu_x, mu_y, xx, yy, xy = win(win(maps, k, axis=1) @ g, k, axis=2) @ g
+    var_x = xx - mu_x * mu_x
+    var_y = yy - mu_y * mu_y
+    cov = xy - mu_x * mu_y
 
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)

@@ -52,13 +52,13 @@ def psnr(x, reference, peak: float = 1.0) -> float:
 
 
 def gaussian_window(size: int, sigma: float = 1.5) -> np.ndarray:
-    """Normalised 2-D Gaussian weighting window of odd side length."""
+    """Unit-sum 1-D Gaussian profile of odd length; the 2-D SSIM window
+    is its outer product with itself."""
     if size < 3 or size % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {size}")
     half = size // 2
     g = np.exp(-0.5 * (np.arange(-half, half + 1) / sigma) ** 2)
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
 def ssim(
@@ -156,18 +156,19 @@ def _unbiased_mmd2(fx: np.ndarray, fy: np.ndarray) -> float:
     )
 
 
-def kid(
+def kid_with_se(
     features_x,
     features_y,
     subset_size: int = 50,
     n_subsets: int = 10,
     seed: int = 0,
-) -> float:
-    """Unbiased MMD^2 with a degree-3 polynomial kernel, reported x1000.
+) -> tuple[float, float]:
+    """KID and the standard error of its subset mean, both x1000.
 
-    Each of the n_subsets rounds draws subset_size vectors without
-    replacement from both sets (seeded), computes the unbiased estimator,
-    and the rounds are averaged.
+    KID is the unbiased MMD^2 with a degree-3 polynomial kernel.  Each of
+    the n_subsets rounds draws subset_size vectors without replacement
+    from both sets (seeded), computes the unbiased estimator, and the
+    rounds are averaged.  One round has no spread, so its error is 0.
     """
     fx = np.asarray(features_x, dtype=np.float64)
     fy = np.asarray(features_y, dtype=np.float64)
@@ -188,22 +189,20 @@ def kid(
         ix = rng.choice(fx.shape[0], size=subset_size, replace=False)
         iy = rng.choice(fy.shape[0], size=subset_size, replace=False)
         estimates.append(_unbiased_mmd2(fx[ix], fy[iy]))
-    return 1000.0 * float(np.mean(estimates))
-
-
-def kid_with_se(features_x, features_y, subset_size=50, n_subsets=10, seed=0):
-    """kid() plus the standard error of the subset mean (both x1000)."""
-    fx = np.asarray(features_x, dtype=np.float64)
-    fy = np.asarray(features_y, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    estimates = []
-    for _ in range(n_subsets):
-        ix = rng.choice(fx.shape[0], size=subset_size, replace=False)
-        iy = rng.choice(fy.shape[0], size=subset_size, replace=False)
-        estimates.append(_unbiased_mmd2(fx[ix], fy[iy]))
     estimates = np.asarray(estimates)
     se = estimates.std(ddof=1) / math.sqrt(n_subsets) if n_subsets > 1 else 0.0
     return 1000.0 * float(estimates.mean()), 1000.0 * float(se)
+
+
+def kid(
+    features_x,
+    features_y,
+    subset_size: int = 50,
+    n_subsets: int = 10,
+    seed: int = 0,
+) -> float:
+    """KID x1000 (see kid_with_se)."""
+    return kid_with_se(features_x, features_y, subset_size, n_subsets, seed)[0]
 
 
 def feature_extract(

@@ -368,6 +368,14 @@ def test_verify_filter_runs_only_matching_checks(tmp_path):
     assert harness.verify(config, check_filter="no_such_check") == []
 
 
+@pytest.mark.parametrize("seed", [102, 143])
+def test_verify_dropped_variance_passes_on_unlucky_seeds(tmp_path, seed):
+    # with 20000 Monte Carlo samples these seeds missed the 2% tolerance
+    config = make_config(tmp_path, seed=seed)
+    (report,) = harness.verify(config, check_filter="dropped_variance")
+    assert report.passed, report.as_dict()
+
+
 # -- tune-gamma -------------------------------------------------------------
 
 def test_tune_gamma_ranks_and_records(tmp_path):

@@ -87,11 +87,15 @@ def test_ssim_window_rules():
 
 
 def test_gaussian_window_properties():
-    win = gaussian_window(11)
-    assert win.shape == (11, 11)
+    g = gaussian_window(11)
+    assert g.shape == (11,)
+    assert g.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.argmax(g) == 5
+    assert np.array_equal(g, g[::-1])
+    win = np.outer(g, g)
     assert win.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.argmax(win) == 5 * 11 + 5
-    assert np.allclose(win, win.T)
+    assert np.array_equal(win, win.T)
     with pytest.raises(ValueError):
         gaussian_window(4)
 
@@ -227,16 +231,17 @@ def test_kid_is_seed_deterministic():
     assert a != c
 
 
-def test_kid_validation():
+@pytest.mark.parametrize("fn", [kid, kid_with_se])
+def test_kid_validation(fn):
     fx = np.zeros((10, 4))
     with pytest.raises(ValueError):
-        kid(fx, np.zeros((10, 3)))  # dimension mismatch
+        fn(fx, np.zeros((10, 3)))  # dimension mismatch
     with pytest.raises(ValueError):
-        kid(fx, fx, subset_size=11)  # not enough vectors
+        fn(fx, fx, subset_size=11)  # not enough vectors
     with pytest.raises(ValueError):
-        kid(fx, fx, subset_size=1)
+        fn(fx, fx, subset_size=1)
     with pytest.raises(ValueError):
-        kid(fx, fx, subset_size=5, n_subsets=0)
+        fn(fx, fx, subset_size=5, n_subsets=0)
 
 
 def test_feature_extract_raw_is_row_major():
