@@ -11,7 +11,8 @@ Subcommands map one-to-one onto harness stages:
 
 Exit codes: 0 success; 1 failed verification checks; 2 invalid
 configuration or unreadable inputs; 3 sampler/operator combination that
-cannot work (spectral sampler on a nonlinear operator).
+cannot work (spectral sampler on a nonlinear operator); 4 the sampler
+gave a non-finite estimate or residual norm (nothing is written).
 """
 
 import argparse
@@ -97,6 +98,9 @@ def main(argv=None) -> int:
     except UnsupportedCombination as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except harness.NonFiniteEstimate as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, FileNotFoundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,12 +2,14 @@
 verify, tune-gamma.
 
 Every stage reads the manifests of the stage before it, does its work,
-and writes tensors plus a line-delimited manifest of its own.  Work on
-individual samples may fan out over a thread pool, but results are
-collected and written in index order by the calling thread, so the bytes
-on disk do not depend on the worker count.  Per-sample randomness comes
-from seeds derived as ``seed + offset + 2 * index`` with disjoint offsets
-per stage, never from a shared generator.
+and writes tensors plus a line-delimited manifest of its own.  Sampling
+runs the batched sampler on chunks of ``SAMPLE_CHUNK`` images, a size
+fixed apart from the worker count; the chunks, not single images, may
+fan out over a thread pool, but results are written in index order by
+the calling thread, so the bytes on disk do not depend on the worker
+count.  Per-sample randomness comes from seeds derived as
+``seed + offset + 2 * index`` with disjoint offsets per stage, never
+from a shared generator.
 """
 
 import math
@@ -20,7 +22,7 @@ from . import metrics as metrics_mod
 from .config import ExperimentConfig, build_operator
 from .operators import LinearOperator, MeasurementModel
 from .priors import EmpiricalPrior, GaussianPrior, rbf_covariance
-from .samplers import SamplerConfig, sample as run_sampler
+from .samplers import SamplerConfig, row_sq_norms, sample as run_sampler
 from .tensorio import (
     dump_image,
     read_jsonl,
@@ -41,6 +43,13 @@ from .schedules import make_karras_schedule
 # its own stream even when indices collide across stages.
 _DEGRADE_SEED_OFFSET = 1
 _SAMPLE_SEED_OFFSET = 2
+# Images per batched sampler call.  It is a constant so that every image
+# sees the same batch, and the same BLAS blocking, for any worker count.
+SAMPLE_CHUNK = 64
+
+
+class NonFiniteEstimate(FloatingPointError):
+    """The sampler produced a non-finite estimate or residual norm."""
 
 
 def _dataset_dir(config):
@@ -60,17 +69,19 @@ def _stage_paths(config):
     }
 
 
-def _map_indexed(work, indices, workers: int):
-    """Run work(i) for each index, returning results in index order.
+def _read_stack(directory, names) -> np.ndarray:
+    """(N, dim) stack of the named tensor files, flattened; N must be > 0."""
+    return np.stack([read_tensor(os.path.join(directory, name)).ravel() for name in names])
 
-    The pool only computes; writing stays with the caller so output
-    bytes are identical for any worker count.
-    """
+
+def _map_chunks(work, count: int, workers: int):
+    """Run work(lo, hi) on each chunk [lo, hi) of SAMPLE_CHUNK indices, in
+    chunk order.  The pool only computes; writing stays with the caller."""
+    chunks = [(lo, min(lo + SAMPLE_CHUNK, count)) for lo in range(0, count, SAMPLE_CHUNK)]
     if workers <= 1:
-        return [work(i) for i in indices]
+        return [work(lo, hi) for lo, hi in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, i) for i in indices]
-        return [f.result() for f in futures]
+        return list(pool.map(lambda chunk: work(*chunk), chunks))
 
 
 # --------------------------------------------------------------------------
@@ -187,10 +198,7 @@ def load_prior(config: ExperimentConfig):
     if meta["generator"] == "atoms":
         atoms = read_tensor(os.path.join(ds_dir, meta["atoms"]))
         return EmpiricalPrior(atoms.reshape(atoms.shape[0], -1))
-    stack = np.stack(
-        [read_tensor(os.path.join(ds_dir, rec["file"])).ravel() for rec in records]
-    )
-    return EmpiricalPrior(stack)
+    return EmpiricalPrior(_read_stack(ds_dir, [rec["file"] for rec in records]))
 
 
 # --------------------------------------------------------------------------
@@ -218,17 +226,13 @@ def degrade(config: ExperimentConfig) -> str:
     model = MeasurementModel(operator=operator, sigma_y=config.sigma_y)
     op_summary = _operator_summary(config, operator)
 
-    def work(i):
-        rec = records[i]
-        x = read_tensor(os.path.join(ds_dir, rec["file"])).ravel()
-        seed = config.seed + _DEGRADE_SEED_OFFSET + 2 * i
-        return model.degrade(x, seed=seed), seed
-
-    results = _map_indexed(work, range(len(records)), config.workers)
+    seeds = [config.seed + _DEGRADE_SEED_OFFSET + 2 * i for i in range(len(records))]
+    ys = []
+    if records:
+        ys = model.degrade(_read_stack(ds_dir, [rec["file"] for rec in records]), seed=seeds)
     manifest = []
     meas_shape = getattr(operator, "measurement_shape", None)
-    for i, rec in enumerate(records):
-        y, seed = results[i]
+    for i, (rec, y, seed) in enumerate(zip(records, ys, seeds)):
         name = f"meas_{i:05d}.cmt"
         write_tensor(
             os.path.join(paths["degraded"], name),
@@ -292,6 +296,8 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
 
     ``setup`` is a ``_sampling_setup(config)`` result to reuse, so that
     repeated passes share one consistency closure and its cached gains.
+    Raises NonFiniteEstimate, before writing anything, when an estimate
+    or residual norm is not finite.
     """
     _, records, ds_dir = load_dataset(config)
     paths = _stage_paths(config)
@@ -306,52 +312,49 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
 
     sampler = sampler if sampler is not None else config.sampler
     recon_dir = recon_dir if recon_dir is not None else paths["recon"]
-    os.makedirs(recon_dir, exist_ok=True)
     operator, consistency, conditioned = (
         setup if setup is not None else _sampling_setup(config)
     )
     shape = (config.channels, config.height, config.width)
+    seeds = [config.seed + _SAMPLE_SEED_OFFSET + 2 * i for i in range(len(records))]
 
-    def work(i):
-        y = read_tensor(
-            os.path.join(paths["degraded"], measurements[i]["measurement"])
-        ).ravel()
-        teacher = None
+    def work(lo, hi):
+        ys = _read_stack(paths["degraded"], [row["measurement"] for row in measurements[lo:hi]])
+        teachers = None
         if sampler.variant == "addim":
-            teacher = read_tensor(os.path.join(ds_dir, records[i]["file"])).ravel()
-        seed = config.seed + _SAMPLE_SEED_OFFSET + 2 * i
-        trajectory = run_sampler(
-            consistency,
-            sampler,
-            y=y,
-            operator=operator,
-            sigma_y=config.sigma_y,
-            x_teacher=teacher,
-            seed=seed,
-        )
-        resid_norms = [
-            float(np.linalg.norm(y - operator.apply(rec.estimate)))
-            for rec in trajectory.records
-        ]
-        return trajectory, resid_norms, seed
+            teachers = _read_stack(ds_dir, [rec["file"] for rec in records[lo:hi]])
+        trajectory = run_sampler(consistency, sampler, y=ys, operator=operator,
+                                 sigma_y=config.sigma_y, x_teacher=teachers, seed=seeds[lo:hi])
+        resid_norms = np.sqrt(np.stack(
+            [row_sq_norms(ys - operator.apply(rec.estimate)) for rec in trajectory.records],
+            axis=1,
+        ))
+        return list(zip(trajectory.estimate, trajectory.degenerate_steps, resid_norms))
 
-    results = _map_indexed(work, range(len(records)), config.workers)
+    results = [
+        row for chunk in _map_chunks(work, len(records), config.workers) for row in chunk
+    ]
+    for i, (estimate, _, resid_norms) in enumerate(results):
+        if not (np.isfinite(estimate).all() and np.isfinite(resid_norms).all()):
+            raise NonFiniteEstimate(f"image {i} ({measurements[i]['measurement']}): non-finite "
+                                    "estimate or residual norm; check t_min, t_max and the prior")
+
+    os.makedirs(recon_dir, exist_ok=True)
     manifest = []
-    for i in range(len(records)):
-        trajectory, resid_norms, seed = results[i]
+    for i, (estimate, degenerate, resid_norms) in enumerate(results):
         name = f"recon_{i:05d}.cmt"
-        write_tensor(os.path.join(recon_dir, name), trajectory.estimate.reshape(shape))
+        write_tensor(os.path.join(recon_dir, name), estimate.reshape(shape))
         manifest.append(
             {
                 "conditioned": conditioned,
-                "degenerate_steps": trajectory.degenerate_steps,
+                "degenerate_steps": int(degenerate),
                 "gamma": sampler.gamma,
                 "index": i,
                 "measurement": measurements[i]["measurement"],
-                "nfe": trajectory.nfe,
+                "nfe": sampler.steps,
                 "reconstruction": name,
-                "residual_norms": resid_norms,
-                "seed": seed,
+                "residual_norms": resid_norms.tolist(),
+                "seed": seeds[i],
                 "steps": sampler.steps,
                 "variant": sampler.variant,
             }
@@ -361,7 +364,7 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
             dump_image(
                 os.path.join(paths["images"], f"recon_{i:05d}.pgm"
                              if config.channels != 3 else f"recon_{i:05d}.ppm"),
-                trajectory.estimate.reshape(shape),
+                estimate.reshape(shape),
             )
     path = os.path.join(recon_dir, "sample.jsonl")
     write_jsonl(path, manifest)
@@ -433,15 +436,8 @@ def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
         )
 
     shape = (config.channels, config.height, config.width)
-    refs = np.stack(
-        [read_tensor(os.path.join(ds_dir, rec["file"])).ravel() for rec in records]
-    )
-    recs = np.stack(
-        [
-            read_tensor(os.path.join(recon_dir, row["reconstruction"])).ravel()
-            for row in recon_rows
-        ]
-    )
+    refs = _read_stack(ds_dir, [rec["file"] for rec in records])
+    recs = _read_stack(recon_dir, [row["reconstruction"] for row in recon_rows])
 
     per_sample = []
     for i in range(len(records)):

@@ -36,47 +36,35 @@ def ddrm_update(
       sigma_t >= sy/s_i  : mean blends x_theta with y_bar via eta_b
 
     ``noise`` supplies the standard-normal draws, so the caller owns the
-    random stream.
+    random stream.  The coefficient arrays are (n,) vectors or (B, n)
+    stacks; ``y_valid`` and ``s_padded`` are (n,) and broadcast over rows.
     """
-    x_bar_next = np.asarray(x_bar_next, dtype=np.float64)
     x_bar_theta = np.asarray(x_bar_theta, dtype=np.float64)
     y_bar = np.asarray(y_bar, dtype=np.float64)
-    y_valid = np.asarray(y_valid, dtype=bool)
     s = np.asarray(s_padded, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
 
     zero = s == 0.0
     nsr = np.divide(sigma_y, s, out=np.full_like(s, np.inf), where=~zero)
-    case1 = zero
-    case2 = ~zero & (sigma_t < nsr)
     case3 = ~zero & (sigma_t >= nsr)
-    if np.any((case2 | case3) & ~y_valid):
+    if np.any(~zero & ~np.asarray(y_valid, dtype=bool)):
         raise ValueError("spectral measurement required at an invalid index")
 
     pull = np.sqrt(max(1.0 - eta * eta, 0.0)) * sigma_t
-    mean = np.empty_like(s)
-    std = np.empty_like(s)
-
-    mean[case1] = x_bar_theta[case1] + pull * (
-        x_bar_next[case1] - x_bar_theta[case1]
-    ) / sigma_next
-    std[case1] = eta * sigma_t
-
-    mean[case2] = x_bar_theta[case2] + pull * (
-        y_bar[case2] - x_bar_theta[case2]
-    ) / nsr[case2]
-    std[case2] = eta * sigma_t
-
-    var3 = sigma_t * sigma_t - (nsr[case3] * eta_b) ** 2
-    if var3.size and np.min(var3) < 0.0:
+    # The pulled cases share one form; the measurement-dominated case
+    # overwrites its entries below.
+    case2 = ~zero & ~case3
+    toward = np.where(case2, y_bar, x_bar_next)
+    scale = np.where(case2, nsr, sigma_next)
+    mean = x_bar_theta + pull * (toward - x_bar_theta) / scale
+    var3 = sigma_t * sigma_t - (np.where(case3, nsr, 0.0) * eta_b) ** 2
+    if np.any(var3 < 0.0):
         raise ValueError(
             "negative variance in the measurement-dominated branch; "
             "eta_b is too large for this noise level"
         )
-    mean[case3] = (1.0 - eta_b) * x_bar_theta[case3] + eta_b * y_bar[case3]
-    std[case3] = np.sqrt(var3)
-
-    return mean + std * noise
+    mean = np.where(case3, (1.0 - eta_b) * x_bar_theta + eta_b * y_bar, mean)
+    std = np.where(case3, np.sqrt(var3), eta * sigma_t)
+    return mean + std * np.asarray(noise, dtype=np.float64)
 
 
 def empirical_mean(atoms, log_weights, x, t):

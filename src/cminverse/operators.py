@@ -465,17 +465,17 @@ class MeasurementModel:
         if self.sigma_y < 0.0:
             raise ValueError(f"sigma_y must be >= 0, got {self.sigma_y}")
 
-    def degrade(self, x, seed: int) -> np.ndarray:
-        """Measure x with seeded noise; the same seed reproduces bit-exactly."""
+    def degrade(self, x, seed) -> np.ndarray:
+        """Measure x with seeded noise; the same seed reproduces bit-exactly.
+        ``seed`` is an int for one signal, or one int per row of a (B, n) stack."""
         y = self.operator.apply(x)
         if self.sigma_y == 0.0:
             return y
-        rng = np.random.default_rng(seed)
-        return y + self.sigma_y * rng.standard_normal(y.shape)
-
-
-def degrade(model: MeasurementModel, x, seed: int) -> np.ndarray:
-    return model.degrade(x, seed)
+        if np.shape(seed) != y.shape[:-1]:
+            raise ValueError("degrade: need an int seed for one signal or one seed per row")
+        rngs = [np.random.default_rng(s) for s in np.atleast_1d(seed)]
+        noise = [rng.standard_normal(y.shape[-1]) for rng in rngs]
+        return y + self.sigma_y * np.reshape(noise, y.shape)
 
 
 def make_downsample(channels, height, width, block) -> LinearOperator:

@@ -8,6 +8,11 @@ The number of consistency evaluations therefore equals ``steps``
 exactly, and ``steps=1`` collapses every variant to a single evaluation
 of the initial latent.
 
+The loop carries a (B, n) latent, one row per seed, and every step acts
+on each row alone: noise norms, residual norms and the variance surplus
+are per row.  An int seed runs one (n,) trajectory; B seeds run B rows
+at once.  The step functions accept a vector or a (B, n) stack alike.
+
 Variants
 --------
 cm_baseline   re-noise the estimate with fresh Gaussian noise.
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .operators import LinearOperator, NonlinearOperator
+from .operators import LinearOperator
 from .schedules import (
     DEFAULT_RHO,
     DEFAULT_T_MAX,
@@ -85,14 +90,21 @@ def interval_ratio(t: float, s: float, t_min: float) -> float:
     return (s * s - t_min * t_min) / (t * t - t_min * t_min)
 
 
-def _scaled_noise_step(x_t, x_hat, ratio: float, extra: float):
-    """x_hat + sqrt(ratio + extra) * (x_t - x_hat).
+def row_sq_norms(a):
+    """Squared norm of each row of a (B, k) stack, or of one vector; every
+    row is summed as ``np.dot(v, v)`` sums the vector alone, bit for bit."""
+    a = np.asarray(a, dtype=np.float64)
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
+def _scaled_noise_step(x_t, x_hat, ratio: float, extra):
+    """x_hat + sqrt(ratio + extra) * (x_t - x_hat), with one extra per row.
 
     Every deterministic variant funnels through this one expression so
     that extra == 0.0 reproduces the plain interpolation bit for bit.
     """
     eps = x_t - x_hat
-    return x_hat + math.sqrt(ratio + extra) * eps
+    return x_hat + np.sqrt(ratio + extra)[..., None] * eps
 
 
 def ddim_step(x_t, x_hat, t: float, s: float, t_min: float = DEFAULT_T_MIN):
@@ -100,24 +112,24 @@ def ddim_step(x_t, x_hat, t: float, s: float, t_min: float = DEFAULT_T_MIN):
     return _scaled_noise_step(x_t, x_hat, interval_ratio(t, s, t_min), 0.0)
 
 
-def _excess_term(ratio: float, scale: float, error_sq: float, eps_sq: float) -> float:
-    """Variance surplus added under the square root, normalised by ||eps||^2."""
-    if scale == 0.0 or error_sq == 0.0 or eps_sq == 0.0:
-        return 0.0
+def _guided_step(x_t, x_hat, error, t, s, t_min, scale):
+    """ddim plus the variance surplus (1-r)^2 scale ||error||^2 / ||eps||^2
+    under the square root, per row; a row whose scale, error or noise
+    eps = x_t - x_hat is zero gets no surplus."""
+    x_t, x_hat = np.asarray(x_t), np.asarray(x_hat)
+    ratio = interval_ratio(t, s, t_min)
+    error_sq, eps_sq = row_sq_norms(error), row_sq_norms(x_t - x_hat)
+    live = (scale != 0.0) & (error_sq != 0.0) & (eps_sq != 0.0)
     r = math.sqrt(ratio)
-    return (1.0 - r) * (1.0 - r) * scale * error_sq / eps_sq
+    surplus = (1.0 - r) * (1.0 - r) * scale * error_sq / np.where(live, eps_sq, 1.0)
+    return _scaled_noise_step(x_t, x_hat, ratio, np.where(live, surplus, 0.0))
 
 
 def addim_step(
     x_t, x_hat, x_teacher, t: float, s: float, t_min: float = DEFAULT_T_MIN, eta: float = 1.0
 ):
     """Teacher-guided step: inflate the noise scale by the estimation error."""
-    eps = np.asarray(x_t) - np.asarray(x_hat)
-    eps_sq = float(np.dot(eps, eps))
-    delta = np.asarray(x_teacher) - np.asarray(x_hat)
-    ratio = interval_ratio(t, s, t_min)
-    extra = _excess_term(ratio, eta, float(np.dot(delta, delta)), eps_sq)
-    return _scaled_noise_step(x_t, x_hat, ratio, extra)
+    return _guided_step(x_t, x_hat, np.asarray(x_teacher) - x_hat, t, s, t_min, eta)
 
 
 def inverse_addim_step(
@@ -135,12 +147,25 @@ def inverse_addim_step(
     The residual y - A(x_hat) needs only a forward application, so any
     deterministic operator qualifies, nonlinear ones included.
     """
-    eps = np.asarray(x_t) - np.asarray(x_hat)
-    eps_sq = float(np.dot(eps, eps))
     resid = np.asarray(y) - operator.apply(x_hat)
-    ratio = interval_ratio(t, s, t_min)
-    extra = _excess_term(ratio, gamma, float(np.dot(resid, resid)), eps_sq)
-    return _scaled_noise_step(x_t, x_hat, ratio, extra)
+    return _guided_step(x_t, x_hat, resid, t, s, t_min, gamma)
+
+
+def _require_linear(operator):
+    if not isinstance(operator, LinearOperator):
+        raise UnsupportedCombination(
+            "the spectral sampler needs a linear operator with an SVD"
+        )
+
+
+def _ddrm_move(x_t, x_hat, spectral_y, operator, t, s, sigma_y, noise, eta, eta_b):
+    """The spectral update given ``measurement_to_spectral(y)``."""
+    y_bar, valid = spectral_y
+    xs = kernels.ddrm_update(
+        operator.to_spectral(x_t), operator.to_spectral(x_hat), y_bar, valid,
+        operator.padded_singular_values(), s, t, sigma_y, eta, eta_b, noise,
+    )
+    return operator.from_spectral(xs)
 
 
 def ddrm_step(
@@ -156,25 +181,9 @@ def ddrm_step(
     eta_b: float = 1.0,
 ):
     """One spectral-domain update from level t down to level s."""
-    if not isinstance(operator, LinearOperator):
-        raise UnsupportedCombination(
-            "the spectral sampler needs a linear operator with an SVD"
-        )
-    y_bar, valid = operator.measurement_to_spectral(y)
-    xs = kernels.ddrm_update(
-        operator.to_spectral(x_t),
-        operator.to_spectral(x_hat),
-        y_bar,
-        valid,
-        operator.padded_singular_values(),
-        s,
-        t,
-        sigma_y,
-        eta,
-        eta_b,
-        np.asarray(noise, dtype=np.float64),
-    )
-    return operator.from_spectral(xs)
+    _require_linear(operator)
+    return _ddrm_move(x_t, x_hat, operator.measurement_to_spectral(y), operator,
+                      t, s, sigma_y, noise, eta, eta_b)
 
 
 @dataclass(frozen=True)
@@ -186,12 +195,16 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Everything a sampling run produced, records in decreasing t."""
+    """Everything a sampling run produced, records in decreasing t.
+
+    Arrays are (n,) for a single seed and (B, n) for one seed per row;
+    ``degenerate_steps`` is then an int or a length-B integer array.
+    """
 
     estimate: np.ndarray
     records: tuple[StepRecord, ...] = field(repr=False)
     nfe: int
-    degenerate_steps: int
+    degenerate_steps: int | np.ndarray
 
     def levels(self) -> list[float]:
         return [rec.t for rec in self.records]
@@ -211,17 +224,19 @@ def sample(
     operator=None,
     sigma_y: float = 0.0,
     x_teacher=None,
-    seed: int = 0,
+    seed=0,
     schedule: NoiseSchedule | None = None,
 ) -> Trajectory:
-    """Run one sampling trajectory and return its final estimate.
+    """Run one trajectory per seed and return the final estimates.
 
-    The consistency function is called exactly ``config.steps`` times.
-    The initial latent is t_max * z with z drawn from a fresh
-    deterministic generator, so equal seeds give bit-identical runs; the
-    stochastic variants consume further draws from the same generator in
-    loop order.  An explicit schedule overrides the built-in one and must
-    contain at least ``config.steps`` levels.
+    ``seed`` is an int, giving (n,) arrays, or a sequence of B ints,
+    giving (B, n) arrays; ``y`` and ``x_teacher`` are one vector for all
+    rows or one row per seed.  The consistency function is called exactly
+    ``config.steps`` times, on the whole latent.  Row i starts at
+    t_max * z with z from its own ``default_rng(seed_i)``, which the
+    stochastic variants keep drawing from in loop order, so a row equals
+    its single-seed run and equal seeds give bit-identical runs.  An
+    explicit schedule must have at least ``config.steps`` levels.
     """
     if schedule is None:
         schedule = config.schedule()
@@ -234,41 +249,46 @@ def sample(
     if operator is not None and n is None:
         n = operator.n
     if n is None and x_teacher is not None:
-        n = np.asarray(x_teacher).size
+        n = np.shape(x_teacher)[-1]
     _require(n is not None, "cannot infer the signal dimension; pass n or an operator")
+
+    single = np.ndim(seed) == 0
+    rngs = [np.random.default_rng(s) for s in np.atleast_1d(seed)]
+    _require(len(rngs) > 0, "need at least one seed")
+    for name, rows in (("y", y), ("x_teacher", x_teacher)):
+        _require(
+            rows is None or np.ndim(rows) == 1 or np.shape(rows)[0] == len(rngs),
+            f"{name} must be one vector or one row per seed",
+        )
 
     variant = config.variant
     if variant == "addim":
         _require(x_teacher is not None, "addim needs x_teacher (the ground truth)")
-        x_teacher = np.asarray(x_teacher, dtype=np.float64)
     if variant == "inverse_addim":
         _require(y is not None and operator is not None, "inverse_addim needs y and an operator")
     if variant == "ddrm":
         _require(y is not None and operator is not None, "ddrm needs y and an operator")
-        if isinstance(operator, NonlinearOperator) or not isinstance(
-            operator, LinearOperator
-        ):
-            raise UnsupportedCombination(
-                "the spectral sampler needs a linear operator with an SVD"
-            )
+        _require_linear(operator)
+        spectral_y = operator.measurement_to_spectral(y)
 
-    rng = np.random.default_rng(seed)
-    x = levels[0] * rng.standard_normal(n)
+    def draw():
+        return np.stack([rng.standard_normal(n) for rng in rngs])
+
+    def unbatch(a):
+        return a[0] if single else a
+
+    x = levels[0] * draw()
     records = []
-    degenerate = 0
+    degenerate = np.zeros(len(rngs), dtype=int)
 
     for i in range(config.steps - 1):
         t, s = levels[i], levels[i + 1]
         x_hat = np.asarray(consistency(x, y, t), dtype=np.float64)
-        records.append(StepRecord(t=t, latent=x, estimate=x_hat))
-        if float(np.dot(x - x_hat, x - x_hat)) == 0.0 and variant in (
-            "addim",
-            "inverse_addim",
-        ):
-            degenerate += 1
+        records.append(StepRecord(t=t, latent=unbatch(x), estimate=unbatch(x_hat)))
+        if variant in ("addim", "inverse_addim"):
+            degenerate += row_sq_norms(x - x_hat) == 0.0
         if variant == "cm_baseline":
-            z = rng.standard_normal(n)
-            x = x_hat + math.sqrt(s * s - config.t_min * config.t_min) * z
+            x = x_hat + math.sqrt(s * s - config.t_min * config.t_min) * draw()
         elif variant == "ddim":
             x = ddim_step(x, x_hat, t, s, config.t_min)
         elif variant == "addim":
@@ -278,26 +298,15 @@ def sample(
                 x, x_hat, y, operator, t, s, config.t_min, config.gamma
             )
         else:  # ddrm
-            noise = rng.standard_normal(n)
-            x = ddrm_step(
-                x,
-                x_hat,
-                y,
-                operator,
-                t,
-                s,
-                sigma_y,
-                noise,
-                config.ddrm_eta,
-                config.ddrm_eta_b,
-            )
+            x = _ddrm_move(x, x_hat, spectral_y, operator, t, s, sigma_y, draw(),
+                           config.ddrm_eta, config.ddrm_eta_b)
 
     t_last = levels[config.steps - 1]
     x_hat = np.asarray(consistency(x, y, t_last), dtype=np.float64)
-    records.append(StepRecord(t=t_last, latent=x, estimate=x_hat))
+    records.append(StepRecord(t=t_last, latent=unbatch(x), estimate=unbatch(x_hat)))
     return Trajectory(
-        estimate=x_hat,
+        estimate=unbatch(x_hat),
         records=tuple(records),
         nfe=config.steps,
-        degenerate_steps=degenerate,
+        degenerate_steps=int(degenerate[0]) if single else degenerate,
     )

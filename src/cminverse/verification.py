@@ -201,16 +201,9 @@ def variance_compensation_check(
             t_min=schedule.t_min,
             t_max=schedule.t_max,
         )
-        finals = np.empty((n_runs, prior.n))
-        for k in range(n_runs):
-            finals[k] = sample(
-                consistency,
-                config,
-                y=y,
-                operator=op,
-                seed=seed + 1 + k,
-                schedule=schedule,
-            ).estimate
+        seeds = range(seed + 1, seed + 1 + n_runs)
+        finals = sample(consistency, config, y=y, operator=op, seed=seeds,
+                        schedule=schedule).estimate
         spread = float(finals.var(axis=0, ddof=1).sum())
         if post_trace <= 1e-12:
             ratios[gamma] = 1.0 if spread <= 1e-12 else math.inf

@@ -139,6 +139,56 @@ def test_spectral_sampler_on_nonlinear_task_is_exit_3(tmp_path, capsys):
     assert "linear operator" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "body",
+    [
+        # t_min * t_min underflows to 0 inside the atom posterior's softmax
+        """
+        [experiment]
+        task = deblur
+        [dataset]
+        generator = atoms
+        count = 3
+        height = 8
+        width = 8
+        atom_count = 4
+        [operator]
+        sigma = 1.5
+        [sampler]
+        variant = inverse_addim
+        steps = 2
+        t_min = 1e-200
+        t_max = 5
+        """,
+        # t_max * t_max overflows to inf in the unconditional Gaussian gain
+        """
+        [experiment]
+        task = denoise
+        [dataset]
+        count = 3
+        height = 4
+        width = 4
+        [sampler]
+        variant = ddrm
+        steps = 2
+        t_min = 0.01
+        t_max = 1e200
+        """,
+    ],
+    ids=["atoms_tiny_t_min", "gaussian_ddrm_huge_t_max"],
+)
+def test_non_finite_estimate_is_exit_4_and_writes_nothing(tmp_path, capsys, body):
+    ini = write_ini(tmp_path, body)
+    out = str(tmp_path / "run")
+    for stage in ("synthesize", "degrade"):
+        assert cli.main(["--config", ini, "--output-dir", out, stage]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", ini, "--output-dir", out, "sample"]) == 4
+    assert "image 0 (meas_00000.cmt)" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "recon").exists()
+
+
 def test_failed_check_is_exit_1(tmp_path, capsys, monkeypatch):
     from cminverse.verification import VerificationReport
 

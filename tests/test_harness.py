@@ -209,6 +209,36 @@ def test_sample_exact_measurement_deblur_is_accurate(tmp_path, blur_sigma):
     assert harness.evaluate(config)["psnr"] > 30.0
 
 
+def test_sample_chunks_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    # one chunk of SAMPLE_CHUNK images plus a short one; the pool maps chunks
+    run_sampler, batches = harness.run_sampler, []
+
+    def counting(*args, **kwargs):
+        batches.append(len(kwargs["seed"]))
+        return run_sampler(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_sampler", counting)
+    trees = []
+    for workers in (1, 3):
+        config = make_config(tmp_path / f"w{workers}", workers=workers, seed=5,
+                             task="deblur", height=4, width=4,
+                             count=harness.SAMPLE_CHUNK + 3)
+        manifest = read_jsonl(run_pipeline(config))
+        assert [row["index"] for row in manifest] == list(range(config.count))
+        assert [row["seed"] for row in manifest] == [
+            5 + 2 + 2 * i for i in range(config.count)
+        ]
+        trees.append(tree_bytes(config.output_dir))
+    assert trees[0] == trees[1]
+    assert sorted(batches) == [3, 3, harness.SAMPLE_CHUNK, harness.SAMPLE_CHUNK]
+
+
+def test_empty_dataset_passes_synthesize_degrade_sample(tmp_path):
+    config = make_config(tmp_path, count=0, workers=3)
+    assert read_jsonl(run_pipeline(config)) == []
+    assert read_jsonl(tmp_path / "degraded" / "degrade.jsonl") == []
+
+
 def test_sample_gamma_zero_matches_plain_interpolant(tmp_path):
     config = make_config(tmp_path)
     harness.synthesize(config)

@@ -198,6 +198,18 @@ def test_measurement_model_seeded_and_noiseless():
     assert np.array_equal(exact.degrade(x, seed=9), x)
 
 
+def test_measurement_model_one_seed_per_row():
+    op = make_gaussian_blur(1, 4, 4, sigma=1.0)
+    model = MeasurementModel(operator=op, sigma_y=0.1)
+    xs = np.random.default_rng(0).standard_normal((3, 16))
+    stacked = model.degrade(xs, seed=[4, 9, 2])
+    for row, x, seed in zip(stacked, xs, [4, 9, 2]):
+        assert np.array_equal(row, model.degrade(x, seed=seed))
+    for bad_seed in ([4, 9], 4):
+        with pytest.raises(ValueError, match="one seed per row"):
+            model.degrade(xs, seed=bad_seed)
+
+
 def test_dimension_and_parameter_errors():
     with pytest.raises(ValueError):
         BlockDownsampleOperator(1, 5, 4, 2)

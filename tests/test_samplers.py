@@ -6,9 +6,10 @@ import pytest
 from cminverse.operators import (
     DenseOperator,
     IdentityOperator,
+    make_gaussian_blur,
     make_synthetic_nonlinear_blur,
 )
-from cminverse.priors import GaussianPrior
+from cminverse.priors import EmpiricalPrior, GaussianPrior
 from cminverse.samplers import (
     SamplerConfig,
     UnsupportedCombination,
@@ -270,3 +271,76 @@ def test_addim_uses_teacher():
     a = sample(prior.consistency(), config, n=prior.n, x_teacher=teacher, seed=1)
     b = sample(prior.consistency(), config, n=prior.n, x_teacher=teacher * 5, seed=1)
     assert not np.array_equal(a.estimate, b.estimate)
+
+
+# -- batched trajectories ---------------------------------------------------
+
+def _parity_setup(prior_kind, nonlinear):
+    prior = make_prior(n=16, seed=21)
+    if nonlinear:
+        op = make_synthetic_nonlinear_blur(1, 4, 4, sigma=1.0, saturation=2.0)
+    else:
+        op = make_gaussian_blur(1, 4, 4, sigma=1.0)
+    if prior_kind == "gaussian_conditioned":
+        fn = prior.measurement_consistency(op, 0.05)
+    elif prior_kind == "gaussian":
+        fn = prior.consistency()
+    else:
+        atoms = np.random.default_rng(22).standard_normal((5, 16))
+        fn = EmpiricalPrior(atoms).consistency()
+    return prior, op, fn
+
+
+BATCH_CASES = [
+    (variant, prior_kind, False)
+    for variant in ("cm_baseline", "ddim", "addim", "inverse_addim", "ddrm")
+    for prior_kind in ("gaussian_conditioned", "gaussian", "empirical")
+] + [("inverse_addim", "gaussian", True), ("inverse_addim", "empirical", True)]
+
+
+@pytest.mark.parametrize("variant,prior_kind,nonlinear", BATCH_CASES)
+def test_batched_rows_match_single_seed_runs(variant, prior_kind, nonlinear):
+    prior, op, fn = _parity_setup(prior_kind, nonlinear)
+    rng = np.random.default_rng(23)
+    seeds = [0, 1, 2, 7, 40]
+    xs = rng.standard_normal((len(seeds), 16))
+    ys = op.apply(xs) + 0.05 * rng.standard_normal((len(seeds), op.m))
+    teachers = rng.standard_normal((len(seeds), 16))
+    config = SamplerConfig(variant=variant, steps=4, gamma=0.8, eta=0.6,
+                           t_min=0.01, t_max=10.0)
+    kw = dict(operator=op, sigma_y=0.05)
+    batch = sample(fn, config, y=ys, x_teacher=teachers, seed=seeds, **kw)
+    assert batch.estimate.shape == (len(seeds), 16)
+    assert batch.degenerate_steps.shape == (len(seeds),)
+    for k, seed in enumerate(seeds):
+        alone = sample(fn, config, y=ys[k], x_teacher=teachers[k], seed=seed, **kw)
+        assert alone.estimate.shape == (16,)
+        assert np.max(np.abs(batch.estimate[k] - alone.estimate)) <= 1e-12
+        for rec_b, rec_a in zip(batch.records, alone.records):
+            assert rec_b.t == rec_a.t
+            assert np.max(np.abs(rec_b.latent[k] - rec_a.latent)) <= 1e-12
+            assert np.max(np.abs(rec_b.estimate[k] - rec_a.estimate)) <= 1e-12
+        assert batch.degenerate_steps[k] == alone.degenerate_steps
+
+
+def test_single_measurement_broadcasts_over_seeds():
+    prior = make_prior(n=16, seed=21)
+    op = make_gaussian_blur(1, 4, 4, sigma=1.0)
+    y = op.apply(np.full(16, 0.2))
+    fn = prior.measurement_consistency(op, 0.05)
+    config = SamplerConfig(variant="inverse_addim", steps=3, t_min=0.01, t_max=10.0)
+    shared = sample(fn, config, y=y, operator=op, sigma_y=0.05, seed=[4, 5, 6])
+    stacked = sample(fn, config, y=np.stack([y] * 3), operator=op, sigma_y=0.05,
+                     seed=[4, 5, 6])
+    assert np.max(np.abs(shared.estimate - stacked.estimate)) <= 1e-12
+    with pytest.raises(ValueError, match="one row per seed"):
+        sample(fn, config, y=np.stack([y] * 2), operator=op, seed=[4, 5, 6])
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample(fn, config, y=y, operator=op, seed=[])
+
+
+def test_degenerate_steps_are_counted_per_row():
+    # an exact identity "denoiser" leaves x_t - x_hat = 0 on every row
+    config = SamplerConfig(variant="addim", steps=3, t_min=0.01, t_max=10.0)
+    trajectory = sample(lambda x, y, t: x, config, x_teacher=np.zeros(4), seed=[1, 2])
+    assert trajectory.degenerate_steps.tolist() == [2, 2]
