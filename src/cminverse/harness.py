@@ -423,6 +423,8 @@ def _format_table(rows: list[dict]) -> str:
 def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
              report_name: str = "evaluate") -> dict:
     """Score reconstructions against the dataset; returns the aggregate row."""
+    if config.count == 0:
+        raise ValueError("evaluate: the dataset has no images (count = 0)")
     _, records, ds_dir = load_dataset(config)
     paths = _stage_paths(config)
     recon_dir = recon_dir if recon_dir is not None else paths["recon"]

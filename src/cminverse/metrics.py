@@ -121,21 +121,51 @@ def frechet_distance(mu1, cov1, mu2, cov2) -> float:
     return frechet_distance_with_clamp(mu1, cov1, mu2, cov2)[0]
 
 
-def gaussian_fit(features) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and covariance of a (count, d) feature stack."""
+def _feature_stack(features) -> np.ndarray:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 2:
         raise ValueError("need at least 2 feature vectors")
+    return feats
+
+
+def gaussian_fit(features) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance of a (count, d) feature stack."""
+    feats = _feature_stack(features)
     mu = feats.mean(axis=0)
     centered = feats - mu
     cov = centered.T @ centered / (feats.shape[0] - 1)
     return mu, cov
 
 
+def _mean_and_r(features):
+    """Mean, R factor of the centered stack, and N - 1 (cov = R^T R / (N - 1))."""
+    feats = _feature_stack(features)
+    mu = feats.mean(axis=0)
+    return mu, np.linalg.qr(feats - mu, mode="r"), feats.shape[0] - 1
+
+
 def frechet_from_features(features_x, features_y) -> float:
-    mu1, cov1 = gaussian_fit(features_x)
-    mu2, cov2 = gaussian_fit(features_y)
-    return frechet_distance(mu1, cov1, mu2, cov2)
+    """Fréchet distance between the Gaussian fits of two (count, d) stacks.
+
+    With cov_i = R_i^T R_i / (N_i - 1), trace((cov1 cov2)^(1/2)) is the sum
+    of singular values of R1 R2^T / sqrt((N1 - 1)(N2 - 1)).  R_i has
+    min(N_i, d) rows, so no d x d matrix is formed, and the value is exact
+    for any N and d: no round-off eigenvalue of a rank-deficient
+    covariance enters a square root.
+    """
+    mu1, r1, dof1 = _mean_and_r(features_x)
+    mu2, r2, dof2 = _mean_and_r(features_y)
+    if mu1.size != mu2.size:
+        raise ValueError("moment dimensions disagree")
+    diff = mu1 - mu2
+    cross = np.linalg.svd(r1 @ r2.T, compute_uv=False).sum()
+    value = float(
+        diff @ diff
+        + np.sum(r1 * r1) / dof1
+        + np.sum(r2 * r2) / dof2
+        - 2.0 * cross / math.sqrt(dof1 * dof2)
+    )
+    return max(value, 0.0)
 
 
 def polynomial_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -317,11 +317,21 @@ def _wrap_kernel(kernel: np.ndarray, length: int) -> np.ndarray:
     return wrapped
 
 
+def _circulant(wrapped: np.ndarray) -> np.ndarray:
+    """C[i, j] = wrapped[(i - j) % length], so C x is x convolved on the ring."""
+    length = wrapped.size
+    idx = np.arange(length)
+    return wrapped[(idx[:, None] - idx[None, :]) % length]
+
+
 class CircularBlurOperator(LinearOperator):
     """Separable circular convolution, diagonal in the real DFT basis.
 
     The kernel has unit sum, so the operator is doubly stochastic and the
-    top singular value is exactly 1 (the DC mode).
+    top singular value is exactly 1 (the DC mode).  All three maps are
+    separable matrix products on each (h, w) channel image: apply is
+    C_h X C_w^T with circulant C_h, C_w; V^T is Q_h^T X Q_w and V is
+    Q_h X Q_w^T with the real DFT bases Q_h, Q_w.
     """
 
     structure_tag = "blur_circular"
@@ -340,6 +350,10 @@ class CircularBlurOperator(LinearOperator):
         self._qw = _real_dft_basis(width)
         self._wrapped_h = _wrap_kernel(kernel, height)
         self._wrapped_w = _wrap_kernel(kernel, width)
+        # built by index, not from the DFT factors, so apply() stays an
+        # independent check on apply_factored()
+        self._ch = _circulant(self._wrapped_h)
+        self._cw = _circulant(self._wrapped_w)
         lam_h = _basis_eigenvalues(np.fft.fft(self._wrapped_h).real)
         lam_w = _basis_eigenvalues(np.fft.fft(self._wrapped_w).real)
         lam = np.outer(lam_h, lam_w).ravel()
@@ -353,31 +367,20 @@ class CircularBlurOperator(LinearOperator):
             n, n, s_full, (channels, height, width), (channels, height, width)
         )
 
-    def _axis_convolve(self, arr, wrapped, axis):
-        out = np.zeros_like(arr)
-        for shift in np.flatnonzero(wrapped):
-            out += wrapped[shift] * np.roll(arr, shift, axis=axis)
-        return out
-
     def _direct(self, x2d):
-        c, h, w = self.channels, self.height, self.width
-        img = x2d.reshape(-1, c, h, w)
-        img = self._axis_convolve(img, self._wrapped_h, axis=2)
-        img = self._axis_convolve(img, self._wrapped_w, axis=3)
-        return img.reshape(-1, self.n)
+        img = x2d.reshape(-1, self.channels, self.height, self.width)
+        return (self._ch @ img @ self._cw.T).reshape(-1, self.n)
 
     def _vt(self, x2d):
         c, h, w = self.channels, self.height, self.width
         img = x2d.reshape(-1, c, h, w)
-        coef = np.einsum("bchw,hp,wq->bcpq", img, self._qh, self._qw)
-        coef = coef.reshape(-1, c, h * w)[:, :, self._perm]
+        coef = (self._qh.T @ img @ self._qw).reshape(-1, c, h * w)[:, :, self._perm]
         return coef.transpose(0, 2, 1).reshape(-1, self.n)
 
     def _v(self, xs2d):
         c, h, w = self.channels, self.height, self.width
         coef = xs2d.reshape(-1, h * w, c).transpose(0, 2, 1)[:, :, self._inv_perm]
-        coef = coef.reshape(-1, c, h, w)
-        img = np.einsum("bcpq,hp,wq->bchw", coef, self._qh, self._qw)
+        img = self._qh @ coef.reshape(-1, c, h, w) @ self._qw.T
         return img.reshape(-1, self.n)
 
     def _ut(self, y2d):

@@ -77,6 +77,21 @@ def test_full_pipeline_exit_codes_and_output(tmp_path, capsys):
     assert "best gamma" in capsys.readouterr().out
 
 
+def test_evaluate_rejects_empty_dataset(tmp_path, capsys):
+    ini = base_ini(tmp_path)
+    with open(ini) as fh:
+        body = fh.read()
+    with open(ini, "w") as fh:
+        fh.write(body.replace("count = 4", "count = 0"))
+    for stage in ("synthesize", "degrade", "sample"):
+        assert cli.main(["--config", ini, stage]) == 0
+    capsys.readouterr()
+    for stage in ("evaluate", "tune-gamma"):
+        assert cli.main(["--config", ini, stage]) == 2
+        assert "dataset has no images (count = 0)" in capsys.readouterr().err
+    assert not list((tmp_path / "run" / "reports").glob("evaluate.*"))
+
+
 def test_seed_and_output_dir_overrides(tmp_path, capsys):
     ini = base_ini(tmp_path)
     rc = cli.main(

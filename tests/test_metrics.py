@@ -166,6 +166,47 @@ def test_frechet_from_features_identical_sets():
     assert frechet_from_features(feats, feats.copy()) == pytest.approx(0.0, abs=1e-9)
 
 
+def joint_span_frechet(x, y):
+    """Covariance-route FID after projecting both sets onto their joint span,
+    where both covariances have full rank."""
+    span = np.concatenate([x - x.mean(axis=0), y - y.mean(axis=0),
+                           (x.mean(axis=0) - y.mean(axis=0))[None, :]])
+    basis, _ = np.linalg.qr(span.T)
+    return frechet_distance(*gaussian_fit(x @ basis), *gaussian_fit(y @ basis))
+
+
+def test_frechet_from_features_matches_covariance_route_at_full_rank():
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((320, 256))
+    y = 0.8 * rng.standard_normal((320, 256)) + 0.1
+    expected = frechet_distance(*gaussian_fit(x), *gaussian_fit(y))
+    assert frechet_from_features(x, y) == pytest.approx(expected, rel=0.0, abs=1e-10)
+
+
+def test_frechet_from_features_rank_deficient_matches_joint_span_oracle():
+    # 16 images of 1024 pixels: both covariances have rank 15
+    rng = np.random.default_rng(22)
+    x = rng.random((16, 1024))
+    y = 0.9 * rng.random((16, 1024)) + 0.05
+    assert frechet_from_features(x, y) == pytest.approx(
+        joint_span_frechet(x, y), rel=0.0, abs=1e-6
+    )
+
+
+def test_frechet_from_features_self_distance_and_symmetry():
+    rng = np.random.default_rng(23)
+    x = rng.random((16, 1024))
+    y = rng.random((12, 1024))
+    assert frechet_from_features(x, x) == pytest.approx(0.0, abs=1e-9)
+    assert frechet_from_features(x, y) == pytest.approx(
+        frechet_from_features(y, x), rel=1e-12
+    )
+    with pytest.raises(ValueError, match="need at least 2 feature vectors"):
+        frechet_from_features(x[:1], y)
+    with pytest.raises(ValueError, match="moment dimensions disagree"):
+        frechet_from_features(x, y[:, :5])
+
+
 def test_polynomial_kernel_unit_vector():
     # ||a||^2 = 1 in d = 4: (1/4 + 1)^3 = 1.953125 exactly
     a = np.array([[0.5, 0.5, 0.5, 0.5]])

@@ -14,6 +14,7 @@ from cminverse.operators import (
     make_downsample,
     make_gaussian_blur,
     make_synthetic_nonlinear_blur,
+    _real_dft_basis,
 )
 
 
@@ -141,6 +142,47 @@ def test_blur_matches_explicit_roll_convolution():
         kernel[j + 3] * np.roll(x, j) for j in range(-3, 4)
     )
     assert np.allclose(op.apply(x), oracle, atol=1e-12)
+
+
+def fft_circular_blur(images, sigma, radius):
+    """2-D circular convolution of (B, c, h, w) images by FFT, from the 1-D taps."""
+    h, w = images.shape[-2:]
+    taps = gaussian_kernel(sigma, radius)
+    offsets = np.arange(-radius, radius + 1)
+    kernel2d = np.zeros((h, w))
+    np.add.at(kernel2d, np.ix_(offsets % h, offsets % w), np.outer(taps, taps))
+    spectrum = np.fft.fft2(images) * np.fft.fft2(kernel2d)
+    return np.fft.ifft2(spectrum).real
+
+
+@pytest.mark.parametrize("shape, sigma, radius", [
+    ((3, 12, 20), 2.0, 7),  # radius past half the short side: taps fold
+    ((1, 64, 64), 3.0, 9),
+])
+def test_blur_matches_fft_circular_convolution(shape, sigma, radius):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4,) + shape)
+    op = CircularBlurOperator(*shape, sigma=sigma, kernel_radius=radius)
+    oracle = fft_circular_blur(x, sigma, radius).reshape(4, -1)
+    assert np.allclose(op.apply(x.reshape(4, -1)), oracle, atol=1e-12)
+
+
+def test_blur_to_spectral_matches_kronecker_basis():
+    c, h, w = 2, 6, 10
+    op = CircularBlurOperator(c, h, w, sigma=1.3)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, c * h * w))
+    basis = np.kron(_real_dft_basis(h), _real_dft_basis(w))  # (h w, h w)
+    coef = x.reshape(3, c, h * w) @ basis
+    # spectral index k of channel ch sits at k * c + ch
+    expected = coef[:, :, op._perm].transpose(0, 2, 1).reshape(3, -1)
+    assert np.allclose(op.to_spectral(x), expected, atol=1e-12)
+
+
+def test_blur_spectral_round_trip_at_64():
+    op = CircularBlurOperator(1, 64, 64, sigma=3.0)
+    x = np.random.default_rng(13).standard_normal((2, op.n))
+    assert np.allclose(op.from_spectral(op.to_spectral(x)), x, rtol=0.0, atol=1e-12)
 
 
 def test_blur_wraps_kernel_on_short_axis():
