@@ -295,7 +295,7 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
     """Reconstruct every measurement; returns the manifest path.
 
     ``setup`` is a ``_sampling_setup(config)`` result to reuse, so that
-    repeated passes share one consistency closure and its cached gains.
+    repeated passes share one consistency closure and its eigenfactors.
     Raises NonFiniteEstimate, before writing anything, when an estimate
     or residual norm is not finite.
     """
@@ -572,7 +572,7 @@ def tune_gamma(config: ExperimentConfig) -> dict:
     Each candidate re-runs sampling and evaluation into its own
     subdirectory; candidates are ranked by KID when enabled, otherwise by
     PSNR.  All candidates share one operator and consistency closure, so
-    each per-level gain is built once per run.  Returns the winning row.
+    the prior is conditioned and factored once per run.  Returns the winning row.
     """
     paths = _stage_paths(config)
     setup = _sampling_setup(config)

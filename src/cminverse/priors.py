@@ -13,8 +13,8 @@ z ~ N(0, I), so as t -> 0 every denoiser here approaches the identity
 on x_t (the fixed-point boundary of a consistency function).
 """
 
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -43,30 +43,32 @@ def _check_t(t: float) -> float:
     return t
 
 
-def _denoise_gain(cov: np.ndarray, t: float) -> np.ndarray:
-    """cov (cov + t^2 I)^-1, the gain of E[x | x_t] under x ~ N(., cov)."""
-    return np.linalg.solve(cov + t * t * np.eye(cov.shape[0]), cov).T
+def _eigen_factor(cov: np.ndarray):
+    """(lam, Q) with cov = Q diag(lam) Q^T, lam clamped at 0 (cov is PSD)."""
+    lam, vecs = np.linalg.eigh(cov)
+    return np.maximum(lam, 0.0), vecs
 
 
-def _per_level(build):
-    """Memoise build(t) per noise level.
+def _shrink_weights(lam: np.ndarray, t: float) -> np.ndarray:
+    """lam / (lam + t^2), exactly 0 where lam = 0 (also when t^2 underflows to 0)."""
+    return np.divide(lam, lam + t * t, out=np.zeros_like(lam), where=lam > 0.0)
 
-    The lock makes every level's gain be built exactly once, also when a
-    thread pool shares the closure and all workers miss the cache together.
-    """
-    gains: dict[float, np.ndarray] = {}
-    lock = threading.Lock()
 
-    def gain_at(t: float) -> np.ndarray:
-        gain = gains.get(t)
-        if gain is None:
-            with lock:
-                gain = gains.get(t)
-                if gain is None:
-                    gain = gains[t] = build(t)
-        return gain
+def _denoise(mean: np.ndarray, factor, x_t: np.ndarray, t: float) -> np.ndarray:
+    """E[x | x_t] = mean + Q diag(lam/(lam+t^2)) Q^T (x_t - mean) for factor = (lam, Q)."""
+    t = _check_t(t)
+    lam, vecs = factor
+    x_t = np.asarray(x_t, dtype=np.float64)
+    resid = (x_t - mean).reshape(-1, lam.size)
+    out = mean + ((resid @ vecs) * _shrink_weights(lam, t)) @ vecs.T
+    return out.reshape(x_t.shape)
 
-    return gain_at
+
+def _denoise_cov(factor, t: float) -> np.ndarray:
+    """Var[x | x_t] = Q diag(lam (1 - lam/(lam+t^2))) Q^T, finite also at t^2 = inf."""
+    lam, vecs = factor
+    cov = (vecs * (lam * (1.0 - _shrink_weights(lam, _check_t(t))))) @ vecs.T
+    return (cov + cov.T) / 2.0
 
 
 def _finite_or_raise(array: np.ndarray, sigma_y: float) -> np.ndarray:
@@ -103,25 +105,25 @@ class GaussianPrior:
     def n(self) -> int:
         return self.mean.size
 
+    @cached_property
+    def _factor(self):
+        """Eigenfactor of the covariance; lazy, as conditioned runs never need it."""
+        return _eigen_factor(self.covariance)
+
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        return rng.multivariate_normal(
-            self.mean, self.covariance, size=size, method="svd"
-        )
+        """mean + (z * sqrt(lam)) Q^T with z ~ N(0, I): shape (n,) or (size, n)."""
+        lam, vecs = self._factor
+        z = rng.standard_normal(self.n if size is None else (size, self.n))
+        return self.mean + (z * np.sqrt(lam)) @ vecs.T
 
     # --- conditioning on the latent alone -------------------------------
     def denoise(self, x_t: np.ndarray, t: float) -> np.ndarray:
         """E[x | x_t] = mean + Sigma (Sigma + t^2 I)^-1 (x_t - mean)."""
-        t = _check_t(t)
-        x_t = np.asarray(x_t, dtype=np.float64)
-        resid = (x_t - self.mean).reshape(-1, self.n)
-        out = self.mean + resid @ _denoise_gain(self.covariance, t).T
-        return out.reshape(x_t.shape)
+        return _denoise(self.mean, self._factor, x_t, t)
 
     def denoise_cov(self, t: float) -> np.ndarray:
         """Var[x | x_t] = t^2 Sigma (Sigma + t^2 I)^-1 (independent of x_t)."""
-        t = _check_t(t)
-        cov = t * t * _denoise_gain(self.covariance, t)
-        return (cov + cov.T) / 2.0
+        return _denoise_cov(self._factor, t)
 
     # --- conditioning on the measurement --------------------------------
     def _condition_on_measurement(self, a: np.ndarray, sigma_y: float):
@@ -156,8 +158,7 @@ class GaussianPrior:
         """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y."""
         t = _check_t(t)
         _, cov_y = self._condition_on_measurement(_as_matrix(operator), sigma_y)
-        cov = t * t * _denoise_gain(cov_y, t)
-        return (cov + cov.T) / 2.0
+        return _denoise_cov(_eigen_factor(cov_y), t)
 
     def posterior(self, operator, y: np.ndarray, sigma_y: float):
         """Mean and covariance of x | y under y = A x + sigma_y * noise."""
@@ -170,16 +171,13 @@ class GaussianPrior:
     def consistency(self) -> ConsistencyFn:
         """Unconditional denoiser in consistency-function form (ignores y).
 
-        Gain matrices are cached per noise level, so repeated calls at the
-        handful of levels a sampler visits cost one solve each.
+        Every level scales one cached factor of Sigma, so a call costs two
+        matrix products and threads can share the closure.
         """
-        gain_at = _per_level(lambda t: _denoise_gain(self.covariance, t))
+        factor = self._factor
 
         def fn(x_t, y, t):
-            gain = gain_at(_check_t(t))
-            x_t = np.asarray(x_t, dtype=np.float64)
-            resid = (x_t - self.mean).reshape(-1, self.n)
-            return (self.mean + resid @ gain.T).reshape(x_t.shape)
+            return _denoise(self.mean, factor, x_t, t)
 
         return fn
 
@@ -189,28 +187,22 @@ class GaussianPrior:
         x | y is Gaussian, N(mean_y, Sigma_y), so E[x | x_t, y] is plain
         denoising under that prior: mean_y + G_t (x_t - mean_y) with
         G_t = Sigma_y (Sigma_y + t^2 I)^-1.  The closure conditions on y
-        once (one m x m eigendecomposition) and caches G_t per level as in
-        consistency() (one n x n solve each); a call then costs two
-        matrix-vector products.
+        once (one m x m eigendecomposition) and factors Sigma_y once (one
+        n x n), so G_t = Q diag(lam/(lam+t^2)) Q^T at every level: a call
+        costs three matrix products, with no solve, cache or lock.
         """
         a = _as_matrix(operator)
         m = a.shape[0]
         a_mu = a @ self.mean
         gain_y, cov_y = self._condition_on_measurement(a, sigma_y)
-        gain_at = _per_level(
-            lambda t: _finite_or_raise(_denoise_gain(cov_y, t), sigma_y)
-        )
+        factor = _eigen_factor(cov_y)
 
         def fn(x_t, y, t):
             if y is None:
                 raise ValueError("measurement-conditioned denoiser needs y")
-            gain = gain_at(_check_t(t))
-            x_t = np.asarray(x_t, dtype=np.float64)
             y = np.asarray(y, dtype=np.float64)
-            single = x_t.ndim == 1
             mean_y = self.mean + (y.reshape(-1, m) - a_mu) @ gain_y.T
-            out = mean_y + (x_t.reshape(-1, self.n) - mean_y) @ gain.T
-            return out[0] if single else out
+            return _denoise(mean_y, factor, x_t, t)
 
         return fn
 
@@ -275,8 +267,8 @@ def rbf_covariance(shape: tuple[int, int, int], length_scale: float, variance: f
 
     Entry for pixels p, q (same channel) is
     variance * exp(-||coord_p - coord_q||^2 / (2 length_scale^2)); cross-channel
-    blocks are zero.  A small diagonal jitter keeps Cholesky factorisations
-    viable despite the fast eigenvalue decay.
+    blocks are zero.  A small diagonal jitter keeps the matrix numerically
+    positive definite despite the fast eigenvalue decay.
     """
     if length_scale <= 0.0 or variance <= 0.0:
         raise ValueError("length_scale and variance must be positive")

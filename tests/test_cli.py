@@ -1,12 +1,15 @@
+import os
 import shutil
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
-from cminverse import cli
-from cminverse.tensorio import read_jsonl
+from cminverse import cli, harness
+from cminverse.config import build_operator, load_config
+from cminverse.tensorio import read_jsonl, read_tensor
 
 
 def write_ini(tmp_path, body, name="exp.ini"):
@@ -154,6 +157,16 @@ def test_spectral_sampler_on_nonlinear_task_is_exit_3(tmp_path, capsys):
     assert "linear operator" in capsys.readouterr().err
 
 
+def _run_to_sample(tmp_path, body):
+    """synthesize, degrade and sample; returns (sample exit code, config)."""
+    ini = write_ini(tmp_path, body)
+    out = str(tmp_path / "run")
+    for stage in ("synthesize", "degrade"):
+        assert cli.main(["--config", ini, "--output-dir", out, stage]) == 0
+    code = cli.main(["--config", ini, "--output-dir", out, "sample"])
+    return code, load_config(ini).with_overrides(output_dir=out)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "body",
@@ -176,7 +189,51 @@ def test_spectral_sampler_on_nonlinear_task_is_exit_3(tmp_path, capsys):
         t_min = 1e-200
         t_max = 5
         """,
-        # t_max * t_max overflows to inf in the unconditional Gaussian gain
+    ],
+    ids=["atoms_tiny_t_min"],
+)
+def test_non_finite_estimate_is_exit_4_and_writes_nothing(tmp_path, capsys, body):
+    code, _ = _run_to_sample(tmp_path, body)
+    assert code == 4
+    assert "image 0 (meas_00000.cmt)" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "recon").exists()
+
+
+def _reconstructions(config):
+    recon = os.path.join(config.output_dir, "recon")
+    rows = read_jsonl(os.path.join(recon, "sample.jsonl"))
+    assert len(rows) == config.count
+    return [read_tensor(os.path.join(recon, row["reconstruction"])) for row in rows]
+
+
+def test_zero_noise_strong_blur_at_tiny_t_min_is_finite(tmp_path):
+    # sigma_y = 0 on a 3 px blur leaves directions of the conditioned
+    # covariance with zero variance; t_min * t_min underflows to 0 there.
+    code, config = _run_to_sample(tmp_path, """
+        [experiment]
+        task = deblur
+        [dataset]
+        count = 3
+        height = 8
+        width = 8
+        [operator]
+        sigma = 3
+        sigma_y = 0
+        [sampler]
+        variant = inverse_addim
+        steps = 2
+        t_min = 1e-200
+        t_max = 5
+        """)
+    assert code == 0
+    assert all(np.all(np.isfinite(x)) for x in _reconstructions(config))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "body",
+    [
+        # unconditional Gaussian denoiser at t_max = 1e200: t * t is inf
         """
         [experiment]
         task = denoise
@@ -190,18 +247,37 @@ def test_spectral_sampler_on_nonlinear_task_is_exit_3(tmp_path, capsys):
         t_min = 0.01
         t_max = 1e200
         """,
+        # measurement-conditioned denoiser at t_max = 1e300
+        """
+        [experiment]
+        task = deblur
+        [dataset]
+        count = 3
+        height = 8
+        width = 8
+        [operator]
+        sigma = 1.5
+        [sampler]
+        variant = cm_baseline
+        steps = 2
+        t_min = 0.01
+        t_max = 1e300
+        """,
     ],
-    ids=["atoms_tiny_t_min", "gaussian_ddrm_huge_t_max"],
+    ids=["gaussian_ddrm_huge_t_max", "gaussian_cm_baseline_t_max_1e300"],
 )
-def test_non_finite_estimate_is_exit_4_and_writes_nothing(tmp_path, capsys, body):
-    ini = write_ini(tmp_path, body)
-    out = str(tmp_path / "run")
-    for stage in ("synthesize", "degrade"):
-        assert cli.main(["--config", ini, "--output-dir", out, stage]) == 0
-    capsys.readouterr()
-    assert cli.main(["--config", ini, "--output-dir", out, "sample"]) == 4
-    assert "image 0 (meas_00000.cmt)" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "recon").exists()
+def test_huge_t_max_is_exact(tmp_path, body):
+    code, config = _run_to_sample(tmp_path, body)
+    assert code == 0
+    assert all(np.all(np.isfinite(x)) for x in _reconstructions(config))
+
+    # lam / (lam + inf) = 0 in every direction: the estimate is mean_y itself
+    prior, operator = harness.load_prior(config), build_operator(config)
+    y = np.random.default_rng(0).standard_normal(operator.m)
+    x_t = prior.mean + 1e300 * np.random.default_rng(1).standard_normal(prior.n)
+    mean_y, _ = prior.posterior(operator, y, config.sigma_y)
+    out = prior.measurement_consistency(operator, config.sigma_y)(x_t, y, 1e300)
+    assert np.allclose(out, mean_y, rtol=0.0, atol=1e-12)
 
 
 def test_failed_check_is_exit_1(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -116,7 +115,7 @@ def test_consistency_closures_match_methods():
     cond = prior.measurement_consistency(op, 0.05)
     direct = prior.joint_denoise(x_t, y, 0.7, op, 0.05)
     assert np.allclose(cond(x_t, y, 0.7), direct, atol=1e-8)
-    # second call hits the cached gain and stays identical
+    # repeated calls at one level give identical results
     assert np.array_equal(cond(x_t, y, 0.7), cond(x_t, y, 0.7))
 
 
@@ -188,30 +187,44 @@ def test_measurement_conditioning_matches_joint_oracle(make_op, sigma_y, t):
     assert np.allclose(prior.joint_denoise_cov(t, op, sigma_y), oracle_cov, atol=1e-8)
 
 
-@pytest.mark.parametrize("conditioned", [False, True], ids=["consistency", "measurement"])
-def test_shared_closure_builds_each_gain_once(monkeypatch, conditioned):
-    prior = small_prior(11, n=16)
-    op = IdentityOperator(1, 4, 4)
-    if conditioned:
-        fn = prior.measurement_consistency(op, 0.05)
-    else:
-        fn = prior.consistency()
-    solve, lock, builds = np.linalg.solve, threading.Lock(), []
+def test_one_eigendecomposition_per_covariance(monkeypatch):
+    eigh, lock, shapes = np.linalg.eigh, threading.Lock(), []
 
-    def counting_solve(*args):
+    def counting_eigh(a, *args, **kwargs):
         with lock:
-            builds.append(1)
-        time.sleep(0.05)  # hold the build open while the other threads arrive
-        return solve(*args)
+            shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(priors.np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(priors.np.linalg, "eigh", counting_eigh)
+    op = make_downsample(1, 4, 4, 2)  # m = 4, n = 16
+
+    # a conditioned closure: the m x m y-stage plus one n x n factor of
+    # Sigma_y, and never a factor of Sigma itself
+    prior = small_prior(11, n=16)
+    cond = prior.measurement_consistency(op, 0.05)
+    assert shapes == [(4, 4), (16, 16)]
+
+    # one factor of Sigma per prior, shared by every unconditional use
+    shapes.clear()
+    prior.sample(np.random.default_rng(0), size=2)
+    unc = prior.consistency()
+    prior.denoise(np.zeros(prior.n), 0.5)
+    prior.denoise_cov(0.5)
+    prior.consistency()
+    assert shapes == [(16, 16)]
+
+    # threads sharing the closures factor nothing and agree bit for bit
+    shapes.clear()
+    rng = np.random.default_rng(12)
+    x_t, y = rng.standard_normal((3, prior.n)), rng.standard_normal((3, op.m))
+    levels = (80.0, 5.0, 0.5, 0.002)
+    expected = [[fn(x_t, y, t) for t in levels] for fn in (unc, cond)]
     barrier = threading.Barrier(8)
-    x_t, y = np.ones(prior.n), np.zeros(prior.n)
     results = [None] * 8
 
     def work(k):
         barrier.wait(timeout=10)
-        results[k] = fn(x_t, y, 0.5)
+        results[k] = [[fn(x_t, y, t) for t in levels] for fn in (unc, cond)]
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
     interval = sys.getswitchinterval()
@@ -224,8 +237,60 @@ def test_shared_closure_builds_each_gain_once(monkeypatch, conditioned):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(builds) == 1
-    assert all(np.array_equal(out, results[0]) for out in results)
+    assert shapes == []
+    for result in results:
+        for got, want in zip(result, expected):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("size, shape", [(None, (16,)), (3, (3, 16)), (0, (0, 16))])
+def test_gaussian_sample_shapes(size, shape):
+    draws = small_prior(13, n=16).sample(np.random.default_rng(0), size=size)
+    assert draws.shape == shape and np.all(np.isfinite(draws))
+
+
+def test_gaussian_sample_covariance_matches_within_monte_carlo_bound():
+    prior, count = small_prior(14, n=16), 20000
+    draws = prior.sample(np.random.default_rng(1), size=count)
+    cov, var = prior.covariance, np.diag(prior.covariance)
+    # Var of a sample covariance entry: (S_ij^2 + S_ii S_jj) / N; of a mean: S_ii / N.
+    # Five standard errors per entry: each exceeds it with probability below 6e-7.
+    assert np.all(np.abs(draws.mean(axis=0) - prior.mean) <= 5.0 * np.sqrt(var / count))
+    emp = np.cov(draws, rowvar=False)
+    assert np.all(np.abs(emp - cov) <= 5.0 * np.sqrt((cov * cov + np.outer(var, var)) / count))
+
+
+def test_gaussian_sample_is_finite_on_round_off_negative_eigenvalues():
+    root = np.random.default_rng(15).standard_normal((16, 3))
+    prior = GaussianPrior(mean=np.zeros(16), covariance=root @ root.T)
+    assert np.linalg.eigvalsh(prior.covariance).min() < 0.0  # rank 3, round-off below 0
+    draws = prior.sample(np.random.default_rng(2), size=50)
+    assert np.all(np.isfinite(draws))
+    # draws stay in the column space of the root
+    resid = draws - draws @ np.linalg.pinv(root).T @ root.T
+    assert np.abs(resid).max() < 1e-6
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+def test_eigen_gains_match_explicit_solves(t):
+    rng = np.random.default_rng(16)
+    prior = small_prior(16, n=16)
+    op = make_downsample(1, 4, 4, 2)
+    a, sigma_y = operator_matrix(op), 0.05
+    t2, eye = t * t, np.eye(prior.n)
+
+    def gain(cov):
+        return np.linalg.solve(cov + t2 * eye, cov)
+
+    x_t = rng.standard_normal((3, prior.n))
+    want = prior.mean + (x_t - prior.mean) @ gain(prior.covariance)
+    assert np.allclose(prior.denoise(x_t, t), want, rtol=0.0, atol=1e-10)
+    assert np.allclose(prior.denoise_cov(t), t2 * gain(prior.covariance), rtol=0.0, atol=1e-10)
+
+    _, cov_y = _conditional_oracle(prior.mean, prior.covariance, a,
+                                   sigma_y * sigma_y * np.eye(op.m), np.zeros(op.m))
+    assert np.allclose(prior.joint_denoise_cov(t, op, sigma_y), t2 * gain(cov_y),
+                       rtol=0.0, atol=1e-10)
 
 
 def test_non_finite_conditioning_names_sigma_y():
