@@ -25,7 +25,7 @@ from .operators import (
     make_inpaint,
     make_synthetic_nonlinear_blur,
 )
-from .priors import ConsistencyFn, EmpiricalPrior, GaussianPrior, rbf_covariance
+from .priors import ConsistencyFn, EmpiricalPrior, GaussianPrior, rbf_covariance, rbf_prior
 from .samplers import (
     SamplerConfig,
     Trajectory,
@@ -82,6 +82,7 @@ __all__ = [
     "mc_dropped_variance_check",
     "psnr",
     "rbf_covariance",
+    "rbf_prior",
     "residual_bound_check",
     "sample",
     "ssim",

@@ -13,6 +13,7 @@ z ~ N(0, I), so as t -> 0 every denoiser here approaches the identity
 on x_t (the fixed-point boundary of a consistency function).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Protocol
@@ -43,10 +44,71 @@ def _check_t(t: float) -> float:
     return t
 
 
-def _eigen_factor(cov: np.ndarray):
-    """(lam, Q) with cov = Q diag(lam) Q^T, lam clamped at 0 (cov is PSD)."""
+@dataclass(frozen=True)
+class EigenFactor:
+    """Sigma = Q diag(lam) Q^T with lam >= 0.
+
+    ``axes`` is ``(Q,)`` for a dense factor, or ``(Q_h, Q_w)`` for a
+    covariance that is separable over the image axes, where
+    Q = I_c (x) Q_h (x) Q_w is applied one axis at a time and never formed.
+    """
+
+    lam: np.ndarray
+    axes: tuple[np.ndarray, ...]
+
+    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        if len(self.axes) == 1:
+            vecs = self.axes[0]
+            return x @ (vecs.T if transpose else vecs)
+        # row-major pixels (channel, row, col): x Q = Q_h^T X Q_w per channel
+        # image X, and z Q^T = Q_h Z Q_w^T
+        q_h, q_w = self.axes
+        left, right = (q_h, q_w.T) if transpose else (q_h.T, q_w)
+        grid = x.reshape(-1, q_h.shape[0], q_w.shape[0])
+        return (left @ grid @ right).reshape(x.shape)
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """x Q: a vector or the rows of a stack, in the eigenbasis."""
+        return self._apply(x, transpose=False)
+
+    def expand(self, z: np.ndarray) -> np.ndarray:
+        """z Q^T: eigenbasis coordinates back to pixels."""
+        return self._apply(z, transpose=True)
+
+    def matrix(self, weights: np.ndarray) -> np.ndarray:
+        """Q diag(weights) Q^T as a dense symmetric matrix."""
+        if len(self.axes) == 1:
+            vecs = self.axes[0]
+            out = (vecs * weights) @ vecs.T
+        else:
+            out = self.expand(self.expand(np.diag(weights)).T)
+        return (out + out.T) / 2.0
+
+
+def _check_factor(factor: EigenFactor, cov: np.ndarray) -> None:
+    """Raise unless factor fits cov's dimension and reproduces cov on a probe.
+
+    One seeded probe vector v costs an O(n^2) product Sigma v, against the
+    factor's Q (lam * Q^T v); a factor of another covariance (another
+    length scale, axis split or channel count) misses it by far more than
+    the 1e-8 relative round-off allowed.
+    """
+    n = cov.shape[0]
+    sides = [q.shape for q in factor.axes]
+    if (factor.lam.shape != (n,) or len(sides) not in (1, 2)
+            or any(len(q) != 2 or q[0] != q[1] for q in sides)
+            or n % math.prod(q[0] for q in sides)):
+        raise ValueError("factor does not match the prior's dimension")
+    probe = np.random.default_rng(0).standard_normal(n)
+    miss = cov @ probe - factor.expand(factor.coords(probe) * factor.lam)
+    if not np.linalg.norm(miss) <= 1e-8 * np.linalg.norm(cov) * np.linalg.norm(probe):
+        raise ValueError("factor does not reproduce the prior's covariance")
+
+
+def _eigen_factor(cov: np.ndarray) -> EigenFactor:
+    """Dense factor of a PSD matrix by one eigh, lam clamped at 0."""
     lam, vecs = np.linalg.eigh(cov)
-    return np.maximum(lam, 0.0), vecs
+    return EigenFactor(np.maximum(lam, 0.0), (vecs,))
 
 
 def _shrink_weights(lam: np.ndarray, t: float) -> np.ndarray:
@@ -54,21 +116,19 @@ def _shrink_weights(lam: np.ndarray, t: float) -> np.ndarray:
     return np.divide(lam, lam + t * t, out=np.zeros_like(lam), where=lam > 0.0)
 
 
-def _denoise(mean: np.ndarray, factor, x_t: np.ndarray, t: float) -> np.ndarray:
-    """E[x | x_t] = mean + Q diag(lam/(lam+t^2)) Q^T (x_t - mean) for factor = (lam, Q)."""
+def _denoise(mean: np.ndarray, factor: EigenFactor, x_t: np.ndarray, t: float) -> np.ndarray:
+    """E[x | x_t] = mean + Q diag(lam/(lam+t^2)) Q^T (x_t - mean)."""
     t = _check_t(t)
-    lam, vecs = factor
     x_t = np.asarray(x_t, dtype=np.float64)
-    resid = (x_t - mean).reshape(-1, lam.size)
-    out = mean + ((resid @ vecs) * _shrink_weights(lam, t)) @ vecs.T
+    resid = (x_t - mean).reshape(-1, factor.lam.size)
+    out = mean + factor.expand(factor.coords(resid) * _shrink_weights(factor.lam, t))
     return out.reshape(x_t.shape)
 
 
-def _denoise_cov(factor, t: float) -> np.ndarray:
+def _denoise_cov(factor: EigenFactor, t: float) -> np.ndarray:
     """Var[x | x_t] = Q diag(lam (1 - lam/(lam+t^2))) Q^T, finite also at t^2 = inf."""
-    lam, vecs = factor
-    cov = (vecs * (lam * (1.0 - _shrink_weights(lam, _check_t(t))))) @ vecs.T
-    return (cov + cov.T) / 2.0
+    lam = factor.lam
+    return factor.matrix(lam * (1.0 - _shrink_weights(lam, _check_t(t))))
 
 
 def _finite_or_raise(array: np.ndarray, sigma_y: float) -> np.ndarray:
@@ -82,10 +142,15 @@ def _finite_or_raise(array: np.ndarray, sigma_y: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """x ~ N(mean, covariance); every conditional is available exactly."""
+    """x ~ N(mean, covariance); every conditional is available exactly.
+
+    ``factor`` is the covariance's eigenfactor when its structure gives it
+    (see ``rbf_prior``); otherwise it is found by one eigh when first used.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
+    factor: EigenFactor | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.ascontiguousarray(self.mean, dtype=np.float64)
@@ -98,23 +163,32 @@ class GaussianPrior:
             )
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
+        cov = (cov + cov.T) / 2.0
+        if self.factor is not None:
+            _check_factor(self.factor, cov)
         object.__setattr__(self, "mean", mu)
-        object.__setattr__(self, "covariance", (cov + cov.T) / 2.0)
+        object.__setattr__(self, "covariance", cov)
 
     @property
     def n(self) -> int:
         return self.mean.size
 
     @cached_property
-    def _factor(self):
-        """Eigenfactor of the covariance; lazy, as conditioned runs never need it."""
-        return _eigen_factor(self.covariance)
+    def _factor(self) -> EigenFactor:
+        """Eigenfactor of the covariance, shared by sample, denoise,
+        denoise_cov and consistency().
+
+        A prior from ``rbf_prior`` carries its exact per-axis factor; any
+        other (a loaded dense covariance) gets one eigh of Sigma here.  Lazy,
+        as conditioned runs never need it.
+        """
+        return self.factor if self.factor is not None else _eigen_factor(self.covariance)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """mean + (z * sqrt(lam)) Q^T with z ~ N(0, I): shape (n,) or (size, n)."""
-        lam, vecs = self._factor
+        factor = self._factor
         z = rng.standard_normal(self.n if size is None else (size, self.n))
-        return self.mean + (z * np.sqrt(lam)) @ vecs.T
+        return self.mean + factor.expand(z * np.sqrt(factor.lam))
 
     # --- conditioning on the latent alone -------------------------------
     def denoise(self, x_t: np.ndarray, t: float) -> np.ndarray:
@@ -262,25 +336,56 @@ class EmpiricalPrior:
         return fn
 
 
+def _rbf_axis(size: int, length_scale: float) -> np.ndarray:
+    """exp(-(i - j)^2 / (2 length_scale^2)) over one image axis."""
+    coords = np.arange(size, dtype=np.float64)
+    diff = coords[:, None] - coords[None, :]
+    return np.exp(-(diff * diff) / (2.0 * length_scale * length_scale))
+
+
+def rbf_prior(shape: tuple[int, int, int], length_scale: float, variance: float = 1.0,
+              mean_level: float = 0.0) -> GaussianPrior:
+    """Squared-exponential Gaussian prior over an image grid, with its exact factor.
+
+    The covariance (see ``rbf_covariance``) is separable,
+    Sigma = I_c (x) variance (K_h (x) K_w) + 1e-10 variance I with K the
+    1-D RBF matrix of each axis (Saatci 2011; Rasmussen & Williams,
+    GPML ch. 4).  One eigh per axis, K_h = Q_h diag(a) Q_h^T and
+    K_w = Q_w diag(b) Q_w^T with a, b clamped at 0, therefore factors it
+    exactly: Q = I_c (x) Q_h (x) Q_w and
+    lam = tile(variance (a (x) b) + 1e-10 variance, c).  Sampling and
+    denoising use that factor with no eigh of the n x n matrix, and its
+    eigenvectors, unlike those of a dense eigh, do not depend on the BLAS
+    thread count for axes up to 128 pixels.
+    """
+    cov = rbf_covariance(shape, length_scale, variance)
+    c, h, w = shape
+    axis_h = _eigen_factor(_rbf_axis(h, length_scale))
+    axis_w = _eigen_factor(_rbf_axis(w, length_scale))
+    lam = np.tile(variance * np.outer(axis_h.lam, axis_w.lam).ravel() + 1e-10 * variance, c)
+    return GaussianPrior(
+        mean=np.full(c * h * w, float(mean_level)),
+        covariance=cov,
+        factor=EigenFactor(lam, (axis_h.axes[0], axis_w.axes[0])),
+    )
+
+
 def rbf_covariance(shape: tuple[int, int, int], length_scale: float, variance: float = 1.0) -> np.ndarray:
     """Squared-exponential covariance over an image grid, channels independent.
 
     Entry for pixels p, q (same channel) is
     variance * exp(-||coord_p - coord_q||^2 / (2 length_scale^2)); cross-channel
     blocks are zero.  A small diagonal jitter keeps the matrix numerically
-    positive definite despite the fast eigenvalue decay.
+    positive definite despite the fast eigenvalue decay.  Built as the
+    Kronecker product of the per-axis RBF matrices.  ``rbf_prior`` pairs it
+    with its exact factor from one eigh per axis; a ``GaussianPrior`` given
+    this matrix alone (as ``load_prior`` builds one from ``prior_cov.cmt``)
+    factors it with one n x n eigh.
     """
     if length_scale <= 0.0 or variance <= 0.0:
         raise ValueError("length_scale and variance must be positive")
     c, h, w = shape
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    coords = np.stack([rr.ravel(), cc.ravel()], axis=1).astype(np.float64)
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    block = variance * np.exp(-d2 / (2.0 * length_scale * length_scale))
-    n = c * h * w
-    cov = np.zeros((n, n))
-    for ch in range(c):
-        sl = slice(ch * h * w, (ch + 1) * h * w)
-        cov[sl, sl] = block
-    cov[np.diag_indices_from(cov)] += 1e-10 * variance
-    return cov
+    # scale the h x h factor, so that no n x n temporary is made here
+    block = np.kron(variance * _rbf_axis(h, length_scale), _rbf_axis(w, length_scale))
+    block[np.diag_indices_from(block)] += 1e-10 * variance
+    return block if c == 1 else np.kron(np.eye(c), block)

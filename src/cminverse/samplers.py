@@ -84,17 +84,35 @@ class SamplerConfig:
 
 
 def interval_ratio(t: float, s: float, t_min: float) -> float:
-    """(s^2 - t_min^2) / (t^2 - t_min^2) for a step from level t down to s."""
+    """(s^2 - t_min^2) / (t^2 - t_min^2) for a step from level t down to s.
+
+    Computed in units of t, so no square overflows even at t near the
+    largest float.
+    """
     if not t_min <= s < t:
         raise ValueError(f"need t_min <= s < t, got t={t}, s={s}, t_min={t_min}")
-    return (s * s - t_min * t_min) / (t * t - t_min * t_min)
+    s_t, m_t = s / t, t_min / t
+    return (s_t * s_t - m_t * m_t) / (1.0 - m_t * m_t)
+
+
+def _noise_scale(s: float, t_min: float) -> float:
+    """sqrt(s^2 - t_min^2), the fresh noise that takes an estimate to level s,
+    computed in units of s so that s^2 never overflows."""
+    m_s = t_min / s
+    return s * math.sqrt(1.0 - m_s * m_s)
 
 
 def row_sq_norms(a):
     """Squared norm of each row of a (B, k) stack, or of one vector; every
-    row is summed as ``np.dot(v, v)`` sums the vector alone, bit for bit."""
+    row is summed as ``np.dot(v, v)`` sums the vector alone, bit for bit.
+
+    A norm past the float range is inf, without a warning: latents at
+    t near the largest float reach it, and the guided surplus
+    ||error||^2 / inf = 0 is then the right limit.
+    """
     a = np.asarray(a, dtype=np.float64)
-    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
+    with np.errstate(over="ignore"):
+        return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
 def _scaled_noise_step(x_t, x_hat, ratio: float, extra):
@@ -288,7 +306,7 @@ def sample(
         if variant in ("addim", "inverse_addim"):
             degenerate += row_sq_norms(x - x_hat) == 0.0
         if variant == "cm_baseline":
-            x = x_hat + math.sqrt(s * s - config.t_min * config.t_min) * draw()
+            x = x_hat + _noise_scale(s, config.t_min) * draw()
         elif variant == "ddim":
             x = ddim_step(x, x_hat, t, s, config.t_min)
         elif variant == "addim":

@@ -2,6 +2,9 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -60,6 +63,53 @@ def test_synthesize_layout_and_determinism(tmp_path):
 
     other = harness.synthesize(make_config(tmp_path / "c", seed=4))
     assert tree_bytes(ds_a) != tree_bytes(other)
+
+
+_SYNTHESIZE_INI = """\
+[experiment]
+task = denoise
+seed = 5
+output_dir = {out}
+
+[dataset]
+generator = gaussian_prior
+count = 6
+channels = {c}
+height = {h}
+width = {w}
+length_scale = 3.0
+variance = 0.05
+"""
+
+
+def test_synthesize_does_not_depend_on_blas_threads(tmp_path):
+    # a dense n x n eigh returns eigenvectors that change with the BLAS
+    # thread count; the per-axis factor of the RBF prior does not (checked
+    # up to 128 pixels per axis)
+    shapes = [(1, 16, 16), (1, 32, 32), (3, 8, 12)]
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = textwrap.dedent("""
+        import sys
+        from cminverse import cli
+        sys.exit(max(cli.main(["--config", ini, "synthesize"]) for ini in sys.argv[1:]))
+    """)
+    trees = {}
+    for threads in ("1", "2"):
+        inis = []
+        for c, h, w in shapes:
+            ini = tmp_path / f"t{threads}_{c}x{h}x{w}.ini"
+            ini.write_text(_SYNTHESIZE_INI.format(out=tmp_path / ini.stem, c=c, h=h, w=w))
+            inis.append(str(ini))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=env_path)
+        proc = subprocess.run([sys.executable, "-c", script] + inis, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trees[threads] = [tree_bytes(tmp_path / f"t{threads}_{c}x{h}x{w}" / "dataset")
+                          for c, h, w in shapes]
+    for shape, one, two in zip(shapes, trees["1"], trees["2"]):
+        assert len(one) == 6 + 4, shape  # images, prior mean and cov, two manifests
+        assert one == two, shape
 
 
 def test_synthesize_empty_dataset(tmp_path):

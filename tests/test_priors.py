@@ -17,6 +17,7 @@ from cminverse.priors import (
     GaussianPrior,
     operator_matrix,
     rbf_covariance,
+    rbf_prior,
 )
 from cminverse.schedules import DEFAULT_T_MAX, DEFAULT_T_MIN
 
@@ -391,3 +392,83 @@ def test_rbf_covariance_channels_are_independent_blocks():
     cov = rbf_covariance((2, 2, 2), length_scale=1.5, variance=1.0)
     assert np.all(cov[:4, 4:] == 0.0)
     assert np.allclose(cov[:4, :4], cov[4:, 4:])
+
+
+# ---------------------------------------------------------------------------
+# rbf prior: the per-axis factor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(1, 4, 4), (3, 5, 7), (1, 32, 32)])
+def test_rbf_prior_factor_is_exact(shape):
+    variance = 0.3
+    prior = rbf_prior(shape, length_scale=1.7, variance=variance, mean_level=0.2)
+    n = prior.n
+    factor = prior.factor
+    q = factor.expand(np.eye(n)).T  # z Q^T on the identity gives Q^T
+    assert np.array_equal(factor.coords(np.eye(n)), q)
+    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12
+    dense = rbf_covariance(shape, length_scale=1.7, variance=variance)
+    assert np.array_equal(prior.covariance, dense)
+    assert np.abs((q * factor.lam) @ q.T - dense).max() <= 1e-12 * variance
+    assert np.all(factor.lam >= 1e-10 * variance)
+
+    count = 20000 if n <= 128 else 2000
+    draws = prior.sample(np.random.default_rng(3), size=count)
+    var = np.diag(dense)
+    # Var of a sample covariance entry: (S_ij^2 + S_ii S_jj) / N; of a mean:
+    # S_ii / N.  Six standard errors: over the n^2 entries at n = 1024 the
+    # chance that any exceeds it stays below 2e-3.
+    assert np.all(np.abs(draws.mean(axis=0) - 0.2) <= 6.0 * np.sqrt(var / count))
+    emp = np.cov(draws, rowvar=False)
+    assert np.all(np.abs(emp - dense) <= 6.0 * np.sqrt((dense * dense + np.outer(var, var)) / count))
+
+
+def test_rbf_prior_needs_no_dense_eigendecomposition(monkeypatch):
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(priors.np.linalg, "eigh", counting_eigh)
+    shape, t = (2, 6, 5), 0.7
+    prior = rbf_prior(shape, length_scale=1.5, variance=0.05, mean_level=0.5)
+    assert shapes == [(6, 6), (5, 5)]
+
+    rng = np.random.default_rng(4)
+    x_t = rng.standard_normal((3, prior.n))
+    got = (prior.sample(rng, size=2), prior.denoise(x_t, t), prior.denoise_cov(t),
+           prior.consistency()(x_t, None, t))
+    assert shapes == [(6, 6), (5, 5)]
+
+    # the same prior without its factor takes one dense eigh, and agrees
+    dense = GaussianPrior(mean=prior.mean, covariance=prior.covariance)
+    assert np.allclose(got[1], dense.denoise(x_t, t), rtol=0.0, atol=1e-12)
+    assert np.allclose(got[2], dense.denoise_cov(t), rtol=0.0, atol=1e-12)
+    assert shapes == [(6, 6), (5, 5), (prior.n, prior.n)]
+    assert got[0].shape == (2, prior.n) and np.array_equal(got[1], got[3])
+
+
+@pytest.mark.parametrize("other", [
+    ((1, 3, 4), 1.5, 0.3),  # another length scale
+    ((1, 4, 3), 2.0, 0.3),  # another axis split
+    ((1, 3, 4), 2.0, 0.6),  # another variance
+])
+def test_gaussian_prior_rejects_a_factor_of_another_covariance(other):
+    prior = rbf_prior((1, 3, 4), length_scale=2.0, variance=0.3)
+    factor = rbf_prior(*other).factor
+    with pytest.raises(ValueError, match="factor does not reproduce"):
+        GaussianPrior(mean=prior.mean, covariance=prior.covariance, factor=factor)
+    # the matching factor is accepted
+    GaussianPrior(mean=prior.mean, covariance=prior.covariance, factor=prior.factor)
+
+
+def test_gaussian_prior_rejects_a_factor_of_another_dimension():
+    factor = rbf_prior((1, 2, 2), length_scale=1.0).factor
+    with pytest.raises(ValueError, match="factor does not match"):
+        GaussianPrior(mean=np.zeros(5), covariance=np.eye(5), factor=factor)
+    # right length, but 4 x 4 per-axis blocks cannot tile n = 12
+    lam = np.ones(12)
+    bad = type(factor)(lam, (np.eye(4), np.eye(4)))
+    with pytest.raises(ValueError, match="factor does not match"):
+        GaussianPrior(mean=np.zeros(12), covariance=np.eye(12), factor=bad)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,33 @@ def test_interval_ratio_validation():
         interval_ratio(1.0, 0.1, 0.5)
 
 
+@pytest.mark.parametrize("t_min, t_max", [(0.002, 80.0), (0.01, 10.0)])
+def test_interval_ratio_matches_direct_formula_at_ordinary_levels(t_min, t_max):
+    for steps in range(2, 21):
+        levels = [float(t) for t in make_karras_schedule(steps, t_min, t_max).levels]
+        for t, s in zip(levels, levels[1:]):
+            direct = (s * s - t_min * t_min) / (t * t - t_min * t_min)
+            assert abs(interval_ratio(t, s, t_min) - direct) <= 1e-15 * direct
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", ["cm_baseline", "ddim", "addim", "inverse_addim"])
+def test_huge_t_max_gives_finite_estimates_without_warnings(variant, steps):
+    # at t_max = 1e300 the squares of the top levels overflow, so the
+    # ratio and the noise scale must be formed without them
+    prior, op = make_prior(), DenseOperator(np.random.default_rng(5).standard_normal((4, 6)))
+    rng = np.random.default_rng(6)
+    x_true = prior.sample(rng)
+    y = op.apply(x_true) + 0.05 * rng.standard_normal(op.m)
+    config = SamplerConfig(variant=variant, steps=steps, t_min=0.01, t_max=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajectory = sample(prior.measurement_consistency(op, 0.05), config, y=y,
+                            operator=op, sigma_y=0.05, x_teacher=x_true, seed=[1, 2])
+    assert trajectory.estimate.shape == (2, 6)
+    assert np.all(np.isfinite(trajectory.estimate))
+
+
 def test_step_down_to_t_min_is_exact_estimate():
     rng = np.random.default_rng(2)
     x_t, x_hat = rng.standard_normal(5), rng.standard_normal(5)
@@ -177,7 +205,7 @@ def test_cm_baseline_matches_reference_loop():
     for i in range(steps - 1):
         x0 = fn(x, None, sched.levels[i])
         s = sched.levels[i + 1]
-        x = x0 + math.sqrt(s * s - 0.01 * 0.01) * rng.standard_normal(n)
+        x = x0 + s * math.sqrt(1.0 - (0.01 / s) ** 2) * rng.standard_normal(n)
     expected = fn(x, None, sched.levels[steps - 1])
     assert np.array_equal(trajectory.estimate, expected)
 
