@@ -15,6 +15,7 @@ from a shared generator.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,6 +49,8 @@ _SAMPLE_SEED_OFFSET = 2
 # Images per batched sampler call.  It is a constant so that every image
 # sees the same batch, and the same BLAS blocking, for any worker count.
 SAMPLE_CHUNK = 64
+# dataset_meta.jsonl fields of a gaussian_prior dataset, the rbf_prior arguments
+_PRIOR_FIELDS = ("length_scale", "variance", "mean_level")
 
 
 class NonFiniteEstimate(FloatingPointError):
@@ -125,9 +128,9 @@ def synthesize(config: ExperimentConfig) -> str:
 
     A ``gaussian_prior`` dataset draws its images through ``rbf_prior``,
     whose exact factor comes from one eigh per image axis, so the images
-    do not depend on the BLAS thread count.  The dense covariance is still
-    written as ``prior_cov.cmt``; ``load_prior`` reads it back as a plain
-    dense prior, which factors it with one n x n eigh when it needs to.
+    do not depend on the BLAS thread count.  Its meta records the prior's
+    parameters (``_PRIOR_FIELDS``), from which ``load_prior`` rebuilds the
+    same prior; no covariance is written.
     """
     paths = _stage_paths(config)
     ds_dir = os.path.join(config.output_dir, "dataset")
@@ -147,10 +150,8 @@ def synthesize(config: ExperimentConfig) -> str:
         prior = rbf_prior(shape, config.length_scale, config.prior_variance,
                           config.prior_mean_level)
         images = prior.sample(rng, size=config.count)
-        write_tensor(os.path.join(ds_dir, "prior_mean.cmt"), prior.mean)
-        write_tensor(os.path.join(ds_dir, "prior_cov.cmt"), prior.covariance)
-        meta["prior_mean"] = "prior_mean.cmt"
-        meta["prior_cov"] = "prior_cov.cmt"
+        meta.update(length_scale=config.length_scale, mean_level=config.prior_mean_level,
+                    variance=config.prior_variance)
     elif config.generator == "piecewise_constant":
         images = _piecewise_constant_images(rng, config.count, shape)
     else:
@@ -192,12 +193,21 @@ def load_dataset(config: ExperimentConfig):
 
 
 def load_prior(config: ExperimentConfig):
-    """Reconstruct the sampling prior recorded with the dataset."""
+    """Reconstruct the sampling prior recorded with the dataset.
+
+    A ``gaussian_prior`` dataset is rebuilt with ``rbf_prior`` from the
+    parameters in its meta: the same float64 prior that drew its images.
+    """
     meta, records, ds_dir = load_dataset(config)
     if meta["generator"] == "gaussian_prior":
-        mean = read_tensor(os.path.join(ds_dir, meta["prior_mean"]))
-        cov = read_tensor(os.path.join(ds_dir, meta["prior_cov"]))
-        return GaussianPrior(mean=mean.ravel(), covariance=cov)
+        missing = [name for name in _PRIOR_FIELDS if name not in meta]
+        if missing:
+            raise ValueError(
+                f"{os.path.join(ds_dir, 'dataset_meta.jsonl')} lacks the prior fields "
+                f"{', '.join(missing)}; re-run synthesize to record them"
+            )
+        shape = (meta["channels"], meta["height"], meta["width"])
+        return rbf_prior(shape, meta["length_scale"], meta["variance"], meta["mean_level"])
     if meta["generator"] == "atoms":
         atoms = read_tensor(os.path.join(ds_dir, meta["atoms"]))
         return EmpiricalPrior(atoms.reshape(atoms.shape[0], -1))
@@ -386,13 +396,8 @@ def _features(config: ExperimentConfig, stack: np.ndarray, which: str) -> np.nda
             if which == "reconstructions"
             else config.feature_file_references
         )
-        return np.stack(
-            [
-                metrics_mod.feature_extract(
-                    None, "external_file", feature_file=path, index=i
-                )
-                for i in range(stack.shape[0])
-            ]
+        return metrics_mod.feature_extract(
+            None, "external_file", feature_file=path, index=np.arange(stack.shape[0])
         )
     return np.stack(
         [
@@ -580,15 +585,7 @@ def tune_gamma(config: ExperimentConfig) -> dict:
     setup = _sampling_setup(config)
     rows = []
     for gamma in config.gamma_grid:
-        sampler = SamplerConfig(
-            variant="inverse_addim",
-            steps=config.sampler.steps,
-            eta=config.sampler.eta,
-            gamma=float(gamma),
-            t_min=config.sampler.t_min,
-            t_max=config.sampler.t_max,
-            rho=config.sampler.rho,
-        )
+        sampler = replace(config.sampler, variant="inverse_addim", gamma=float(gamma))
         sub = os.path.join(config.output_dir, "tune", f"gamma_{gamma:g}")
         sample(config, sampler=sampler, recon_dir=sub, setup=setup)
         aggregate = evaluate(config, recon_dir=sub, report_name=f"tune_gamma_{gamma:g}")

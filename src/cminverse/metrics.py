@@ -240,13 +240,14 @@ def feature_extract(
     mode: str = "raw_pixels",
     pool: int = 2,
     feature_file: str | None = None,
-    index: int | None = None,
+    index: int | np.ndarray | None = None,
 ) -> np.ndarray:
     """Turn one image into a feature vector.
 
     raw_pixels flattens; pooled_patches block-averages non-overlapping
     pool x pool patches first; external_file returns row ``index`` of a
-    precomputed (count, d) tensor file.
+    precomputed (count, d) tensor file, or the rows of an index array from
+    one read of it.
     """
     if mode not in FEATURE_MODES:
         raise ValueError(f"mode must be one of {FEATURE_MODES}, got {mode!r}")
@@ -256,9 +257,11 @@ def feature_extract(
         table = read_tensor(feature_file)
         if table.ndim != 2:
             raise ValueError(f"{feature_file}: expected a (count, d) feature table")
-        if not 0 <= index < table.shape[0]:
+        rows = np.asarray(index)
+        stray = rows[(rows < 0) | (rows >= table.shape[0])]
+        if stray.size:
             raise ValueError(
-                f"feature index {index} out of range for {table.shape[0]} rows"
+                f"feature index {stray[0]} out of range for {table.shape[0]} rows"
             )
         return table[index]
     arr = as_chw(x)

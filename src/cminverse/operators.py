@@ -190,10 +190,6 @@ class DenseOperator(LinearOperator):
         self._u_full = u
         self._vt_full = vt
 
-    @classmethod
-    def from_matrix(cls, matrix, signal_shape=None) -> "DenseOperator":
-        return cls(matrix, signal_shape)
-
     def _direct(self, x2d):
         return x2d @ self.matrix.T
 

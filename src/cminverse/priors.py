@@ -85,24 +85,13 @@ class EigenFactor:
         return (out + out.T) / 2.0
 
 
-def _check_factor(factor: EigenFactor, cov: np.ndarray) -> None:
-    """Raise unless factor fits cov's dimension and reproduces cov on a probe.
-
-    One seeded probe vector v costs an O(n^2) product Sigma v, against the
-    factor's Q (lam * Q^T v); a factor of another covariance (another
-    length scale, axis split or channel count) misses it by far more than
-    the 1e-8 relative round-off allowed.
-    """
-    n = cov.shape[0]
+def _check_factor(factor: EigenFactor, n: int) -> None:
+    """Raise unless factor has n eigenvalues and square axis blocks that tile n."""
     sides = [q.shape for q in factor.axes]
     if (factor.lam.shape != (n,) or len(sides) not in (1, 2)
             or any(len(q) != 2 or q[0] != q[1] for q in sides)
             or n % math.prod(q[0] for q in sides)):
         raise ValueError("factor does not match the prior's dimension")
-    probe = np.random.default_rng(0).standard_normal(n)
-    miss = cov @ probe - factor.expand(factor.coords(probe) * factor.lam)
-    if not np.linalg.norm(miss) <= 1e-8 * np.linalg.norm(cov) * np.linalg.norm(probe):
-        raise ValueError("factor does not reproduce the prior's covariance")
 
 
 def _eigen_factor(cov: np.ndarray) -> EigenFactor:
@@ -140,64 +129,69 @@ def _finite_or_raise(array: np.ndarray, sigma_y: float) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
 class GaussianPrior:
-    """x ~ N(mean, covariance); every conditional is available exactly.
+    """x ~ N(mean, Sigma); every conditional is available exactly.
 
-    ``factor`` is the covariance's eigenfactor when its structure gives it
-    (see ``rbf_prior``); otherwise it is found by one eigh when first used.
+    Sigma is given in one form.  A dense symmetric ``covariance`` is
+    factored by one eigh when the factor is first used.  An ``EigenFactor``
+    (``factor``, as ``rbf_prior`` builds it) is used as given, and
+    ``covariance`` is then Q diag(lam) Q^T, formed once when first read:
+    only the measurement-conditioned denoiser, ``posterior`` and
+    ``joint_denoise_cov`` read it.
     """
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    factor: EigenFactor | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        mu = np.ascontiguousarray(self.mean, dtype=np.float64)
-        cov = np.ascontiguousarray(self.covariance, dtype=np.float64)
+    def __init__(self, mean, covariance: np.ndarray | None = None,
+                 factor: EigenFactor | None = None):
+        if (covariance is None) == (factor is None):
+            raise ValueError("GaussianPrior takes either covariance= or factor=, "
+                             "not both or neither")
+        mu = np.ascontiguousarray(mean, dtype=np.float64)
         if mu.ndim != 1:
             raise ValueError("prior mean must be a vector")
+        self.mean = mu
+        if factor is not None:
+            _check_factor(factor, mu.size)
+            self.factor = factor
+            return
+        cov = np.ascontiguousarray(covariance, dtype=np.float64)
         if cov.shape != (mu.size, mu.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match dimension {mu.size}"
             )
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        cov = (cov + cov.T) / 2.0
-        if self.factor is not None:
-            _check_factor(self.factor, cov)
-        object.__setattr__(self, "mean", mu)
-        object.__setattr__(self, "covariance", cov)
+        self.covariance = (cov + cov.T) / 2.0
 
     @property
     def n(self) -> int:
         return self.mean.size
 
     @cached_property
-    def _factor(self) -> EigenFactor:
-        """Eigenfactor of the covariance, shared by sample, denoise,
-        denoise_cov and consistency().
+    def covariance(self) -> np.ndarray:
+        """Dense Sigma of a factor-form prior: Q diag(lam) Q^T, built on first read."""
+        return self.factor.matrix(self.factor.lam)
 
-        A prior from ``rbf_prior`` carries its exact per-axis factor; any
-        other (a loaded dense covariance) gets one eigh of Sigma here.  Lazy,
-        as conditioned runs never need it.
-        """
-        return self.factor if self.factor is not None else _eigen_factor(self.covariance)
+    @cached_property
+    def factor(self) -> EigenFactor:
+        """Eigenfactor of a dense covariance, by one eigh on first use; shared by
+        sample, denoise, denoise_cov and consistency().  Conditioned runs never
+        need it."""
+        return _eigen_factor(self.covariance)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """mean + (z * sqrt(lam)) Q^T with z ~ N(0, I): shape (n,) or (size, n)."""
-        factor = self._factor
+        factor = self.factor
         z = rng.standard_normal(self.n if size is None else (size, self.n))
         return self.mean + factor.expand(z * np.sqrt(factor.lam))
 
     # --- conditioning on the latent alone -------------------------------
     def denoise(self, x_t: np.ndarray, t: float) -> np.ndarray:
         """E[x | x_t] = mean + Sigma (Sigma + t^2 I)^-1 (x_t - mean)."""
-        return _denoise(self.mean, self._factor, x_t, t)
+        return _denoise(self.mean, self.factor, x_t, t)
 
     def denoise_cov(self, t: float) -> np.ndarray:
         """Var[x | x_t] = t^2 Sigma (Sigma + t^2 I)^-1 (independent of x_t)."""
-        return _denoise_cov(self._factor, t)
+        return _denoise_cov(self.factor, t)
 
     # --- conditioning on the measurement --------------------------------
     def _condition_on_measurement(self, a: np.ndarray, sigma_y: float):
@@ -248,7 +242,7 @@ class GaussianPrior:
         Every level scales one cached factor of Sigma, so a call costs two
         matrix products and threads can share the closure.
         """
-        factor = self._factor
+        factor = self.factor
 
         def fn(x_t, y, t):
             return _denoise(self.mean, factor, x_t, t)
@@ -316,10 +310,6 @@ class EmpiricalPrior:
     def n(self) -> int:
         return self.atoms.shape[1]
 
-    @classmethod
-    def from_atoms(cls, atoms, weights=None) -> "EmpiricalPrior":
-        return cls(np.asarray(atoms, dtype=np.float64), weights)
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         idx = rng.choice(self.atoms.shape[0], size=size, p=self.weights)
         return self.atoms[idx]
@@ -343,9 +333,14 @@ def _rbf_axis(size: int, length_scale: float) -> np.ndarray:
     return np.exp(-(diff * diff) / (2.0 * length_scale * length_scale))
 
 
+def _check_rbf(length_scale: float, variance: float) -> None:
+    if length_scale <= 0.0 or variance <= 0.0:
+        raise ValueError("length_scale and variance must be positive")
+
+
 def rbf_prior(shape: tuple[int, int, int], length_scale: float, variance: float = 1.0,
               mean_level: float = 0.0) -> GaussianPrior:
-    """Squared-exponential Gaussian prior over an image grid, with its exact factor.
+    """Squared-exponential Gaussian prior over an image grid, held as its exact factor.
 
     The covariance (see ``rbf_covariance``) is separable,
     Sigma = I_c (x) variance (K_h (x) K_w) + 1e-10 variance I with K the
@@ -353,19 +348,18 @@ def rbf_prior(shape: tuple[int, int, int], length_scale: float, variance: float 
     GPML ch. 4).  One eigh per axis, K_h = Q_h diag(a) Q_h^T and
     K_w = Q_w diag(b) Q_w^T with a, b clamped at 0, therefore factors it
     exactly: Q = I_c (x) Q_h (x) Q_w and
-    lam = tile(variance (a (x) b) + 1e-10 variance, c).  Sampling and
-    denoising use that factor with no eigh of the n x n matrix, and its
+    lam = tile(variance (a (x) b) + 1e-10 variance, c).  No n x n array is
+    built here: sampling and denoising use the factor alone, and its
     eigenvectors, unlike those of a dense eigh, do not depend on the BLAS
     thread count for axes up to 128 pixels.
     """
-    cov = rbf_covariance(shape, length_scale, variance)
+    _check_rbf(length_scale, variance)
     c, h, w = shape
     axis_h = _eigen_factor(_rbf_axis(h, length_scale))
     axis_w = _eigen_factor(_rbf_axis(w, length_scale))
     lam = np.tile(variance * np.outer(axis_h.lam, axis_w.lam).ravel() + 1e-10 * variance, c)
     return GaussianPrior(
         mean=np.full(c * h * w, float(mean_level)),
-        covariance=cov,
         factor=EigenFactor(lam, (axis_h.axes[0], axis_w.axes[0])),
     )
 
@@ -377,13 +371,11 @@ def rbf_covariance(shape: tuple[int, int, int], length_scale: float, variance: f
     variance * exp(-||coord_p - coord_q||^2 / (2 length_scale^2)); cross-channel
     blocks are zero.  A small diagonal jitter keeps the matrix numerically
     positive definite despite the fast eigenvalue decay.  Built as the
-    Kronecker product of the per-axis RBF matrices.  ``rbf_prior`` pairs it
-    with its exact factor from one eigh per axis; a ``GaussianPrior`` given
-    this matrix alone (as ``load_prior`` builds one from ``prior_cov.cmt``)
-    factors it with one n x n eigh.
+    Kronecker product of the per-axis RBF matrices: the closed-form
+    reference for the covariance of ``rbf_prior``, which holds only its
+    per-axis factor.
     """
-    if length_scale <= 0.0 or variance <= 0.0:
-        raise ValueError("length_scale and variance must be positive")
+    _check_rbf(length_scale, variance)
     c, h, w = shape
     # scale the h x h factor, so that no n x n temporary is made here
     block = np.kron(variance * _rbf_axis(h, length_scale), _rbf_axis(w, length_scale))

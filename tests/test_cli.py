@@ -3,13 +3,14 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cminverse import cli, harness
 from cminverse.config import build_operator, load_config
-from cminverse.tensorio import read_jsonl, read_tensor
+from cminverse.tensorio import read_jsonl, read_tensor, write_jsonl
 
 
 def write_ini(tmp_path, body, name="exp.ini"):
@@ -278,6 +279,67 @@ def test_huge_t_max_is_exact(tmp_path, body):
     mean_y, _ = prior.posterior(operator, y, config.sigma_y)
     out = prior.measurement_consistency(operator, config.sigma_y)(x_t, y, 1e300)
     assert np.allclose(out, mean_y, rtol=0.0, atol=1e-12)
+
+
+_LARGE_DDRM_DEBLUR_INI = """\
+[experiment]
+task = deblur
+output_dir = {out}
+seed = 0
+
+[dataset]
+generator = gaussian_prior
+count = 8
+height = {side}
+width = {side}
+length_scale = 3.0
+variance = 0.05
+
+[operator]
+sigma = 1.5
+sigma_y = 0.05
+
+[sampler]
+variant = ddrm
+steps = 2
+
+[metrics]
+subset_size = 4
+n_subsets = 2
+"""
+
+
+@pytest.mark.parametrize("side", [64, 128])
+def test_unconditioned_gaussian_pipeline_holds_no_dense_covariance(tmp_path, side):
+    # ddrm takes the unconditioned denoiser, so every stage works on the
+    # prior's per-axis factor: no n x n array is ever held
+    ini = write_ini(tmp_path, _LARGE_DDRM_DEBLUR_INI.format(out=tmp_path / "run", side=side))
+    n = side * side
+    tracemalloc.start()
+    try:
+        codes = [cli.main(["--config", ini, stage])
+                 for stage in ("synthesize", "degrade", "sample", "evaluate")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes == [0, 0, 0, 0]
+    assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB at {side}x{side}"
+
+
+def test_sample_needs_the_prior_fields_in_the_dataset_meta(tmp_path, capsys):
+    ini = base_ini(tmp_path)
+    for stage in ("synthesize", "degrade"):
+        assert cli.main(["--config", ini, stage]) == 0
+    meta_path = tmp_path / "run" / "dataset" / "dataset_meta.jsonl"
+    (meta,) = read_jsonl(meta_path)
+    for name in ("length_scale", "variance", "mean_level"):
+        del meta[name]
+    write_jsonl(meta_path, [meta])
+    capsys.readouterr()
+    assert cli.main(["--config", ini, "sample"]) == 2
+    err = capsys.readouterr().err
+    assert "length_scale, variance, mean_level" in err and "re-run synthesize" in err
+    assert not os.path.exists(tmp_path / "run" / "recon")
 
 
 def test_failed_check_is_exit_1(tmp_path, capsys, monkeypatch):

@@ -9,9 +9,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from cminverse import harness
+from cminverse import harness, metrics
 from cminverse.config import ExperimentConfig
-from cminverse.priors import EmpiricalPrior, GaussianPrior
+from cminverse.priors import EmpiricalPrior, GaussianPrior, rbf_covariance, rbf_prior
 from cminverse.samplers import SamplerConfig
 from cminverse.tensorio import read_jsonl, read_tensor, write_jsonl, write_tensor
 
@@ -108,7 +108,7 @@ def test_synthesize_does_not_depend_on_blas_threads(tmp_path):
         trees[threads] = [tree_bytes(tmp_path / f"t{threads}_{c}x{h}x{w}" / "dataset")
                           for c, h, w in shapes]
     for shape, one, two in zip(shapes, trees["1"], trees["2"]):
-        assert len(one) == 6 + 4, shape  # images, prior mean and cov, two manifests
+        assert len(one) == 6 + 2, shape  # images and two manifests
         assert one == two, shape
 
 
@@ -139,6 +139,28 @@ def test_synthesize_gaussian_matches_declared_moments(tmp_path):
     # moments survive the float32 round trip to disk
     assert np.allclose(prior.mean, 0.4, atol=1e-6)
     assert abs(prior.covariance[0, 0] - 0.05) < 1e-6
+
+
+def test_load_prior_is_the_prior_that_drew_the_images(tmp_path):
+    shape, variance = (3, 6, 5), 0.3
+    config = make_config(tmp_path, channels=3, height=6, width=5, count=5,
+                         prior_variance=variance, prior_mean_level=0.4)
+    ds_dir = harness.synthesize(config)
+    meta = read_jsonl(os.path.join(ds_dir, "dataset_meta.jsonl"))[0]
+    assert (meta["length_scale"], meta["variance"], meta["mean_level"]) == (2.0, 0.3, 0.4)
+    assert not [name for name in os.listdir(ds_dir) if name.startswith("prior_")]
+
+    prior = harness.load_prior(config)
+    assert np.array_equal(prior.mean, np.full(90, 0.4))
+    dense = rbf_covariance(shape, length_scale=2.0, variance=variance)
+    assert np.abs(prior.covariance - dense).max() <= 1e-12 * variance
+    # the same draws as synthesize, down to the bytes of every stored image
+    draws = prior.sample(np.random.default_rng(config.seed), size=5)
+    for i, draw in enumerate(draws):
+        stored = read_tensor(os.path.join(ds_dir, f"img_{i:05d}.cmt"))
+        assert np.array_equal(stored, draw.reshape(shape).astype(np.float32))
+    assert np.array_equal(draws, rbf_prior(shape, 2.0, variance, 0.4).sample(
+        np.random.default_rng(config.seed), size=5))
 
 
 def test_synthesize_piecewise_and_atoms(tmp_path):
@@ -402,7 +424,7 @@ def test_evaluate_count_mismatch(tmp_path):
         harness.evaluate(config)
 
 
-def test_evaluate_external_features(tmp_path):
+def test_evaluate_external_features(tmp_path, monkeypatch):
     count = 4
     # full-rank feature cloud keeps the covariance square root well
     # conditioned (a degenerate one amplifies eigensolver noise)
@@ -418,11 +440,20 @@ def test_evaluate_external_features(tmp_path):
         subset_size=4, n_subsets=1, metric_ssim=False,
     )
     run_pipeline(config)
+    read_table, table_reads = metrics.read_tensor, []
+    monkeypatch.setattr(metrics, "read_tensor",
+                        lambda path: table_reads.append(path) or read_table(path))
     aggregate = harness.evaluate(config)
+    # one read of each feature table, not one per image
+    assert sorted(table_reads) == [str(rec_file), str(ref_file)]
     # the features differ only by the constant 0.5 shift: Frechet distance
     # is d * 0.25 for matching covariances, up to the float32 storage of
     # the feature files (x and x + 0.5 round to different ulps)
     assert aggregate["fid"] == pytest.approx(3 * 0.25, abs=1e-6)
+
+    write_tensor(ref_file, feats[:-1])
+    with pytest.raises(ValueError, match="out of range for 3 rows"):
+        harness.evaluate(config)
 
 
 # -- verify -----------------------------------------------------------------
