@@ -10,9 +10,11 @@ Subcommands map one-to-one onto harness stages:
     tune-gamma   grid-search the residual-guidance weight
 
 Exit codes: 0 success; 1 failed verification checks; 2 invalid
-configuration or unreadable inputs; 3 sampler/operator combination that
-cannot work (spectral sampler on a nonlinear operator); 4 the sampler
-gave a non-finite estimate or residual norm (nothing is written).
+configuration, unreadable inputs, or a measurement-conditioned Gaussian
+run above ``priors.MAX_CONDITIONED_N`` pixels; 3 sampler/operator
+combination that cannot work (spectral sampler on a nonlinear operator);
+4 the sampler gave a non-finite estimate or residual norm (nothing is
+written).
 """
 
 import argparse

@@ -22,7 +22,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .config import ExperimentConfig, build_operator
 from .operators import LinearOperator, MeasurementModel
-from .priors import EmpiricalPrior, GaussianPrior, rbf_prior
+from .priors import MAX_CONDITIONED_N, EmpiricalPrior, GaussianPrior, rbf_prior
 # Not called here: perfbench/spans.py traces harness.rbf_covariance by name.
 from .priors import rbf_covariance  # noqa: F401
 from .samplers import SamplerConfig, row_sq_norms, sample as run_sampler
@@ -284,7 +284,9 @@ def build_consistency(config: ExperimentConfig, prior, operator):
     measurement-conditioned denoiser when the prior supports it (Gaussian
     prior with a linear operator).  Empirical priors and nonlinear tasks
     fall back to unconditional denoising, where only the residual-guided
-    variant sees the measurement at all.
+    variant sees the measurement at all.  A conditioned closure holds
+    dense n x n arrays, so above ``MAX_CONDITIONED_N`` pixels it is refused
+    (a ValueError) before any is allocated.
     """
     conditioned = (
         isinstance(prior, GaussianPrior)
@@ -292,6 +294,12 @@ def build_consistency(config: ExperimentConfig, prior, operator):
         and config.sampler.variant != "ddrm"
     )
     if conditioned:
+        if prior.n > MAX_CONDITIONED_N:
+            raise ValueError(
+                f"conditioning the Gaussian prior on the measurement needs dense n x n "
+                f"arrays, and n = {prior.n} exceeds the limit of {MAX_CONDITIONED_N}; "
+                "use variant = ddrm, which needs none, or smaller images"
+            )
         return prior.measurement_consistency(operator, config.sigma_y), True
     return prior.consistency(), False
 

@@ -23,6 +23,14 @@ import numpy as np
 from . import kernels
 
 
+# Largest dimension n a pipeline conditions a Gaussian prior on the
+# measurement for.  The conditioned closure holds dense n x n float64
+# arrays, and its peak grows as n^2: a 64 x 64 deblur (n = 4096) sampled 8
+# images at a peak resident size of about 800 MiB, so 128 x 128 would need
+# about 12 GiB.
+MAX_CONDITIONED_N = 64 * 64
+
+
 class ConsistencyFn(Protocol):
     def __call__(self, x_t: np.ndarray, y: np.ndarray | None, t: float) -> np.ndarray:
         ...
@@ -44,6 +52,28 @@ def _check_t(t: float) -> float:
     return t
 
 
+def _basis_product(x: np.ndarray, axes: tuple[np.ndarray, ...], transpose: bool) -> np.ndarray:
+    """x Q, or x Q^T when transpose, for the rows of x.
+
+    ``axes`` gives Q: ``()`` is the identity, ``(Q,)`` a dense Q, and
+    ``(Q_h, Q_w)`` stands for Q = I_c (x) Q_h (x) Q_w, applied one image
+    axis at a time and never formed.  Q is orthonormal, or a block of
+    orthonormal columns of such a basis.
+    """
+    if not axes:
+        return x
+    if len(axes) == 1:
+        vecs = axes[0]
+        return x @ (vecs.T if transpose else vecs)
+    # row-major pixels (channel, row, col): x Q = Q_h^T X Q_w per channel
+    # image X, and z Q^T = Q_h Z Q_w^T
+    q_h, q_w = axes
+    left, right = (q_h, q_w.T) if transpose else (q_h.T, q_w)
+    channels = x.shape[-1] // (left.shape[1] * right.shape[0])
+    out = left @ x.reshape(-1, left.shape[1], right.shape[0]) @ right
+    return out.reshape(x.shape[:-1] + (channels * out.shape[1] * out.shape[2],))
+
+
 @dataclass(frozen=True)
 class EigenFactor:
     """Sigma = Q diag(lam) Q^T with lam >= 0.
@@ -56,24 +86,13 @@ class EigenFactor:
     lam: np.ndarray
     axes: tuple[np.ndarray, ...]
 
-    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        if len(self.axes) == 1:
-            vecs = self.axes[0]
-            return x @ (vecs.T if transpose else vecs)
-        # row-major pixels (channel, row, col): x Q = Q_h^T X Q_w per channel
-        # image X, and z Q^T = Q_h Z Q_w^T
-        q_h, q_w = self.axes
-        left, right = (q_h, q_w.T) if transpose else (q_h.T, q_w)
-        grid = x.reshape(-1, q_h.shape[0], q_w.shape[0])
-        return (left @ grid @ right).reshape(x.shape)
-
     def coords(self, x: np.ndarray) -> np.ndarray:
         """x Q: a vector or the rows of a stack, in the eigenbasis."""
-        return self._apply(x, transpose=False)
+        return _basis_product(x, self.axes, transpose=False)
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         """z Q^T: eigenbasis coordinates back to pixels."""
-        return self._apply(z, transpose=True)
+        return _basis_product(z, self.axes, transpose=True)
 
     def matrix(self, weights: np.ndarray) -> np.ndarray:
         """Q diag(weights) Q^T as a dense symmetric matrix."""
@@ -127,6 +146,71 @@ def _finite_or_raise(array: np.ndarray, sigma_y: float) -> np.ndarray:
             "non-finite values; check the operator and the measurement noise level"
         )
     return array
+
+
+def _parity_axis(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal even and odd bases of one image axis under the flip i -> size-1-i.
+
+    Even columns: (e_i + e_{size-1-i})/sqrt(2) for i < size//2, then
+    e_centre when size is odd.  Odd columns: (e_i - e_{size-1-i})/sqrt(2).
+    """
+    half, root = size // 2, math.sqrt(0.5)
+    i = np.arange(half)
+    even, odd = np.zeros((size, size - half)), np.zeros((size, half))
+    even[i, i] = even[size - 1 - i, i] = odd[i, i] = root
+    odd[size - 1 - i, i] = -root
+    if size % 2:
+        even[half, half] = 1.0
+    return even, odd
+
+
+def _parity_blocks(shape: tuple[int, int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-axis bases (B_h, B_w) of the four parity blocks of a (c, h, w) grid:
+    even or odd rows times even or odd columns, every channel, in a fixed
+    order (a block is empty when an axis has no odd part).  Together they
+    form the orthonormal basis I_c (x) P_h (x) P_w, in which a matrix that
+    commutes with both flips of the grid is block diagonal (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976)."""
+    _, h, w = shape
+    return [(b_h, b_w) for b_h in _parity_axis(h) for b_w in _parity_axis(w)]
+
+
+def _flip_gap(matrix: np.ndarray, row_shape, col_shape) -> float:
+    """max |M - J M J| over the two image axes, where J reverses that axis of
+    the rows' grid and of the columns' grid together."""
+    grid = matrix.reshape(tuple(row_shape) + tuple(col_shape))
+    return float(np.max([np.abs(grid - np.flip(grid, (axis, axis + 3))).max() for axis in (1, 2)]))
+
+
+def _to_block(matrix: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """B_r^T M B_c for the block bases ``rows`` and ``cols`` (axes as in
+    ``_basis_product``; ``()`` leaves that side as it is)."""
+    half = _basis_product(matrix, cols, transpose=False)
+    return _basis_product(half.T, rows, transpose=False).T
+
+
+def _from_block(block: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """B_r M B_c^T: a block back in pixel coordinates."""
+    half = _basis_product(block, cols, transpose=True)
+    return _basis_product(half.T, rows, transpose=True).T
+
+
+def _measurement_stage(cov, a, sigma_y):
+    """Sigma A^T and the eigendecomposition of A Sigma A^T + sigma_y^2 I for one block."""
+    sig_at = cov @ a.T
+    gram = a @ sig_at + sigma_y * sigma_y * np.eye(a.shape[0])
+    return (sig_at, *np.linalg.eigh(_finite_or_raise(gram, sigma_y)))
+
+
+def _block_posterior(cov, sig_at, lam, vecs, floor):
+    """Gain and Sigma_y of one block from its y-stage eigendecomposition,
+    keeping the measurement directions whose variance exceeds floor."""
+    keep = lam > floor
+    lam, vecs = lam[keep], vecs[:, keep]
+    root = (sig_at @ vecs) / np.sqrt(lam)
+    gain = (root / np.sqrt(lam)) @ vecs.T
+    cov = cov - root @ root.T
+    return gain, (cov + cov.T) / 2.0
 
 
 class GaussianPrior:
@@ -194,27 +278,64 @@ class GaussianPrior:
         return _denoise_cov(self.factor, t)
 
     # --- conditioning on the measurement --------------------------------
-    def _condition_on_measurement(self, a: np.ndarray, sigma_y: float):
-        """Gain K_y and covariance Sigma_y of x | y for y = A x + sigma_y * noise.
+    def _block_bases(self, operator, a: np.ndarray) -> list[tuple[tuple, tuple]]:
+        """(signal, measurement) block bases to condition in.
+
+        The parity blocks of the operator's signal and measurement grids
+        when the split is exact: A commutes with both image flips bit for
+        bit, and Sigma to rounding (1e-12 of its largest entry), so that
+        dropping its off-block entries is a rounding-level projection like
+        its symmetrisation.  Otherwise one block in pixel coordinates.
+        """
+        meas_shape = getattr(operator, "measurement_shape", None)
+        if meas_shape is not None:
+            shape, cov = operator.signal_shape, self.covariance
+            if (_flip_gap(a, meas_shape, shape) == 0.0
+                    and _flip_gap(cov, shape, shape) <= 1e-12 * np.abs(cov).max()):
+                return list(zip(_parity_blocks(shape), _parity_blocks(meas_shape)))
+        return [((), ())]
+
+    def _condition_on_measurement(self, operator, a: np.ndarray, sigma_y: float):
+        """Gain K_y and the eigenfactor of Sigma_y of x | y, y = A x + sigma_y * noise.
 
         K_y = Sigma A^T (A Sigma A^T + sigma_y^2 I)^+ and
-        Sigma_y = Sigma - K_y A Sigma, from one m x m eigendecomposition
-        that depends on neither t nor y.  The posterior mean is
-        mean + K_y (y - A mean).  Directions of the measurement whose
-        variance lies below working precision carry no information and
+        Sigma_y = Sigma - K_y A Sigma depend on neither t nor y; the
+        posterior mean is mean + K_y (y - A mean).  Sigma and A are split
+        into the diagonal blocks of ``_block_bases`` (four parity blocks of
+        about n/4 for a flip-invariant prior and operator, else one block),
+        and each block takes one eigendecomposition of its part of
+        A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.
+        Measurement directions whose variance lies below working precision
+        (relative to the largest over all blocks) carry no information and
         are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
-        numerically singular (a strong blur).
+        numerically singular (a strong blur).  K_y and the factor's Q are
+        returned dense, in pixel coordinates.
         """
-        sig_at = self.covariance @ a.T
-        gram = a @ sig_at + sigma_y * sigma_y * np.eye(a.shape[0])
-        lam, vecs = np.linalg.eigh(_finite_or_raise(gram, sigma_y))
-        keep = lam > lam[-1] * a.shape[0] * np.finfo(np.float64).eps
-        lam, vecs = lam[keep], vecs[:, keep]
-        root = (sig_at @ vecs) / np.sqrt(lam)
-        gain = (root / np.sqrt(lam)) @ vecs.T
-        cov = self.covariance - root @ root.T
-        cov = (cov + cov.T) / 2.0
-        return _finite_or_raise(gain, sigma_y), _finite_or_raise(cov, sigma_y)
+        m, n = a.shape
+        blocks = [(signal, measurement, _to_block(self.covariance, signal, signal))
+                  for signal, measurement in self._block_bases(operator, a)
+                  if all(q.shape[1] for q in signal)]  # an axis of length 1 has no odd part
+        stages = [_measurement_stage(cov, _to_block(a, measurement, signal), sigma_y)
+                  for signal, measurement, cov in blocks]
+        top = max((lam[-1] for _, lam, _ in stages if lam.size), default=0.0)
+        floor = top * m * np.finfo(np.float64).eps
+        # one block at a time, each y-stage released before Sigma_y is factored
+        parts = [_block_posterior(cov, *stages.pop(0), floor) for _, _, cov in blocks]
+        # K_y^T accumulates C-ordered: each block's term comes out transposed
+        gain_t = np.zeros((m, n))
+        for (signal, measurement, _), (gain_k, _) in zip(blocks, parts):
+            if gain_k.size:  # a block without measurements gains nothing
+                gain_t += _from_block(gain_k, signal, measurement).T
+        factors = [_eigen_factor(_finite_or_raise(cov_k, sigma_y)) for _, cov_k in parts]
+        del parts
+        # the factor's Q^T, a block of rows at a time
+        q_t, start = np.empty((n, n)), 0
+        for (signal, _, _), factor in zip(blocks, factors):
+            stop = start + factor.lam.size
+            q_t[start:stop] = _basis_product(factor.axes[0].T, signal, transpose=True)
+            start = stop
+        lam_y = np.concatenate([factor.lam for factor in factors])
+        return _finite_or_raise(gain_t.T, sigma_y), EigenFactor(lam_y, (q_t.T,))
 
     def joint_denoise(
         self, x_t: np.ndarray, y: np.ndarray, t: float, operator, sigma_y: float
@@ -225,15 +346,17 @@ class GaussianPrior:
     def joint_denoise_cov(self, t: float, operator, sigma_y: float) -> np.ndarray:
         """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y."""
         t = _check_t(t)
-        _, cov_y = self._condition_on_measurement(_as_matrix(operator), sigma_y)
-        return _denoise_cov(_eigen_factor(cov_y), t)
+        _, factor = self._condition_on_measurement(operator, _as_matrix(operator), sigma_y)
+        return _denoise_cov(factor, t)
 
     def posterior(self, operator, y: np.ndarray, sigma_y: float):
-        """Mean and covariance of x | y under y = A x + sigma_y * noise."""
+        """Mean and covariance of x | y under y = A x + sigma_y * noise; the
+        covariance is Q diag(lam) Q^T from the eigenfactor of Sigma_y, with
+        lam clamped at 0."""
         a = _as_matrix(operator)
-        gain, cov = self._condition_on_measurement(a, sigma_y)
+        gain, factor = self._condition_on_measurement(operator, a, sigma_y)
         mean = self.mean + gain @ (np.asarray(y, dtype=np.float64) - a @ self.mean)
-        return mean, cov
+        return mean, factor.matrix(factor.lam)
 
     # --- consistency-function views -------------------------------------
     def consistency(self) -> ConsistencyFn:
@@ -255,15 +378,16 @@ class GaussianPrior:
         x | y is Gaussian, N(mean_y, Sigma_y), so E[x | x_t, y] is plain
         denoising under that prior: mean_y + G_t (x_t - mean_y) with
         G_t = Sigma_y (Sigma_y + t^2 I)^-1.  The closure conditions on y
-        once (one m x m eigendecomposition) and factors Sigma_y once (one
-        n x n), so G_t = Q diag(lam/(lam+t^2)) Q^T at every level: a call
-        costs three matrix products, with no solve, cache or lock.
+        and factors Sigma_y once, block by block (``_condition_on_measurement``:
+        eight eigendecompositions of about n/4 x n/4 for a flip-invariant
+        prior and operator, else one of m x m and one of n x n), so
+        G_t = Q diag(lam/(lam+t^2)) Q^T at every level: a call costs three
+        matrix products, with no solve, cache or lock.
         """
         a = _as_matrix(operator)
         m = a.shape[0]
         a_mu = a @ self.mean
-        gain_y, cov_y = self._condition_on_measurement(a, sigma_y)
-        factor = _eigen_factor(cov_y)
+        gain_y, factor = self._condition_on_measurement(operator, a, sigma_y)
 
         def fn(x_t, y, t):
             if y is None:

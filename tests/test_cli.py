@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cminverse import cli, harness
+from cminverse import cli, harness, priors
 from cminverse.config import build_operator, load_config
 from cminverse.tensorio import read_jsonl, read_tensor, write_jsonl
 
@@ -324,6 +324,28 @@ def test_unconditioned_gaussian_pipeline_holds_no_dense_covariance(tmp_path, sid
         tracemalloc.stop()
     assert codes == [0, 0, 0, 0]
     assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB at {side}x{side}"
+
+
+def test_conditioned_gaussian_run_above_the_size_limit_is_refused(tmp_path, capsys):
+    # a conditioned closure holds dense n x n arrays (2 GiB each at 128 x 128):
+    # sample stops with exit 2 before allocating any, and names the way out
+    body = _LARGE_DDRM_DEBLUR_INI.format(out=tmp_path / "run", side=128)
+    ini = write_ini(tmp_path, body.replace("variant = ddrm", "variant = inverse_addim"))
+    for stage in ("synthesize", "degrade"):
+        assert cli.main(["--config", ini, stage]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(["--config", ini, "sample"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"n = {128 * 128}" in err and f"limit of {priors.MAX_CONDITIONED_N}" in err
+    assert "variant = ddrm" in err
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert not os.path.exists(tmp_path / "run" / "recon")
 
 
 def test_sample_needs_the_prior_fields_in_the_dataset_meta(tmp_path, capsys):

@@ -136,7 +136,7 @@ def test_synthesize_gaussian_matches_declared_moments(tmp_path):
 
     prior = harness.load_prior(config)
     assert isinstance(prior, GaussianPrior)
-    # moments survive the float32 round trip to disk
+    # the prior rebuilt from the recorded parameters has the declared moments
     assert np.allclose(prior.mean, 0.4, atol=1e-6)
     assert abs(prior.covariance[0, 0] - 0.05) < 1e-6
 

@@ -11,6 +11,7 @@ from cminverse.operators import (
     IdentityOperator,
     make_centered_square_inpaint,
     make_downsample,
+    make_gaussian_blur,
 )
 from cminverse.priors import (
     EmpiricalPrior,
@@ -162,6 +163,28 @@ def _joint_oracle(prior, a, sigma_y, x_t, y, t):
     )
 
 
+def _check_against_oracles(prior, op, sigma_y, atol, levels=(DEFAULT_T_MIN, 1.0, DEFAULT_T_MAX)):
+    """Closure mean, joint_denoise, joint_denoise_cov and posterior against
+    brute-force conditioning."""
+    rng = np.random.default_rng(20)
+    a = operator_matrix(op)
+    x = prior.sample(rng)
+    y = a @ x + sigma_y * rng.standard_normal(op.m)
+    fn = prior.measurement_consistency(op, sigma_y)
+    for t in levels:
+        x_t = x + t * rng.standard_normal(prior.n)
+        oracle_mean, oracle_cov = _joint_oracle(prior, a, sigma_y, x_t, y, t)
+        assert np.allclose(fn(x_t, y, t), oracle_mean, rtol=0.0, atol=atol)
+        assert np.allclose(prior.joint_denoise(x_t, y, t, op, sigma_y), oracle_mean,
+                           rtol=0.0, atol=atol)
+        assert np.allclose(prior.joint_denoise_cov(t, op, sigma_y), oracle_cov, rtol=0.0, atol=atol)
+    oracle_mean, oracle_cov = _conditional_oracle(
+        prior.mean, prior.covariance, a, sigma_y**2 * np.eye(op.m), y)
+    mean, cov = prior.posterior(op, y, sigma_y)
+    assert np.allclose(mean, oracle_mean, rtol=0.0, atol=atol)
+    assert np.allclose(cov, oracle_cov, rtol=0.0, atol=atol)
+
+
 @pytest.mark.parametrize("t", [DEFAULT_T_MIN, DEFAULT_T_MAX])
 @pytest.mark.parametrize(
     "make_op, sigma_y",
@@ -173,22 +196,11 @@ def _joint_oracle(prior, a, sigma_y, x_t, y, t):
     ids=["downsample", "inpaint", "identity_exact"],
 )
 def test_measurement_conditioning_matches_joint_oracle(make_op, sigma_y, t):
-    rng = np.random.default_rng(10)
-    prior = small_prior(10, n=16)
-    op = make_op()
-    a = operator_matrix(op)
-    x = prior.sample(rng)
-    x_t = x + t * rng.standard_normal(prior.n)
-    y = a @ x + sigma_y * rng.standard_normal(a.shape[0])
-    oracle_mean, oracle_cov = _joint_oracle(prior, a, sigma_y, x_t, y, t)
-
-    fn = prior.measurement_consistency(op, sigma_y)
-    assert np.allclose(fn(x_t, y, t), oracle_mean, atol=1e-8)
-    assert np.allclose(prior.joint_denoise(x_t, y, t, op, sigma_y), oracle_mean, atol=1e-8)
-    assert np.allclose(prior.joint_denoise_cov(t, op, sigma_y), oracle_cov, atol=1e-8)
+    _check_against_oracles(small_prior(10, n=16), make_op(), sigma_y, atol=1e-8, levels=(t,))
 
 
-def test_one_eigendecomposition_per_covariance(monkeypatch):
+def _eigh_shapes(monkeypatch):
+    """Record the shape of every eigh that priors makes, from any thread."""
     eigh, lock, shapes = np.linalg.eigh, threading.Lock(), []
 
     def counting_eigh(a, *args, **kwargs):
@@ -197,6 +209,91 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(priors.np.linalg, "eigh", counting_eigh)
+    return shapes
+
+
+# (operator, (signal, measurement) sizes of its non-empty parity blocks)
+_PARITY_CASES = {
+    "blur_1x8x8": (lambda: make_gaussian_blur(1, 8, 8, 1.2), [(16, 16)] * 4),
+    "blur_3x6x10": (lambda: make_gaussian_blur(3, 6, 10, 1.2), [(45, 45)] * 4),
+    "blur_1x7x9": (lambda: make_gaussian_blur(1, 7, 9, 1.2),
+                   [(20, 20), (16, 16), (15, 15), (12, 12)]),
+    "downsample_1x8x8": (lambda: make_downsample(1, 8, 8, 2), [(16, 4)] * 4),
+    # a 1 x 1 measurement has no odd part: three blocks see no measurement
+    "downsample_1x2x2": (lambda: make_downsample(1, 2, 2, 2), [(1, 1)] + [(1, 0)] * 3),
+    "identity_1x1x8": (lambda: IdentityOperator(1, 1, 8), [(4, 4)] * 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARITY_CASES))
+def test_parity_conditioning_matches_oracles(case, monkeypatch):
+    make_op, sizes = _PARITY_CASES[case]
+    op = make_op()
+    prior = rbf_prior(op.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
+    shapes = _eigh_shapes(monkeypatch)
+    prior.measurement_consistency(op, 0.05)
+    # one gram and one Sigma_y factor per non-empty block, grams first
+    assert shapes == [(m, m) for _, m in sizes] + [(n, n) for n, _ in sizes]
+    _check_against_oracles(prior, op, 0.05, atol=1e-8)
+
+
+def test_parity_conditioning_is_exact_without_measurement_noise():
+    # sigma_y = 0 on a strong blur: A Sigma A^T is numerically singular, and
+    # one drop rule across the blocks keeps what the measurement fixes
+    op = make_gaussian_blur(1, 8, 8, 3.0)
+    prior = rbf_prior(op.signal_shape, length_scale=2.0, variance=0.05, mean_level=0.5)
+    a = operator_matrix(op)
+    _, cov = prior.posterior(op, np.zeros(op.m), 0.0)
+    # the same conditioning as one block in pixel coordinates (a bare matrix
+    # has no measurement grid); a pseudo-inverse oracle would keep other
+    # directions, as its cut-off differs from the drop rule
+    _, dense_cov = prior.posterior(a, np.zeros(op.m), 0.0)
+    assert np.trace(dense_cov) > 0.0
+    assert abs(np.trace(cov) - np.trace(dense_cov)) <= 1e-3 * np.trace(dense_cov)
+
+    rng = np.random.default_rng(21)
+    x = prior.sample(rng)
+    fn = prior.measurement_consistency(op, 0.0)
+    for t in (1e-200, DEFAULT_T_MIN, 1.0, DEFAULT_T_MAX):
+        assert np.all(np.isfinite(fn(x + min(t, 1.0) * rng.standard_normal(prior.n), a @ x, t)))
+
+
+@pytest.mark.parametrize(
+    "make_prior, make_op",
+    [
+        # Sigma commutes with the flips only to 1e-6 of its largest entry
+        (lambda: GaussianPrior(
+            mean=np.full(64, 0.2),
+            covariance=rbf_covariance((1, 8, 8), 1.5, 0.3)
+            + 4e-8 * np.outer(*2 * [np.random.default_rng(22).standard_normal(64)])),
+         lambda: make_gaussian_blur(1, 8, 8, 1.2)),
+        # the operators give no measurement grid
+        (lambda: rbf_prior((1, 8, 8), 1.5, 0.3, 0.2),
+         lambda: DenseOperator(operator_matrix(make_gaussian_blur(1, 8, 8, 1.2)),
+                               signal_shape=(1, 8, 8))),
+        (lambda: rbf_prior((1, 8, 8), 1.5, 0.3, 0.2),
+         lambda: make_centered_square_inpaint(1, 8, 8)),
+    ],
+    ids=["prior_not_flip_invariant", "dense_operator", "inpaint"],
+)
+def test_inexact_split_conditions_as_one_block(make_prior, make_op, monkeypatch):
+    prior, op = make_prior(), make_op()
+    shapes = _eigh_shapes(monkeypatch)
+    prior.measurement_consistency(op, 0.05)
+    assert shapes == [(op.m, op.m), (prior.n, prior.n)]
+    _check_against_oracles(prior, op, 0.05, atol=1e-8)
+
+
+def test_flip_gap_of_the_rbf_prior_is_rounding():
+    # the factor-built RBF covariance passes the 1e-12 gate with room: its
+    # flip gap is about 3e-15 of its largest entry on these shapes
+    for shape in [(1, 8, 8), (3, 6, 10), (1, 32, 32)]:
+        cov = rbf_prior(shape, length_scale=3.0, variance=0.05).covariance
+        assert priors._flip_gap(cov, shape, shape) <= 1e-13 * np.abs(cov).max()
+
+
+def test_one_eigendecomposition_per_covariance(monkeypatch):
+    shapes = _eigh_shapes(monkeypatch)
     op = make_downsample(1, 4, 4, 2)  # m = 4, n = 16
 
     # a conditioned closure: the m x m y-stage plus one n x n factor of
@@ -204,6 +301,14 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
     prior = small_prior(11, n=16)
     cond = prior.measurement_consistency(op, 0.05)
     assert shapes == [(4, 4), (16, 16)]
+
+    # a flip-invariant prior and operator: four (m/4)^2 grams and four
+    # (n/4)^2 factors of Sigma_y, never an n x n eigh
+    blur = make_gaussian_blur(1, 8, 8, 1.5)  # m = n = 64
+    rbf = rbf_prior(blur.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
+    shapes.clear()
+    cond_rbf = rbf.measurement_consistency(blur, 0.05)
+    assert shapes == [(16, 16)] * 8
 
     # one factor of Sigma per prior, shared by every unconditional use
     shapes.clear()
@@ -217,15 +322,17 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
     # threads sharing the closures factor nothing and agree bit for bit
     shapes.clear()
     rng = np.random.default_rng(12)
-    x_t, y = rng.standard_normal((3, prior.n)), rng.standard_normal((3, op.m))
+    calls = [(fn, rng.standard_normal((3, n)), rng.standard_normal((3, m)))
+             for fn, n, m in ((unc, prior.n, op.m), (cond, prior.n, op.m),
+                              (cond_rbf, rbf.n, blur.m))]
     levels = (80.0, 5.0, 0.5, 0.002)
-    expected = [[fn(x_t, y, t) for t in levels] for fn in (unc, cond)]
+    expected = [[fn(x_t, y, t) for t in levels] for fn, x_t, y in calls]
     barrier = threading.Barrier(8)
     results = [None] * 8
 
     def work(k):
         barrier.wait(timeout=10)
-        results[k] = [[fn(x_t, y, t) for t in levels] for fn in (unc, cond)]
+        results[k] = [[fn(x_t, y, t) for t in levels] for fn, x_t, y in calls]
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
     interval = sys.getswitchinterval()
@@ -242,6 +349,17 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
     for result in results:
         for got, want in zip(result, expected):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_conditioning_at_48_squared_factors_only_quarter_blocks(monkeypatch):
+    op = make_gaussian_blur(1, 48, 48, 3.0)
+    prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
+    shapes = _eigh_shapes(monkeypatch)
+    fn = prior.measurement_consistency(op, 0.05)
+    assert shapes == [(576, 576)] * 8
+    rng = np.random.default_rng(23)
+    x_t, y = rng.standard_normal((2, op.n)), rng.standard_normal((2, op.m))
+    assert np.all(np.isfinite(fn(x_t, y, 0.5)))
 
 
 @pytest.mark.parametrize("size, shape", [(None, (16,)), (3, (3, 16)), (0, (0, 16))])
