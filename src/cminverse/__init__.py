@@ -8,7 +8,7 @@ reference, fidelity/distribution metrics, and a config-driven pipeline
 CLI.  The hot kernels are plain numpy (cminverse.kernels).
 """
 
-from .metrics import MetricReport, frechet_distance, kid, psnr, ssim
+from .metrics import frechet_distance, kid, psnr, ssim
 from .operators import (
     BlockDownsampleOperator,
     CircularBlurOperator,
@@ -22,7 +22,6 @@ from .operators import (
     make_centered_square_inpaint,
     make_downsample,
     make_gaussian_blur,
-    make_inpaint,
     make_synthetic_nonlinear_blur,
 )
 from .priors import ConsistencyFn, EmpiricalPrior, GaussianPrior, rbf_covariance, rbf_prior
@@ -37,7 +36,6 @@ from .samplers import (
     sample,
 )
 from .schedules import NoiseSchedule, make_karras_schedule, step_pairs
-from .tensors import ImageTensor
 from .verification import (
     VerificationReport,
     mc_dropped_variance_check,
@@ -55,11 +53,9 @@ __all__ = [
     "EmpiricalPrior",
     "GaussianPrior",
     "IdentityOperator",
-    "ImageTensor",
     "InpaintOperator",
     "LinearOperator",
     "MeasurementModel",
-    "MetricReport",
     "NoiseSchedule",
     "NonlinearOperator",
     "SamplerConfig",
@@ -76,7 +72,6 @@ __all__ = [
     "make_centered_square_inpaint",
     "make_downsample",
     "make_gaussian_blur",
-    "make_inpaint",
     "make_karras_schedule",
     "make_synthetic_nonlinear_blur",
     "mc_dropped_variance_check",

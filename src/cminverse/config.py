@@ -15,6 +15,7 @@ import configparser
 import os
 from dataclasses import dataclass, replace
 
+from .metrics import FEATURE_MODES
 from .operators import (
     IdentityOperator,
     make_centered_square_inpaint,
@@ -94,6 +95,11 @@ class ExperimentConfig:
             raise ConfigError(f"sigma_y must be >= 0, got {self.sigma_y}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.dump_images and self.channels not in (1, 3):
+            raise ConfigError(
+                f"dump_images writes PGM or PPM previews, which need channels = 1 "
+                f"or 3, got channels = {self.channels}"
+            )
         if self.task == "super_resolution":
             if self.block < 1 or self.height % self.block or self.width % self.block:
                 raise ConfigError(
@@ -103,7 +109,7 @@ class ExperimentConfig:
             raise ConfigError(f"blur sigma must be positive, got {self.blur_sigma}")
         if self.task == "nonlinear_deblur" and self.saturation <= 0.0:
             raise ConfigError(f"saturation must be positive, got {self.saturation}")
-        if self.feature_mode not in ("raw_pixels", "pooled_patches", "external_file"):
+        if self.feature_mode not in FEATURE_MODES:
             raise ConfigError(f"unknown feature mode {self.feature_mode!r}")
         if self.feature_mode == "external_file":
             for path in (

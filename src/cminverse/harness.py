@@ -3,11 +3,11 @@ verify, tune-gamma.
 
 Every stage reads the manifests of the stage before it, does its work,
 and writes tensors plus a line-delimited manifest of its own.  Sampling
-runs the batched sampler on chunks of ``SAMPLE_CHUNK`` images, a size
-fixed apart from the worker count; the chunks, not single images, may
-fan out over a thread pool, but results are written in index order by
-the calling thread, so the bytes on disk do not depend on the worker
-count.  Per-sample randomness comes from seeds derived as
+runs the batched sampler, and evaluation scores PSNR and SSIM, on chunks
+of ``SAMPLE_CHUNK`` images, a size fixed apart from the worker count;
+the chunks, not single images, may fan out over a thread pool, but
+results are written in index order by the calling thread, so the bytes
+on disk do not depend on the worker count.  Per-sample randomness comes from seeds derived as
 ``seed + offset + 2 * index`` with disjoint offsets per stage, never
 from a shared generator.
 """
@@ -46,8 +46,9 @@ from .schedules import make_karras_schedule
 # its own stream even when indices collide across stages.
 _DEGRADE_SEED_OFFSET = 1
 _SAMPLE_SEED_OFFSET = 2
-# Images per batched sampler call.  It is a constant so that every image
-# sees the same batch, and the same BLAS blocking, for any worker count.
+# Images per batched sampler call, and per PSNR or SSIM call.  It is a
+# constant so that every image sees the same batch, and the same BLAS
+# blocking, for any worker count.
 SAMPLE_CHUNK = 64
 # dataset_meta.jsonl fields of a gaussian_prior dataset, the rbf_prior arguments
 _PRIOR_FIELDS = ("length_scale", "variance", "mean_level")
@@ -77,6 +78,24 @@ def _stage_paths(config):
 def _read_stack(directory, names) -> np.ndarray:
     """(N, dim) stack of the named tensor files, flattened; N must be > 0."""
     return np.stack([read_tensor(os.path.join(directory, name)).ravel() for name in names])
+
+
+def _write_stack(directory, prefix, stack, preview_dir=None) -> list[str]:
+    """Write stack[i] to ``<directory>/<prefix>_{i:05d}.cmt`` and return the
+    names.  With ``preview_dir`` set, each image also gets an 8-bit preview
+    there: ``.ppm`` for 3 channels, else ``.pgm``."""
+    os.makedirs(directory, exist_ok=True)
+    if preview_dir is not None:
+        os.makedirs(preview_dir, exist_ok=True)
+    names = []
+    for i, image in enumerate(stack):
+        name = f"{prefix}_{i:05d}.cmt"
+        write_tensor(os.path.join(directory, name), image)
+        names.append(name)
+        if preview_dir is not None:
+            ext = "ppm" if image.shape[0] == 3 else "pgm"
+            dump_image(os.path.join(preview_dir, f"{prefix}_{i:05d}.{ext}"), image)
+    return names
 
 
 def _map_chunks(work, count: int, workers: int):
@@ -165,18 +184,9 @@ def synthesize(config: ExperimentConfig) -> str:
         )
         images = atoms[idx]
 
-    records = []
-    for i in range(config.count):
-        name = f"img_{i:05d}.cmt"
-        write_tensor(os.path.join(ds_dir, name), images[i].reshape(shape))
-        records.append({"file": name, "index": i})
-        if config.dump_images:
-            os.makedirs(paths["images"], exist_ok=True)
-            dump_image(
-                os.path.join(paths["images"], f"img_{i:05d}.pgm"
-                             if config.channels != 3 else f"img_{i:05d}.ppm"),
-                images[i].reshape(shape),
-            )
+    names = _write_stack(ds_dir, "img", images.reshape((-1,) + shape),
+                         paths["images"] if config.dump_images else None)
+    records = [{"file": name, "index": i} for i, name in enumerate(names)]
     write_jsonl(os.path.join(ds_dir, "dataset.jsonl"), records)
     write_jsonl(os.path.join(ds_dir, "dataset_meta.jsonl"), [meta])
     return ds_dir
@@ -234,39 +244,29 @@ def degrade(config: ExperimentConfig) -> str:
     """Measure every dataset image; returns the manifest path."""
     _, records, ds_dir = load_dataset(config)
     paths = _stage_paths(config)
-    os.makedirs(paths["degraded"], exist_ok=True)
     operator = build_operator(config)
     model = MeasurementModel(operator=operator, sigma_y=config.sigma_y)
     op_summary = _operator_summary(config, operator)
 
     seeds = [config.seed + _DEGRADE_SEED_OFFSET + 2 * i for i in range(len(records))]
-    ys = []
+    ys = np.empty((0, operator.m))
     if records:
         ys = model.degrade(_read_stack(ds_dir, [rec["file"] for rec in records]), seed=seeds)
-    manifest = []
     meas_shape = getattr(operator, "measurement_shape", None)
-    for i, (rec, y, seed) in enumerate(zip(records, ys, seeds)):
-        name = f"meas_{i:05d}.cmt"
-        write_tensor(
-            os.path.join(paths["degraded"], name),
-            y.reshape(meas_shape) if meas_shape else y,
-        )
-        manifest.append(
-            {
-                "index": i,
-                "input": rec["file"],
-                "measurement": name,
-                "operator": op_summary,
-                "seed": seed,
-            }
-        )
-        if config.dump_images and meas_shape:
-            os.makedirs(paths["images"], exist_ok=True)
-            dump_image(
-                os.path.join(paths["images"], f"meas_{i:05d}.pgm"
-                             if meas_shape[0] != 3 else f"meas_{i:05d}.ppm"),
-                y.reshape(meas_shape),
-            )
+    if meas_shape:
+        ys = ys.reshape((-1,) + meas_shape)
+    names = _write_stack(paths["degraded"], "meas", ys,
+                         paths["images"] if config.dump_images and meas_shape else None)
+    manifest = [
+        {
+            "index": i,
+            "input": rec["file"],
+            "measurement": name,
+            "operator": op_summary,
+            "seed": seed,
+        }
+        for i, (rec, name, seed) in enumerate(zip(records, names, seeds))
+    ]
     path = os.path.join(paths["degraded"], "degrade.jsonl")
     write_jsonl(path, manifest)
     return path
@@ -360,33 +360,24 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
             raise NonFiniteEstimate(f"image {i} ({measurements[i]['measurement']}): non-finite "
                                     "estimate or residual norm; check t_min, t_max and the prior")
 
-    os.makedirs(recon_dir, exist_ok=True)
-    manifest = []
-    for i, (estimate, degenerate, resid_norms) in enumerate(results):
-        name = f"recon_{i:05d}.cmt"
-        write_tensor(os.path.join(recon_dir, name), estimate.reshape(shape))
-        manifest.append(
-            {
-                "conditioned": conditioned,
-                "degenerate_steps": int(degenerate),
-                "gamma": sampler.gamma,
-                "index": i,
-                "measurement": measurements[i]["measurement"],
-                "nfe": sampler.steps,
-                "reconstruction": name,
-                "residual_norms": resid_norms.tolist(),
-                "seed": seeds[i],
-                "steps": sampler.steps,
-                "variant": sampler.variant,
-            }
-        )
-        if config.dump_images:
-            os.makedirs(paths["images"], exist_ok=True)
-            dump_image(
-                os.path.join(paths["images"], f"recon_{i:05d}.pgm"
-                             if config.channels != 3 else f"recon_{i:05d}.ppm"),
-                estimate.reshape(shape),
-            )
+    names = _write_stack(recon_dir, "recon", [row[0].reshape(shape) for row in results],
+                         paths["images"] if config.dump_images else None)
+    manifest = [
+        {
+            "conditioned": conditioned,
+            "degenerate_steps": int(degenerate),
+            "gamma": sampler.gamma,
+            "index": i,
+            "measurement": measurements[i]["measurement"],
+            "nfe": sampler.steps,
+            "reconstruction": name,
+            "residual_norms": resid_norms.tolist(),
+            "seed": seeds[i],
+            "steps": sampler.steps,
+            "variant": sampler.variant,
+        }
+        for i, (name, (_, degenerate, resid_norms)) in enumerate(zip(names, results))
+    ]
     path = os.path.join(recon_dir, "sample.jsonl")
     write_jsonl(path, manifest)
     return path
@@ -397,24 +388,15 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
 # --------------------------------------------------------------------------
 
 def _features(config: ExperimentConfig, stack: np.ndarray, which: str) -> np.ndarray:
-    shape = (config.channels, config.height, config.width)
-    if config.feature_mode == "external_file":
-        path = (
-            config.feature_file_reconstructions
-            if which == "reconstructions"
-            else config.feature_file_references
-        )
-        return metrics_mod.feature_extract(
-            None, "external_file", feature_file=path, index=np.arange(stack.shape[0])
-        )
-    return np.stack(
-        [
-            metrics_mod.feature_extract(
-                row.reshape(shape), config.feature_mode, pool=config.pool
-            )
-            for row in stack
-        ]
+    """(N, d) features of an (N, c, h, w) stack, from one feature_extract
+    call; an external feature table is read once."""
+    path = (
+        config.feature_file_reconstructions
+        if which == "reconstructions"
+        else config.feature_file_references
     )
+    return metrics_mod.feature_extract(stack, config.feature_mode, pool=config.pool,
+                                       feature_file=path, index=np.arange(stack.shape[0]))
 
 
 def _format_table(rows: list[dict]) -> str:
@@ -453,18 +435,23 @@ def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
             f"{len(recon_rows)} reconstructions for {len(records)} references"
         )
 
-    shape = (config.channels, config.height, config.width)
-    refs = _read_stack(ds_dir, [rec["file"] for rec in records])
-    recs = _read_stack(recon_dir, [row["reconstruction"] for row in recon_rows])
+    shape = (-1, config.channels, config.height, config.width)
+    refs = _read_stack(ds_dir, [rec["file"] for rec in records]).reshape(shape)
+    recs = _read_stack(recon_dir, [row["reconstruction"] for row in recon_rows]).reshape(shape)
 
-    per_sample = []
-    for i in range(len(records)):
-        row = {"index": i, "psnr": None, "ssim": None}
-        if config.metric_psnr:
-            row["psnr"] = metrics_mod.psnr(recs[i].reshape(shape), refs[i].reshape(shape))
-        if config.metric_ssim:
-            row["ssim"] = metrics_mod.ssim(recs[i].reshape(shape), refs[i].reshape(shape))
-        per_sample.append(row)
+    def score(lo, hi):
+        """Per-image PSNR and SSIM of one chunk; None for a disabled metric."""
+        return [metric(recs[lo:hi], refs[lo:hi]) if enabled else None
+                for metric, enabled in ((metrics_mod.psnr, config.metric_psnr),
+                                        (metrics_mod.ssim, config.metric_ssim))]
+
+    psnrs, ssims = (
+        np.concatenate(column).tolist() if column[0] is not None else [None] * len(records)
+        for column in zip(*_map_chunks(score, len(records), config.workers))
+    )
+    per_sample = [
+        {"index": i, "psnr": p, "ssim": s} for i, (p, s) in enumerate(zip(psnrs, ssims))
+    ]
 
     aggregate = {
         "fid": None,
@@ -589,6 +576,8 @@ def tune_gamma(config: ExperimentConfig) -> dict:
     PSNR.  All candidates share one operator and consistency closure, so
     the prior is conditioned and factored once per run.  Returns the winning row.
     """
+    if not (config.metric_kid or config.metric_psnr):
+        raise ValueError("tuning needs at least one of KID or PSNR enabled")
     paths = _stage_paths(config)
     setup = _sampling_setup(config)
     rows = []
@@ -609,10 +598,8 @@ def tune_gamma(config: ExperimentConfig) -> dict:
 
     if config.metric_kid:
         best = min(rows, key=lambda row: row["kid_x1000"])
-    elif config.metric_psnr:
-        best = max(rows, key=lambda row: row["psnr"])
     else:
-        raise ValueError("tuning needs at least one of KID or PSNR enabled")
+        best = max(rows, key=lambda row: row["psnr"])
     best_row = dict(best)
     best_row["record"] = "best"
     os.makedirs(paths["reports"], exist_ok=True)

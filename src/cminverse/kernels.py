@@ -93,26 +93,34 @@ def empirical_mean(atoms, log_weights, x, t):
 
 
 def ssim_mean(x, y, window, c1, c2):
-    """Mean local SSIM between two 2-D arrays under a separable window.
+    """Mean local SSIM of image pairs under a separable window.
 
-    Uses the standard weighted-moment form on every valid window position
-    (no padding).  ``window`` is the unit-sum 1-D profile g of length K;
-    the 2-D weights are outer(g, g), applied as one pass along each axis.
+    ``x`` and ``y`` are (..., h, w) stacks of 2-D images; each image's
+    mean is over every valid window position (no padding), so a 2-D pair
+    gives a float and a stack gives one mean per leading index.  The
+    window is the unit-sum 1-D profile g of length K; the 2-D weights
+    are outer(g, g), applied as one pass along each of the last two axes.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     g = np.asarray(window, dtype=np.float64)
     k = g.shape[0]
-    if x.shape[0] < k or x.shape[1] < k:
-        raise ValueError(f"image {x.shape} smaller than window ({k}, {k})")
+    if x.shape[-2] < k or x.shape[-1] < k:
+        raise ValueError(f"image {x.shape[-2:]} smaller than window ({k}, {k})")
 
     win = np.lib.stride_tricks.sliding_window_view
-    maps = np.stack((x, y, x * x, y * y, x * y))
-    mu_x, mu_y, xx, yy, xy = win(win(maps, k, axis=1) @ g, k, axis=2) @ g
-    var_x = xx - mu_x * mu_x
-    var_y = yy - mu_y * mu_y
-    cov = xy - mu_x * mu_y
+
+    # One moment map at a time: filtering all five as one stack makes
+    # temporaries five times larger, which measured slower on image stacks.
+    def blur(image):
+        return win(win(image, k, axis=-2) @ g, k, axis=-1) @ g
+
+    mu_x, mu_y = blur(x), blur(y)
+    var_x = blur(x * x) - mu_x * mu_x
+    var_y = blur(y * y) - mu_y * mu_y
+    cov = blur(x * y) - mu_x * mu_y
 
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return float(np.mean(num / den))
+    means = np.mean(num / den, axis=(-2, -1))
+    return float(means) if means.ndim == 0 else means

@@ -1,54 +1,53 @@
 """Reconstruction fidelity and distribution-distance metrics.
 
-PSNR and SSIM score individual reconstructions against references; the
-Fréchet distance and KID compare whole sets through pluggable feature
-vectors (raw pixels by default -- no neural feature extractor ships with
-the package, but precomputed features can be read from a tensor file).
+PSNR and SSIM score reconstructions against references, one image or a
+whole (N, c, h, w) stack per call; the Fréchet distance and KID compare
+whole sets through pluggable feature vectors (raw pixels by default --
+no neural feature extractor ships with the package, but precomputed
+features can be read from a tensor file).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .tensorio import read_tensor
-from .tensors import as_chw
 
 FEATURE_MODES = ("raw_pixels", "pooled_patches", "external_file")
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Aggregate metric values for one evaluated set of reconstructions."""
-
-    psnr: float
-    ssim: float
-    fid: float | None
-    kid_x1000: float | None
-    n_samples: int
-
-    def as_dict(self) -> dict:
-        return {
-            "psnr": self.psnr,
-            "ssim": self.ssim,
-            "fid": self.fid,
-            "kid_x1000": self.kid_x1000,
-            "n_samples": self.n_samples,
-        }
+def _as_chw(x) -> np.ndarray:
+    """A (..., c, h, w) float64 array; a 2-D (h, w) image becomes (1, h, w)."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 2:
+        arr = arr[None, :, :]
+    if arr.ndim < 3:
+        raise ValueError(f"expected (..., c, h, w) or (h, w) images, got shape {arr.shape}")
+    return arr
 
 
-def psnr(x, reference, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE); identical inputs give math.inf."""
-    if peak <= 0.0:
-        raise ValueError(f"peak must be positive, got {peak}")
-    a, b = as_chw(x), as_chw(reference)
+def _image_pair(x, reference):
+    a, b = _as_chw(x), _as_chw(reference)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return a, b
+
+
+def _per_image(values: np.ndarray):
+    """A float for a single image, else the array of per-image values."""
+    return float(values) if values.ndim == 0 else values
+
+
+def psnr(x, reference, peak: float = 1.0):
+    """10 log10(peak^2 / MSE) over the last three axes; identical images
+    give inf.  A single image gives a float, an (N, c, h, w) stack N values."""
+    if peak <= 0.0:
+        raise ValueError(f"peak must be positive, got {peak}")
+    a, b = _image_pair(x, reference)
+    mse = np.mean((a - b) ** 2, axis=(-3, -2, -1))
+    with np.errstate(divide="ignore"):
+        return _per_image(10.0 * np.log10(peak * peak / mse))
 
 
 def gaussian_window(size: int, sigma: float = 1.5) -> np.ndarray:
@@ -68,16 +67,15 @@ def ssim(
     k1: float = 0.01,
     k2: float = 0.03,
     peak: float = 1.0,
-) -> float:
+):
     """Mean local structural similarity under a Gaussian-weighted window.
 
-    The window defaults to 11 (7 when the smaller image side is under
-    32).  Channels are scored independently and averaged.
+    Acts on the last three axes like ``psnr``.  The window defaults to 11
+    (7 when the smaller image side is under 32).  Channels are scored
+    independently and averaged.
     """
-    a, b = as_chw(x), as_chw(reference)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    c, h, w = a.shape
+    a, b = _image_pair(x, reference)
+    h, w = a.shape[-2:]
     if window is None:
         window = 11 if min(h, w) >= 32 else 7
     if min(h, w) < window:
@@ -85,9 +83,7 @@ def ssim(
     win = gaussian_window(window)
     c1 = (k1 * peak) ** 2
     c2 = (k2 * peak) ** 2
-    return float(
-        np.mean([kernels.ssim_mean(a[ch], b[ch], win, c1, c2) for ch in range(c)])
-    )
+    return _per_image(kernels.ssim_mean(a, b, win, c1, c2).mean(axis=-1))
 
 
 def _psd_sqrt(cov: np.ndarray):
@@ -242,12 +238,13 @@ def feature_extract(
     feature_file: str | None = None,
     index: int | np.ndarray | None = None,
 ) -> np.ndarray:
-    """Turn one image into a feature vector.
+    """Turn images into feature vectors: one image gives a (d,) vector, an
+    (N, c, h, w) stack an (N, d) table.
 
-    raw_pixels flattens; pooled_patches block-averages non-overlapping
-    pool x pool patches first; external_file returns row ``index`` of a
-    precomputed (count, d) tensor file, or the rows of an index array from
-    one read of it.
+    raw_pixels flattens each image; pooled_patches block-averages
+    non-overlapping pool x pool patches first; external_file ignores
+    ``x`` and returns row ``index`` of a precomputed (count, d) tensor
+    file, or the rows of an index array from one read of it.
     """
     if mode not in FEATURE_MODES:
         raise ValueError(f"mode must be one of {FEATURE_MODES}, got {mode!r}")
@@ -264,11 +261,12 @@ def feature_extract(
                 f"feature index {stray[0]} out of range for {table.shape[0]} rows"
             )
         return table[index]
-    arr = as_chw(x)
+    arr = _as_chw(x)
+    lead = arr.shape[:-3]
     if mode == "raw_pixels":
-        return arr.ravel().copy()
-    c, h, w = arr.shape
+        return arr.reshape(lead + (-1,)).copy()
+    c, h, w = arr.shape[-3:]
     if pool < 1 or h % pool or w % pool:
         raise ValueError(f"pool {pool} must divide image sides {h}x{w}")
-    pooled = arr.reshape(c, h // pool, pool, w // pool, pool).mean(axis=(2, 4))
-    return pooled.ravel()
+    pooled = arr.reshape(lead + (c, h // pool, pool, w // pool, pool)).mean(axis=(-3, -1))
+    return pooled.reshape(lead + (-1,))

@@ -14,28 +14,20 @@ from typing import Callable
 
 import numpy as np
 
-from .tensors import ImageTensor, as_vector
-
-STRUCTURE_TAGS = ("downsample", "blur_circular", "inpaint", "identity", "dense")
-
 
 def _as_batch(x, dim: int, what: str):
     """Normalise input to a (B, dim) float64 array; track if it was single."""
-    if isinstance(x, ImageTensor):
-        arr = x.data[None, :]
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+        single = True
+    elif arr.ndim == 2:
+        single = False
+    elif arr.ndim == 3:
+        arr = arr.reshape(1, -1)
         single = True
     else:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-            single = True
-        elif arr.ndim == 2:
-            single = False
-        elif arr.ndim == 3:
-            arr = arr.reshape(1, -1)
-            single = True
-        else:
-            raise ValueError(f"{what}: expected 1-D, 2-D or (c,h,w) input")
+        raise ValueError(f"{what}: expected 1-D, 2-D or (c,h,w) input")
     if arr.shape[1] != dim:
         raise ValueError(f"{what}: expected dimension {dim}, got {arr.shape[1]}")
     return np.ascontiguousarray(arr), single
@@ -48,7 +40,8 @@ class LinearOperator:
     ----------
     n, m : signal and measurement dimensions.
     singular_values : descending, length min(m, n), all >= 0.
-    structure_tag : one of STRUCTURE_TAGS.
+    structure_tag : "downsample", "blur_circular", "inpaint", "identity"
+        or "dense".
     signal_shape : (c, h, w) of the signal domain.
     measurement_shape : (c, h, w) of the measurement when it is an image,
         else None.
@@ -88,7 +81,7 @@ class LinearOperator:
         raise NotImplementedError
 
     def apply(self, x):
-        """A x for a vector, ImageTensor, or (B, n) stack."""
+        """A x for a vector, a (c, h, w) image, or a (B, n) stack."""
         x2d, single = _as_batch(x, self.n, "apply")
         y = self._direct(x2d)
         return y[0] if single else y
@@ -112,10 +105,6 @@ class LinearOperator:
         xs[:, :k] = ys[:, :k] * self.singular_values
         x = self._v(xs)
         return x[0] if single else x
-
-    def adjoint_image(self, y) -> ImageTensor:
-        """Adjoint of a single measurement, wrapped as an ImageTensor."""
-        return ImageTensor(shape=self.signal_shape, data=self.adjoint(as_vector(y)))
 
     def to_spectral(self, x):
         """V^T x: signal coordinates in the operator's right singular basis."""
@@ -489,10 +478,6 @@ def make_gaussian_blur(
 ) -> CircularBlurOperator:
     """Circular Gaussian blur; radius defaults to ceil(3 sigma)."""
     return CircularBlurOperator(channels, height, width, sigma, kernel_radius)
-
-
-def make_inpaint(channels, height, width, mask) -> InpaintOperator:
-    return InpaintOperator(channels, height, width, mask)
 
 
 def make_centered_square_inpaint(channels, height, width) -> InpaintOperator:

@@ -168,6 +168,8 @@ def test_missing_file_raises(tmp_path):
         ("[experiment]\ntask = denoise\n[tune]\ngamma_grid = ,\n", "gamma grid"),
         ("[experiment]\ntask = denoise\n[dataset]\ncount = many\n", "count"),
         ("[experiment]\ntask = denoise\ndump_images = maybe\n", "boolean"),
+        ("[experiment]\ntask = denoise\ndump_images = true\n[dataset]\nchannels = 2\n",
+         "dump_images.*channels = 2"),
         ("[experiment]\ntask = denoise\n[sampler]\nvariant = pixie\n", "variant"),
         ("[experiment]\ntask = denoise\n[metrics]\nfeature_mode = external_file\n", "feature file"),
     ],

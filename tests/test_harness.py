@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from cminverse import harness, metrics
+from cminverse import harness, kernels, metrics
 from cminverse.config import ExperimentConfig
 from cminverse.priors import EmpiricalPrior, GaussianPrior, rbf_covariance, rbf_prior
 from cminverse.samplers import SamplerConfig
@@ -415,6 +415,35 @@ def test_evaluate_disabled_metrics_leave_blanks(tmp_path):
     assert "-" in table
 
 
+def test_evaluate_scores_chunks_not_images(tmp_path, monkeypatch):
+    config = make_config(tmp_path, count=130, metric_kid=False, metric_fid=False)
+    ds_dir = harness.synthesize(config)
+    recon_dir = tmp_path / "recon"
+    os.makedirs(recon_dir)
+    rows = []
+    for i in range(config.count):
+        img = read_tensor(os.path.join(ds_dir, f"img_{i:05d}.cmt"))
+        name = f"recon_{i:05d}.cmt"
+        write_tensor(recon_dir / name, img + 0.01 * (i % 7))
+        rows.append({"index": i, "reconstruction": name})
+    write_jsonl(recon_dir / "sample.jsonl", rows)
+
+    ssim_mean, calls = kernels.ssim_mean, []
+    monkeypatch.setattr(kernels, "ssim_mean",
+                        lambda x, *args: calls.append(x.shape) or ssim_mean(x, *args))
+    harness.evaluate(config)
+    assert calls == [(64, 1, 8, 8), (64, 1, 8, 8), (2, 1, 8, 8)]
+    report = read_jsonl(tmp_path / "reports" / "evaluate.jsonl")
+    assert [row["index"] for row in report[:-1]] == list(range(130))
+    assert report[0]["psnr"] == math.inf and report[0]["ssim"] == 1.0
+    recs = np.stack([read_tensor(recon_dir / row["reconstruction"]) for row in rows])
+    refs = np.stack([read_tensor(os.path.join(ds_dir, f"img_{i:05d}.cmt"))
+                     for i in range(130)])
+    for i in (1, 64, 129):
+        assert report[i]["psnr"] == pytest.approx(metrics.psnr(recs[i], refs[i]), abs=1e-12)
+        assert report[i]["ssim"] == pytest.approx(metrics.ssim(recs[i], refs[i]), abs=1e-12)
+
+
 def test_evaluate_count_mismatch(tmp_path):
     config = make_config(tmp_path)
     run_pipeline(config)
@@ -543,6 +572,7 @@ def test_tune_gamma_needs_a_ranking_metric(tmp_path):
     harness.degrade(config)
     with pytest.raises(ValueError, match="KID or PSNR"):
         harness.tune_gamma(config)
+    assert not os.path.exists(tmp_path / "tune")
 
 
 # -- cross-stage determinism -------------------------------------------------

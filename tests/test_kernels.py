@@ -130,6 +130,18 @@ def test_ssim_matches_brute_force_2d_window(size, k):
     assert abs(got - want) <= 1e-14
 
 
+def test_ssim_stack_gives_one_mean_per_image():
+    rng = np.random.default_rng(8)
+    x = rng.random((2, 3, 12, 12))
+    y = np.clip(x + 0.2 * rng.standard_normal(x.shape), 0.0, 1.0)
+    window = gaussian_window(7)
+    got = kernels.ssim_mean(x, y, window, 1e-4, 9e-4)
+    assert got.shape == (2, 3)
+    for i in range(2):
+        for ch in range(3):
+            assert got[i, ch] == kernels.ssim_mean(x[i, ch], y[i, ch], window, 1e-4, 9e-4)
+
+
 def test_ssim_window_larger_than_image_raises():
     with pytest.raises(ValueError):
         kernels.ssim_mean(np.zeros((3, 3)), np.zeros((3, 3)), np.ones(5) / 5, 1e-4, 9e-4)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cminverse.metrics import (
-    MetricReport,
     feature_extract,
     frechet_distance,
     frechet_distance_with_clamp,
@@ -317,12 +316,45 @@ def test_feature_extract_external_file(tmp_path):
         feature_extract(None, mode="bogus")
 
 
-def test_metric_report_round_trip():
-    report = MetricReport(psnr=20.0, ssim=0.9, fid=1.5, kid_x1000=-3.0, n_samples=8)
-    assert report.as_dict() == {
-        "psnr": 20.0,
-        "ssim": 0.9,
-        "fid": 1.5,
-        "kid_x1000": -3.0,
-        "n_samples": 8,
-    }
+def _stack_pair(count, channels, side, seed):
+    rng = np.random.default_rng(seed)
+    refs = rng.uniform(0.0, 1.0, size=(count, channels, side, side))
+    recs = np.clip(refs + 0.1 * rng.standard_normal(refs.shape), 0.0, 1.0)
+    return recs, refs
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("side", [16, 32])  # default SSIM windows 7 and 11
+def test_stack_scores_equal_per_image_scores(channels, side):
+    recs, refs = _stack_pair(5, channels, side, seed=10 * channels + side)
+    recs[2] = refs[2]  # one identical pair
+    stack_psnr, stack_ssim = psnr(recs, refs), ssim(recs, refs)
+    assert stack_psnr.shape == stack_ssim.shape == (5,)
+    for i in range(5):
+        one_psnr, one_ssim = psnr(recs[i], refs[i]), ssim(recs[i], refs[i])
+        assert isinstance(one_psnr, float) and isinstance(one_ssim, float)
+        if i != 2:
+            assert abs(stack_psnr[i] - one_psnr) <= 1e-12
+        assert abs(stack_ssim[i] - one_ssim) <= 1e-12
+    assert stack_psnr[2] == math.inf and psnr(recs[2], refs[2]) == math.inf
+    assert stack_ssim[2] == 1.0 and ssim(recs[2], refs[2]) == 1.0
+
+
+def test_two_dimensional_image_is_one_channel():
+    recs, refs = _stack_pair(1, 1, 16, seed=4)
+    x, y = recs[0, 0], refs[0, 0]
+    assert psnr(x, y) == psnr(x[None], y[None])
+    assert ssim(x, y) == ssim(x[None], y[None])
+    for mode in ("raw_pixels", "pooled_patches"):
+        assert np.array_equal(feature_extract(x, mode), feature_extract(x[None], mode))
+    with pytest.raises(ValueError):
+        psnr(np.zeros(4), np.zeros(4))
+
+
+@pytest.mark.parametrize("mode", ["raw_pixels", "pooled_patches"])
+def test_feature_extract_stack_equals_rows(mode):
+    recs, _ = _stack_pair(5, 3, 8, seed=5)
+    table = feature_extract(recs, mode)
+    assert table.shape[0] == 5
+    for i in range(5):
+        assert np.array_equal(table[i], feature_extract(recs[i], mode))

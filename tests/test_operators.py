@@ -269,8 +269,3 @@ def test_dimension_and_parameter_errors():
     with pytest.raises(ValueError):
         op.apply(np.zeros(5))
 
-
-def test_adjoint_image_wraps_signal_shape():
-    op = BlockDownsampleOperator(1, 4, 4, 2)
-    img = op.adjoint_image(np.ones(4))
-    assert img.shape == (1, 4, 4)
