@@ -284,9 +284,10 @@ def build_consistency(config: ExperimentConfig, prior, operator):
     measurement-conditioned denoiser when the prior supports it (Gaussian
     prior with a linear operator).  Empirical priors and nonlinear tasks
     fall back to unconditional denoising, where only the residual-guided
-    variant sees the measurement at all.  A conditioned closure holds
-    dense n x n arrays, so above ``MAX_CONDITIONED_N`` pixels it is refused
-    (a ValueError) before any is allocated.
+    variant sees the measurement at all.  Building a conditioned closure
+    materialises the operator as a dense m x n array, so above
+    ``MAX_CONDITIONED_N`` pixels it is refused (a ValueError) before any is
+    allocated.
     """
     conditioned = (
         isinstance(prior, GaussianPrior)
@@ -311,27 +312,44 @@ def _sampling_setup(config: ExperimentConfig):
     return (operator,) + build_consistency(config, prior, operator)
 
 
+def _measurement_rows(config: ExperimentConfig, records) -> list[dict]:
+    """The degrade manifest, checked to hold one row per dataset image."""
+    path = os.path.join(_stage_paths(config)["degraded"], "degrade.jsonl")
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"measurement manifest not found: {path}")
+    rows = read_jsonl(path)
+    if len(rows) != len(records):
+        raise ValueError(f"{len(rows)} measurements for {len(records)} dataset images")
+    return rows
+
+
+def _measurement_stack(config: ExperimentConfig, rows) -> np.ndarray | None:
+    """(N, m) stack of the measurements the manifest rows name; None for N = 0."""
+    if not rows:
+        return None
+    return _read_stack(_stage_paths(config)["degraded"], [row["measurement"] for row in rows])
+
+
 def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
-           recon_dir: str | None = None, setup=None) -> str:
+           recon_dir: str | None = None, setup=None, ys: np.ndarray | None = None) -> str:
     """Reconstruct every measurement; returns the manifest path.
 
     ``setup`` is a ``_sampling_setup(config)`` result to reuse, so that
-    repeated passes share one consistency closure and its eigenfactors.
+    repeated passes share one consistency closure and its eigenfactors;
+    ``ys`` is the measurement stack to reuse, as ``_measurement_stack``
+    reads it.  With ``dump_images`` on, the previews go to ``images/`` for
+    the default ``recon/`` and beside the reconstructions otherwise.
     Raises NonFiniteEstimate, before writing anything, when an estimate
     or residual norm is not finite.
     """
     _, records, ds_dir = load_dataset(config)
     paths = _stage_paths(config)
-    degrade_manifest = os.path.join(paths["degraded"], "degrade.jsonl")
-    if not os.path.isfile(degrade_manifest):
-        raise FileNotFoundError(f"measurement manifest not found: {degrade_manifest}")
-    measurements = read_jsonl(degrade_manifest)
-    if len(measurements) != len(records):
-        raise ValueError(
-            f"{len(measurements)} measurements for {len(records)} dataset images"
-        )
+    measurements = _measurement_rows(config, records)
+    if ys is None:
+        ys = _measurement_stack(config, measurements)
 
     sampler = sampler if sampler is not None else config.sampler
+    preview_dir = paths["images"] if recon_dir is None else recon_dir
     recon_dir = recon_dir if recon_dir is not None else paths["recon"]
     operator, consistency, conditioned = (
         setup if setup is not None else _sampling_setup(config)
@@ -340,14 +358,14 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
     seeds = [config.seed + _SAMPLE_SEED_OFFSET + 2 * i for i in range(len(records))]
 
     def work(lo, hi):
-        ys = _read_stack(paths["degraded"], [row["measurement"] for row in measurements[lo:hi]])
+        y = ys[lo:hi]
         teachers = None
         if sampler.variant == "addim":
             teachers = _read_stack(ds_dir, [rec["file"] for rec in records[lo:hi]])
-        trajectory = run_sampler(consistency, sampler, y=ys, operator=operator,
+        trajectory = run_sampler(consistency, sampler, y=y, operator=operator,
                                  sigma_y=config.sigma_y, x_teacher=teachers, seed=seeds[lo:hi])
         resid_norms = np.sqrt(np.stack(
-            [row_sq_norms(ys - operator.apply(rec.estimate)) for rec in trajectory.records],
+            [row_sq_norms(y - operator.apply(rec.estimate)) for rec in trajectory.records],
             axis=1,
         ))
         return list(zip(trajectory.estimate, trajectory.degenerate_steps, resid_norms))
@@ -361,7 +379,7 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
                                     "estimate or residual norm; check t_min, t_max and the prior")
 
     names = _write_stack(recon_dir, "recon", [row[0].reshape(shape) for row in results],
-                         paths["images"] if config.dump_images else None)
+                         preview_dir if config.dump_images else None)
     manifest = [
         {
             "conditioned": conditioned,
@@ -418,9 +436,21 @@ def _format_table(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _references(config: ExperimentConfig, records, ds_dir):
+    """The (N, c, h, w) reference stack and, with KID or FID on, its features."""
+    shape = (-1, config.channels, config.height, config.width)
+    refs = _read_stack(ds_dir, [rec["file"] for rec in records]).reshape(shape)
+    if not (config.metric_kid or config.metric_fid):
+        return refs, None
+    return refs, _features(config, refs, "references")
+
+
 def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
-             report_name: str = "evaluate") -> dict:
-    """Score reconstructions against the dataset; returns the aggregate row."""
+             report_name: str = "evaluate", references=None) -> dict:
+    """Score reconstructions against the dataset; returns the aggregate row.
+
+    ``references`` is a ``_references`` result to reuse across passes.
+    """
     if config.count == 0:
         raise ValueError("evaluate: the dataset has no images (count = 0)")
     _, records, ds_dir = load_dataset(config)
@@ -435,9 +465,10 @@ def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
             f"{len(recon_rows)} reconstructions for {len(records)} references"
         )
 
-    shape = (-1, config.channels, config.height, config.width)
-    refs = _read_stack(ds_dir, [rec["file"] for rec in records]).reshape(shape)
-    recs = _read_stack(recon_dir, [row["reconstruction"] for row in recon_rows]).reshape(shape)
+    if references is None:
+        references = _references(config, records, ds_dir)
+    refs, feats_ref = references
+    recs = _read_stack(recon_dir, [row["reconstruction"] for row in recon_rows]).reshape(refs.shape)
 
     def score(lo, hi):
         """Per-image PSNR and SSIM of one chunk; None for a disabled metric."""
@@ -467,7 +498,6 @@ def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
         aggregate["ssim"] = float(np.mean([row["ssim"] for row in per_sample]))
     if config.metric_kid or config.metric_fid:
         feats_rec = _features(config, recs, "reconstructions")
-        feats_ref = _features(config, refs, "references")
         if config.metric_kid:
             aggregate["kid_x1000"] = metrics_mod.kid(
                 feats_rec,
@@ -572,20 +602,26 @@ def tune_gamma(config: ExperimentConfig) -> dict:
     """Grid-search gamma for the residual-guided sampler.
 
     Each candidate re-runs sampling and evaluation into its own
-    subdirectory; candidates are ranked by KID when enabled, otherwise by
-    PSNR.  All candidates share one operator and consistency closure, so
-    the prior is conditioned and factored once per run.  Returns the winning row.
+    subdirectory, previews included; candidates are ranked by KID when
+    enabled, otherwise by PSNR.  All candidates share one operator and
+    consistency closure, so the prior is conditioned and factored once per
+    run, and one read of the measurements, the references and the
+    references' features.  Returns the winning row.
     """
     if not (config.metric_kid or config.metric_psnr):
         raise ValueError("tuning needs at least one of KID or PSNR enabled")
     paths = _stage_paths(config)
     setup = _sampling_setup(config)
+    _, records, ds_dir = load_dataset(config)
+    ys = _measurement_stack(config, _measurement_rows(config, records))
+    references = _references(config, records, ds_dir) if records else None
     rows = []
     for gamma in config.gamma_grid:
         sampler = replace(config.sampler, variant="inverse_addim", gamma=float(gamma))
         sub = os.path.join(config.output_dir, "tune", f"gamma_{gamma:g}")
-        sample(config, sampler=sampler, recon_dir=sub, setup=setup)
-        aggregate = evaluate(config, recon_dir=sub, report_name=f"tune_gamma_{gamma:g}")
+        sample(config, sampler=sampler, recon_dir=sub, setup=setup, ys=ys)
+        aggregate = evaluate(config, recon_dir=sub, report_name=f"tune_gamma_{gamma:g}",
+                             references=references)
         rows.append(
             {
                 "fid": aggregate["fid"],

@@ -33,6 +33,15 @@ def _as_batch(x, dim: int, what: str):
     return np.ascontiguousarray(arr), single
 
 
+def grid_flips(shape) -> tuple[np.ndarray, np.ndarray]:
+    """The row flip and the column flip of a (c, h, w) grid as index
+    permutations of its flat row-major pixels: ``flips[0][i]`` is the pixel
+    that pixel i lands on when the rows are reversed, ``flips[1][i]`` when the
+    columns are.  Each is an involution, and the two commute."""
+    index = np.arange(math.prod(shape)).reshape(shape)
+    return index[:, ::-1, :].ravel(), index[:, :, ::-1].ravel()
+
+
 class LinearOperator:
     """Base class: subclasses provide the orthonormal factor maps.
 
@@ -139,6 +148,17 @@ class LinearOperator:
     def spectral_norm(self) -> float:
         """Largest singular value of the operator."""
         return float(self.singular_values[0])
+
+    def measurement_flips(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The row and column flips of the signal grid, as seen on the
+        measurement: two index permutations of the m measurements, or None.
+
+        An image measurement gives its own grid's flips (``grid_flips``).
+        Whether A commutes with them is for the caller to check.
+        """
+        if self.measurement_shape is None:
+            return None
+        return grid_flips(self.measurement_shape)
 
     def padded_singular_values(self) -> np.ndarray:
         """Singular values zero-padded to the full spectral length n."""
@@ -408,6 +428,17 @@ class InpaintOperator(LinearOperator):
         n = channels * hw
         m = channels * kept.size
         super().__init__(n, m, np.ones(m), (channels, height, width))
+
+    def measurement_flips(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Each flip of the grid mapped onto the kept pixels: measurement k,
+        pixel p, goes to the measurement of p's mirror image.  None unless
+        the mask is invariant under both flips."""
+        mask = self.mask
+        if not (np.array_equal(mask, mask[::-1]) and np.array_equal(mask, mask[:, ::-1])):
+            return None
+        position = np.empty(self.n, dtype=np.intp)
+        position[self._kept_full] = np.arange(self.m)
+        return tuple(position[flip[self._kept_full]] for flip in grid_flips(self.signal_shape))
 
     def _direct(self, x2d):
         return x2d[:, self._kept_full]

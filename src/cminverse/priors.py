@@ -21,13 +21,15 @@ from typing import Protocol
 import numpy as np
 
 from . import kernels
+from .operators import grid_flips
 
 
 # Largest dimension n a pipeline conditions a Gaussian prior on the
-# measurement for.  The conditioned closure holds dense n x n float64
-# arrays, and its peak grows as n^2: a 64 x 64 deblur (n = 4096) sampled 8
-# images at a peak resident size of about 800 MiB, so 128 x 128 would need
-# about 12 GiB.
+# measurement for.  Building the conditioned closure materialises A as a
+# dense m x n float64 array (``operator_matrix`` peaks at 3 n x n for a
+# blur), and the closure keeps about n^2 / 2 floats of per-block gains and
+# factors: a 64 x 64 deblur (n = 4096) sampled 8 images at a peak resident
+# size of about 420 MiB, so 128 x 128 would need about 6 GiB.
 MAX_CONDITIONED_N = 64 * 64
 
 
@@ -55,10 +57,9 @@ def _check_t(t: float) -> float:
 def _basis_product(x: np.ndarray, axes: tuple[np.ndarray, ...], transpose: bool) -> np.ndarray:
     """x Q, or x Q^T when transpose, for the rows of x.
 
-    ``axes`` gives Q: ``()`` is the identity, ``(Q,)`` a dense Q, and
-    ``(Q_h, Q_w)`` stands for Q = I_c (x) Q_h (x) Q_w, applied one image
-    axis at a time and never formed.  Q is orthonormal, or a block of
-    orthonormal columns of such a basis.
+    ``axes`` gives the orthonormal Q: ``()`` is the identity, ``(Q,)`` a
+    dense Q, and ``(Q_h, Q_w)`` stands for Q = I_c (x) Q_h (x) Q_w, applied
+    one image axis at a time and never formed.
     """
     if not axes:
         return x
@@ -69,9 +70,7 @@ def _basis_product(x: np.ndarray, axes: tuple[np.ndarray, ...], transpose: bool)
     # image X, and z Q^T = Q_h Z Q_w^T
     q_h, q_w = axes
     left, right = (q_h, q_w.T) if transpose else (q_h.T, q_w)
-    channels = x.shape[-1] // (left.shape[1] * right.shape[0])
-    out = left @ x.reshape(-1, left.shape[1], right.shape[0]) @ right
-    return out.reshape(x.shape[:-1] + (channels * out.shape[1] * out.shape[2],))
+    return (left @ x.reshape(-1, len(q_h), len(q_w)) @ right).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -148,51 +147,166 @@ def _finite_or_raise(array: np.ndarray, sigma_y: float) -> np.ndarray:
     return array
 
 
-def _parity_axis(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal even and odd bases of one image axis under the flip i -> size-1-i.
+def _walsh(values: list) -> list:
+    """sum_j (-1)^popcount(j & k) values[j] for k = 0..3: a 4-point Hadamard
+    transform in 8 adds.  A member left out (None) belongs to a flip that
+    moves nothing; the stage of that flip is skipped and its odd sums are
+    left out too."""
+    out = list(values)
+    for bit in (1, 2):
+        for k in range(4):
+            if not k & bit and out[k | bit] is not None:
+                out[k], out[k | bit] = out[k] + out[k | bit], out[k] - out[k | bit]
+    return out
 
-    Even columns: (e_i + e_{size-1-i})/sqrt(2) for i < size//2, then
-    e_centre when size is odd.  Odd columns: (e_i - e_{size-1-i})/sqrt(2).
+
+class _FlipBlocks:
+    """An orthonormal basis of R^size, split into four blocks by two flips.
+
+    The flips are commuting index involutions: a row flip f and a column
+    flip g (``grid_flips``, or an operator's ``measurement_flips``).  Block
+    k is odd under f when k & 2 and under g when k & 1, so the blocks run
+    even-even, even-odd, odd-even, odd-odd.  It is spanned by the unit
+    vectors P e_r / |P e_r|, P = (I +- F)(I +- G) / 4 with those signs, one
+    per orbit {r, g r, f r, f g r} (member j applies g when j & 1 and f
+    when j & 2) whose least index r represents it, in increasing r; an
+    orbit adds no vector where P e_r = 0.  A matrix M with F' M = M F and
+    G' M = M G is block diagonal between two such bases (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  On an image grid a vector is a
+    product of per-axis sums and differences over mirrored pixels,
+    (e_i +- e_{size-1-i})/sqrt(2), or the centre line of an odd axis; with
+    identity flips block 0 is the identity, exactly, and the other three
+    are empty.
+
+    A vector's coordinates are one gather of the orbits' members, a
+    ``_walsh`` over the flips that move something, and a scale of
+    1 / (members |P e_r|) per orbit, so no basis matrix is formed.  The way
+    back is the transpose: the same scales, ``_walsh`` again (its signs are
+    symmetric) and one gather, where an index that its orbit's members
+    repeat takes the value times the number of repeats; every block that
+    holds such an orbit has equal signs on the repeats.
     """
-    half, root = size // 2, math.sqrt(0.5)
-    i = np.arange(half)
-    even, odd = np.zeros((size, size - half)), np.zeros((size, half))
-    even[i, i] = even[size - 1 - i, i] = odd[i, i] = root
-    odd[size - 1 - i, i] = -root
-    if size % 2:
-        even[half, half] = 1.0
-    return even, odd
+
+    def __init__(self, flip_rows: np.ndarray, flip_cols: np.ndarray):
+        index = np.arange(flip_rows.size)
+        orbit = np.stack([index, flip_cols, flip_rows, flip_rows[flip_cols]])
+        reps = index[(orbit >= index).all(axis=0)]
+        orbit = orbit[:, reps]
+        moves = [not np.array_equal(flip, index) for flip in (flip_cols, flip_rows)]
+        self.members = [j for j in range(4) if (moves[0] or not j & 1) and (moves[1] or not j & 2)]
+        self.size, self.orbit = index.size, orbit[self.members]
+        signs = np.array([[(-1.0) ** bin(j & k).count("1") for j in range(4)] for k in range(4)])
+        at_rep = (orbit == orbit[0]).astype(float)  # the members equal to r
+        self.reps, self.norms, self.keep, self.scales = [], [], [], []
+        for k in range(4):
+            weight = signs[k] @ at_rep  # 4 e_r^T P e_r = 4 |P e_r|^2
+            keep = weight > 0
+            self.reps.append(reps[keep])
+            self.norms.append(np.sqrt(weight[keep] / 4.0))
+            self.keep.append(slice(None) if keep.all() else np.flatnonzero(keep))
+            self.scales.append(1.0 / (len(self.members) * self.norms[-1]))
+        self._signs = signs[:, self.members]
+        # back to indices: each index from a place it takes in the orbit table,
+        # times the number of places it takes there
+        self._back = np.empty(self.size, dtype=np.intp)
+        self._back[self.orbit.ravel()] = np.arange(self.orbit.size)
+        repeats = (self.orbit[:, None, :] == self.orbit[None, :, :]).sum(axis=1)
+        self._repeats = repeats.ravel()[self._back]
+
+    @property
+    def sizes(self) -> list[int]:
+        return [reps.size for reps in self.reps]
+
+    def _gather(self, x: np.ndarray) -> list:
+        """x at the orbits' members, one (..., orbits) array per member j, None
+        for a member that only a still flip would make."""
+        members = x[..., self.orbit]
+        values = [None] * 4
+        for i, j in enumerate(self.members):
+            values[j] = members[..., i, :]
+        return values
+
+    def part(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x B_k: block k's coordinates of the rows of x (its last axis)."""
+        values = [v for v in self._gather(x) if v is not None]
+        total = values[0]  # a view of the gathered copy: safe to add into
+        for value, sign in zip(values[1:], self._signs[k, 1:]):
+            if sign > 0:
+                total += value
+            else:
+                total -= value
+        return total[..., self.keep[k]] * self.scales[k]
+
+    def rows(self, matrix: np.ndarray, k: int) -> np.ndarray:
+        """B_k^T M: block k's coordinates of the columns of M."""
+        return self.part(matrix.T, k).T
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """The four blocks' coordinates of the rows of x."""
+        sums = _walsh(self._gather(x))
+        lead = x.shape[:-1]
+        return [np.zeros(lead + (0,)) if total is None else total[..., keep] * scale
+                for total, keep, scale in zip(sums, self.keep, self.scales)]
+
+    def merge(self, parts: dict) -> np.ndarray:
+        """Coordinates back to rows: x = sum_k parts[k] B_k^T over the blocks
+        k in ``parts``; a block left out counts as zero."""
+        lead = next(iter(parts.values())).shape[:-1]
+        full = [None] * 4
+        for j in self.members:  # block j is non-empty only where member j exists
+            keep, scale = self.keep[j], self.scales[j]
+            if isinstance(keep, slice) and j in parts:
+                full[j] = parts[j] * scale
+            else:
+                full[j] = np.zeros(lead + (self.orbit.shape[1],))
+                if j in parts:
+                    full[j][..., keep] = parts[j] * scale
+        table = np.concatenate([v for v in _walsh(full) if v is not None], axis=-1)
+        return table[..., self._back] * self._repeats
+
+    def expand(self, blocks: dict) -> np.ndarray:
+        """sum_k B_k blocks[k] B_k^T over the blocks k given, as one dense
+        matrix."""
+        half = {k: self.merge({k: block.T}) for k, block in blocks.items()}  # (B_k M_k)^T
+        return self.merge({k: rows.T for k, rows in half.items()})
 
 
-def _parity_blocks(shape: tuple[int, int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-axis bases (B_h, B_w) of the four parity blocks of a (c, h, w) grid:
-    even or odd rows times even or odd columns, every channel, in a fixed
-    order (a block is empty when an axis has no odd part).  Together they
-    form the orthonormal basis I_c (x) P_h (x) P_w, in which a matrix that
-    commutes with both flips of the grid is block diagonal (Cantoni &
-    Butler, Linear Algebra Appl. 13, 1976)."""
-    _, h, w = shape
-    return [(b_h, b_w) for b_h in _parity_axis(h) for b_w in _parity_axis(w)]
+def _identity_blocks(size: int) -> _FlipBlocks:
+    """One block, the identity: the basis of the unsplit problem."""
+    index = np.arange(size)
+    return _FlipBlocks(index, index)
 
 
-def _flip_gap(matrix: np.ndarray, row_shape, col_shape) -> float:
-    """max |M - J M J| over the two image axes, where J reverses that axis of
-    the rows' grid and of the columns' grid together."""
-    grid = matrix.reshape(tuple(row_shape) + tuple(col_shape))
-    return float(np.max([np.abs(grid - np.flip(grid, (axis, axis + 3))).max() for axis in (1, 2)]))
+def _commutes(a: np.ndarray, flip_rows: np.ndarray, shape, axis: int, chunk: int = 256) -> bool:
+    """F' A == A F bit for bit, for the flip of image axis ``axis`` (1 rows,
+    2 columns) of the (c, h, w) signal grid and its permutation ``flip_rows``
+    of the measurements: A's permuted rows against a reversed view of A,
+    a block of rows at a time, so that no flipped copy of A is made."""
+    grid = a.reshape((a.shape[0],) + tuple(shape))
+    flipped = np.flip(grid, axis + 1)
+    return all(np.array_equal(grid[flip_rows[lo:lo + chunk]], flipped[lo:lo + chunk])
+               for lo in range(0, a.shape[0], chunk))
 
 
-def _to_block(matrix: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
-    """B_r^T M B_c for the block bases ``rows`` and ``cols`` (axes as in
-    ``_basis_product``; ``()`` leaves that side as it is)."""
-    half = _basis_product(matrix, cols, transpose=False)
-    return _basis_product(half.T, rows, transpose=False).T
+def _kron_block(grid: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """(R_h (x) R_w) diag(lam_c) (C_h (x) C_w)^T for every channel image lam_c
+    of ``grid`` (c, h, w), by two contractions over the image axes; ``rows``
+    is (R_h, R_w) and ``cols`` is (C_h, C_w).  Shape (c, a b, p q) for
+    R_h (a, h), R_w (b, w), C_h (p, h) and C_w (q, w)."""
+    (r_h, r_w), (c_h, c_w) = rows, cols
+    a, b, p, q = r_h.shape[0], r_w.shape[0], c_h.shape[0], c_w.shape[0]
+    left = (r_h[:, None, :] * c_h[None, :, :]).reshape(a * p, -1) @ grid
+    out = left @ (r_w[:, None, :] * c_w[None, :, :]).reshape(b * q, -1).T
+    return out.reshape(-1, a, p, b, q).transpose(0, 1, 3, 2, 4).reshape(-1, a * b, p * q)
 
 
-def _from_block(block: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
-    """B_r M B_c^T: a block back in pixel coordinates."""
-    half = _basis_product(block, cols, transpose=True)
-    return _basis_product(half.T, rows, transpose=True).T
+def _channel_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The (c k, c k) block-diagonal matrix of c blocks of (k, k)."""
+    c, k, _ = blocks.shape
+    out = np.zeros((c * k, c * k))
+    for ch in range(c):
+        out[ch * k:(ch + 1) * k, ch * k:(ch + 1) * k] = blocks[ch]
+    return out
 
 
 def _measurement_stage(cov, a, sigma_y):
@@ -219,9 +333,9 @@ class GaussianPrior:
     Sigma is given in one form.  A dense symmetric ``covariance`` is
     factored by one eigh when the factor is first used.  An ``EigenFactor``
     (``factor``, as ``rbf_prior`` builds it) is used as given, and
-    ``covariance`` is then Q diag(lam) Q^T, formed once when first read:
-    only the measurement-conditioned denoiser, ``posterior`` and
-    ``joint_denoise_cov`` read it.
+    ``covariance`` is then Q diag(lam) Q^T, formed once when first read.
+    Nothing here reads it for a per-axis factor: conditioning on a
+    measurement builds Sigma's blocks from the factor.
     """
 
     def __init__(self, mean, covariance: np.ndarray | None = None,
@@ -278,64 +392,101 @@ class GaussianPrior:
         return _denoise_cov(self.factor, t)
 
     # --- conditioning on the measurement --------------------------------
-    def _block_bases(self, operator, a: np.ndarray) -> list[tuple[tuple, tuple]]:
-        """(signal, measurement) block bases to condition in.
+    def _covariance_blocks(self, shape) -> tuple[_FlipBlocks, dict, float]:
+        """Signal blocks, Sigma's diagonal blocks B_k^T Sigma B_k in them by
+        block index k (empty blocks left out), and Sigma's largest off-block
+        entry relative to its largest entry.
 
-        The parity blocks of the operator's signal and measurement grids
-        when the split is exact: A commutes with both image flips bit for
-        bit, and Sigma to rounding (1e-12 of its largest entry), so that
-        dropping its off-block entries is a rounding-level projection like
-        its symmetrisation.  Otherwise one block in pixel coordinates.
+        ``shape`` is the (c, h, w) grid to split by its row and column flips,
+        or None for one block in pixel coordinates.  A factor-form prior
+        (``rbf_prior``) gives each block as (R_h (x) R_w) diag(lam) (R_h (x) R_w)^T
+        with R = B^T Q per image axis, so Sigma is never formed; any other
+        prior's dense covariance goes through the same flip sums as A.
+        Sigma is PSD, so its largest entry is on its diagonal.
         """
-        meas_shape = getattr(operator, "measurement_shape", None)
-        if meas_shape is not None:
-            shape, cov = operator.signal_shape, self.covariance
-            if (_flip_gap(a, meas_shape, shape) == 0.0
-                    and _flip_gap(cov, shape, shape) <= 1e-12 * np.abs(cov).max()):
-                return list(zip(_parity_blocks(shape), _parity_blocks(meas_shape)))
-        return [((), ())]
+        signal = _FlipBlocks(*grid_flips(shape)) if shape else _identity_blocks(self.n)
+        kept = [k for k in range(4) if signal.sizes[k]]  # an axis of length 1 has no odd part
+        factor = self.__dict__.get("factor")
+        axes = factor.axes if factor is not None else ()
+        sides = tuple(len(q) for q in axes)
+        if len(axes) == 2 and (shape is None or shape[1:] == sides):
+            def even_odd(q):
+                """R = B^T Q of one axis for its even and its odd part (empty
+                without flips)."""
+                index = np.arange(len(q))
+                axis = _FlipBlocks(index[::-1] if shape else index, index)
+                return axis.rows(q, 0), axis.rows(q, 2)
 
-    def _condition_on_measurement(self, operator, a: np.ndarray, sigma_y: float):
-        """Gain K_y and the eigenfactor of Sigma_y of x | y, y = A x + sigma_y * noise.
+            r_h, r_w = (even_odd(q) for q in axes)
+            rs = {k: (r_h[k >> 1], r_w[k & 1]) for k in kept}  # block k is odd by row if k & 2
+            grid = factor.lam.reshape((-1,) + sides)
+            blocks = [_channel_diagonal(_kron_block(grid, rs[k], rs[k])) for k in kept]
+            off = [np.abs(_kron_block(grid, rs[k], rs[l])).max()
+                   for k in kept for l in kept if k < l]
+            top = ((axes[0] ** 2) @ grid @ (axes[1] ** 2).T).max()
+        else:
+            cov = self.covariance
+            parts = [signal.split(signal.rows(cov, k)) for k in kept]
+            blocks = [part[k] for k, part in zip(kept, parts)]
+            off = [np.abs(part[l]).max() for k, part in zip(kept, parts)
+                   for l in kept if l != k]
+            top = cov.diagonal().max()
+        blocks = {k: (block + block.T) / 2.0 for k, block in zip(kept, blocks)}
+        return signal, blocks, max(off, default=0.0) / top if top > 0.0 else 0.0
+
+    def _parity_split(self, operator, a: np.ndarray) -> tuple[_FlipBlocks, _FlipBlocks, dict]:
+        """(signal blocks, measurement blocks, Sigma's diagonal blocks) to condition in.
+
+        The four parity blocks of the operator's flips when the split is
+        exact: A commutes with both flips bit for bit, and Sigma to rounding
+        (1e-12 of its largest entry), so that dropping its off-block entries
+        is a rounding-level projection like its symmetrisation.  Otherwise
+        one block in pixel coordinates.
+        """
+        flips = getattr(operator, "measurement_flips", None)
+        flips = flips() if flips is not None else None
+        if flips is not None:
+            shape = operator.signal_shape
+            if all(_commutes(a, flip, shape, axis) for axis, flip in enumerate(flips, 1)):
+                signal, blocks, gap = self._covariance_blocks(shape)
+                if gap <= 1e-12:
+                    return signal, _FlipBlocks(*flips), blocks
+        signal, blocks, _ = self._covariance_blocks(None)
+        return signal, _identity_blocks(a.shape[0]), blocks
+
+    def _condition_on_measurement(self, operator, sigma_y: float) -> "_Conditioned":
+        """x | y for y = A x + sigma_y * noise, block by block.
 
         K_y = Sigma A^T (A Sigma A^T + sigma_y^2 I)^+ and
         Sigma_y = Sigma - K_y A Sigma depend on neither t nor y; the
         posterior mean is mean + K_y (y - A mean).  Sigma and A are split
-        into the diagonal blocks of ``_block_bases`` (four parity blocks of
-        about n/4 for a flip-invariant prior and operator, else one block),
-        and each block takes one eigendecomposition of its part of
-        A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.
+        into the diagonal blocks of ``_parity_split`` (four parity blocks of
+        about n/4 for a flip-invariant prior and operator, else one block).
+        A's blocks are its representative rows, each taken through the
+        signal's flip sums: as A commutes with the flips, that is
+        B'_k^T A B_k.  Each block takes one eigendecomposition of its part
+        of A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.
         Measurement directions whose variance lies below working precision
         (relative to the largest over all blocks) carry no information and
         are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
-        numerically singular (a strong blur).  K_y and the factor's Q are
-        returned dense, in pixel coordinates.
+        numerically singular (a strong blur).  K_y and Sigma_y's eigenfactor
+        stay per block; no n x n array outlives the call.
         """
-        m, n = a.shape
-        blocks = [(signal, measurement, _to_block(self.covariance, signal, signal))
-                  for signal, measurement in self._block_bases(operator, a)
-                  if all(q.shape[1] for q in signal)]  # an axis of length 1 has no odd part
-        stages = [_measurement_stage(cov, _to_block(a, measurement, signal), sigma_y)
-                  for signal, measurement, cov in blocks]
+        a = _as_matrix(operator)
+        signal, measurement, covs = self._parity_split(operator, a)
+        kept = list(covs)
+        stages = [_measurement_stage(
+            cov, signal.part(a[measurement.reps[k]], k) / measurement.norms[k][:, None], sigma_y)
+            for k, cov in covs.items()]
+        a_mu = a @ self.mean
+        del a
         top = max((lam[-1] for _, lam, _ in stages if lam.size), default=0.0)
-        floor = top * m * np.finfo(np.float64).eps
+        floor = top * a_mu.size * np.finfo(np.float64).eps
         # one block at a time, each y-stage released before Sigma_y is factored
-        parts = [_block_posterior(cov, *stages.pop(0), floor) for _, _, cov in blocks]
-        # K_y^T accumulates C-ordered: each block's term comes out transposed
-        gain_t = np.zeros((m, n))
-        for (signal, measurement, _), (gain_k, _) in zip(blocks, parts):
-            if gain_k.size:  # a block without measurements gains nothing
-                gain_t += _from_block(gain_k, signal, measurement).T
-        factors = [_eigen_factor(_finite_or_raise(cov_k, sigma_y)) for _, cov_k in parts]
-        del parts
-        # the factor's Q^T, a block of rows at a time
-        q_t, start = np.empty((n, n)), 0
-        for (signal, _, _), factor in zip(blocks, factors):
-            stop = start + factor.lam.size
-            q_t[start:stop] = _basis_product(factor.axes[0].T, signal, transpose=True)
-            start = stop
-        lam_y = np.concatenate([factor.lam for factor in factors])
-        return _finite_or_raise(gain_t.T, sigma_y), EigenFactor(lam_y, (q_t.T,))
+        parts = [_block_posterior(covs.pop(k), *stages.pop(0), floor) for k in kept]
+        gains = [_finite_or_raise(gain, sigma_y) for gain, _ in parts]
+        factors = [_eigen_factor(_finite_or_raise(cov_y, sigma_y)) for _, cov_y in parts]
+        return _Conditioned(signal, measurement, kept, self.mean, a_mu, gains, factors)
 
     def joint_denoise(
         self, x_t: np.ndarray, y: np.ndarray, t: float, operator, sigma_y: float
@@ -344,19 +495,22 @@ class GaussianPrior:
         return self.measurement_consistency(operator, sigma_y)(x_t, y, t)
 
     def joint_denoise_cov(self, t: float, operator, sigma_y: float) -> np.ndarray:
-        """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y."""
+        """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y;
+        dense n x n, built from its blocks."""
         t = _check_t(t)
-        _, factor = self._condition_on_measurement(operator, _as_matrix(operator), sigma_y)
-        return _denoise_cov(factor, t)
+        cond = self._condition_on_measurement(operator, sigma_y)
+        return cond.signal.expand({k: _denoise_cov(factor, t)
+                                   for k, factor in zip(cond.blocks, cond.factors)})
 
     def posterior(self, operator, y: np.ndarray, sigma_y: float):
         """Mean and covariance of x | y under y = A x + sigma_y * noise; the
-        covariance is Q diag(lam) Q^T from the eigenfactor of Sigma_y, with
-        lam clamped at 0."""
-        a = _as_matrix(operator)
-        gain, factor = self._condition_on_measurement(operator, a, sigma_y)
-        mean = self.mean + gain @ (np.asarray(y, dtype=np.float64) - a @ self.mean)
-        return mean, factor.matrix(factor.lam)
+        covariance is dense, sum_k B_k Q_k diag(lam_k) Q_k^T B_k^T from the
+        blocks' eigenfactors of Sigma_y, with lam clamped at 0."""
+        cond = self._condition_on_measurement(operator, sigma_y)
+        mean = cond.signal.merge(dict(zip(cond.blocks, cond.means(y))))
+        cov = cond.signal.expand({k: factor.matrix(factor.lam)
+                                  for k, factor in zip(cond.blocks, cond.factors)})
+        return mean.reshape(self.mean.shape), cov
 
     # --- consistency-function views -------------------------------------
     def consistency(self) -> ConsistencyFn:
@@ -381,22 +535,46 @@ class GaussianPrior:
         and factors Sigma_y once, block by block (``_condition_on_measurement``:
         eight eigendecompositions of about n/4 x n/4 for a flip-invariant
         prior and operator, else one of m x m and one of n x n), so
-        G_t = Q diag(lam/(lam+t^2)) Q^T at every level: a call costs three
-        matrix products, with no solve, cache or lock.
+        G_t = Q_k diag(lam_k/(lam_k+t^2)) Q_k^T in every block at every
+        level.  A call moves the rows of y - A mean and x_t into the blocks'
+        coordinates by flip sums, makes three matrix products per block and
+        moves back, with no solve, cache or lock.
         """
-        a = _as_matrix(operator)
-        m = a.shape[0]
-        a_mu = a @ self.mean
-        gain_y, factor = self._condition_on_measurement(operator, a, sigma_y)
+        cond = self._condition_on_measurement(operator, sigma_y)
 
         def fn(x_t, y, t):
             if y is None:
                 raise ValueError("measurement-conditioned denoiser needs y")
-            y = np.asarray(y, dtype=np.float64)
-            mean_y = self.mean + (y.reshape(-1, m) - a_mu) @ gain_y.T
-            return _denoise(mean_y, factor, x_t, t)
+            return cond.denoise(x_t, y, t)
 
         return fn
+
+
+class _Conditioned:
+    """x | y of a Gaussian prior, held in the blocks of its parity split:
+    per block k, the prior mean's part, the gain K_k and the eigenfactor of
+    Sigma_y,k.  Read-only once built, so threads may share it."""
+
+    def __init__(self, signal: _FlipBlocks, measurement: _FlipBlocks, blocks: list,
+                 mean: np.ndarray, a_mu: np.ndarray, gains: list, factors: list):
+        self.signal, self.measurement, self.blocks = signal, measurement, blocks
+        self.a_mu, self.gains, self.factors = a_mu, gains, factors
+        self.mean_parts = signal.split(mean)
+
+    def means(self, y) -> list[np.ndarray]:
+        """Each block's part of mean_y = mean + K_y (y - A mean), for the rows of y."""
+        y = np.asarray(y, dtype=np.float64).reshape(-1, self.a_mu.size)
+        resid = self.measurement.split(y - self.a_mu)
+        return [self.mean_parts[k] + resid[k] @ gain.T
+                for k, gain in zip(self.blocks, self.gains)]
+
+    def denoise(self, x_t, y, t) -> np.ndarray:
+        """E[x | x_t, y]: denoising under N(mean_y, Sigma_y), block by block."""
+        x_t = np.asarray(x_t, dtype=np.float64)
+        parts = self.signal.split(x_t.reshape(-1, self.signal.size))
+        out = {k: _denoise(mean, factor, parts[k], t)
+               for k, mean, factor in zip(self.blocks, self.means(y), self.factors)}
+        return self.signal.merge(out).reshape(x_t.shape)
 
 
 @dataclass(frozen=True)

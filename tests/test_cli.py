@@ -326,6 +326,29 @@ def test_unconditioned_gaussian_pipeline_holds_no_dense_covariance(tmp_path, sid
     assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB at {side}x{side}"
 
 
+@pytest.mark.parametrize("task", ["deblur", "inpaint"])
+def test_conditioned_gaussian_pipeline_at_64_squared_stays_below_four_dense_arrays(tmp_path, task):
+    # the conditioned closure splits A and Sigma into parity blocks from the
+    # per-axis factor and flip sums, so no stage holds four n x n arrays
+    body = _LARGE_DDRM_DEBLUR_INI.format(out=tmp_path / "run", side=64)
+    body = body.replace("variant = ddrm", "variant = inverse_addim")
+    body = body.replace("count = 8", "count = 2").replace("subset_size = 4", "subset_size = 2")
+    body = body.replace("task = deblur", f"task = {task}")
+    ini = write_ini(tmp_path, body)
+    n = 64 * 64
+    tracemalloc.start()
+    try:
+        codes = [cli.main(["--config", ini, stage])
+                 for stage in ("synthesize", "degrade", "sample", "evaluate")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes == [0, 0, 0, 0]
+    rows = read_jsonl(tmp_path / "run" / "recon" / "sample.jsonl")
+    assert all(row["conditioned"] for row in rows)
+    assert peak < 4 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n arrays"
+
+
 def test_conditioned_gaussian_run_above_the_size_limit_is_refused(tmp_path, capsys):
     # a conditioned closure holds dense n x n arrays (2 GiB each at 128 x 128):
     # sample stops with exit 2 before allocating any, and names the way out

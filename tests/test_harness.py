@@ -13,7 +13,7 @@ from cminverse import harness, kernels, metrics
 from cminverse.config import ExperimentConfig
 from cminverse.priors import EmpiricalPrior, GaussianPrior, rbf_covariance, rbf_prior
 from cminverse.samplers import SamplerConfig
-from cminverse.tensorio import read_jsonl, read_tensor, write_jsonl, write_tensor
+from cminverse.tensorio import dump_image, read_jsonl, read_tensor, write_jsonl, write_tensor
 
 
 def make_config(output_dir, **overrides):
@@ -555,6 +555,42 @@ def test_tune_gamma_shares_one_closure_without_changing_bytes(tmp_path, monkeypa
         harness.sample(config, sampler=sampler, recon_dir=str(alone))
         tuned = tmp_path / "tune" / f"gamma_{gamma:g}"
         assert tree_bytes(tuned) == tree_bytes(alone)
+
+
+def test_tune_gamma_previews_stay_with_their_candidate(tmp_path):
+    sampler = SamplerConfig(variant="inverse_addim", steps=2, gamma=1.0, t_min=0.01, t_max=5.0)
+    config = make_config(tmp_path, task="deblur", count=8, dump_images=True,
+                         gamma_grid=(1.0, 0.0), sampler=sampler)
+    run_pipeline(config)
+    harness.tune_gamma(config)
+
+    def preview(cmt_path, name):
+        path = tmp_path / "previews" / name
+        path.parent.mkdir(exist_ok=True)
+        dump_image(str(path), read_tensor(cmt_path))
+        return path.read_bytes()
+
+    for i in (0, 7):
+        name = f"recon_{i:05d}.pgm"
+        assert (tmp_path / "images" / name).read_bytes() == preview(
+            tmp_path / "recon" / f"recon_{i:05d}.cmt", name)
+        for gamma in ("1", "0"):
+            candidate = tmp_path / "tune" / f"gamma_{gamma}"
+            assert (candidate / name).read_bytes() == preview(
+                candidate / f"recon_{i:05d}.cmt", name)
+
+
+def test_tune_gamma_reads_its_inputs_once(tmp_path, monkeypatch):
+    config = make_config(tmp_path, task="deblur", count=8, gamma_grid=(0.0, 1.0))
+    harness.synthesize(config)
+    harness.degrade(config)
+    read, paths = harness.read_tensor, []
+    monkeypatch.setattr(harness, "read_tensor", lambda path: paths.append(path) or read(path))
+    harness.tune_gamma(config)
+    stage = [os.path.basename(os.path.dirname(path)) for path in paths]
+    assert stage.count("dataset") == 8
+    assert stage.count("degraded") == 8
+    assert stage.count("gamma_0") == stage.count("gamma_1") == 8
 
 
 def test_tune_gamma_falls_back_to_psnr(tmp_path):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cminverse import priors
 from cminverse.operators import (
     DenseOperator,
     IdentityOperator,
+    grid_flips,
     make_centered_square_inpaint,
     make_downsample,
     make_gaussian_blur,
@@ -222,6 +224,9 @@ _PARITY_CASES = {
     # a 1 x 1 measurement has no odd part: three blocks see no measurement
     "downsample_1x2x2": (lambda: make_downsample(1, 2, 2, 2), [(1, 1)] + [(1, 0)] * 3),
     "identity_1x1x8": (lambda: IdentityOperator(1, 1, 8), [(4, 4)] * 2),
+    # the centred square is flip-invariant: its kept pixels split four ways
+    "inpaint_1x8x8": (lambda: make_centered_square_inpaint(1, 8, 8), [(16, 12)] * 4),
+    "inpaint_3x8x8": (lambda: make_centered_square_inpaint(3, 8, 8), [(48, 36)] * 4),
 }
 
 
@@ -271,10 +276,13 @@ def test_parity_conditioning_is_exact_without_measurement_noise():
         (lambda: rbf_prior((1, 8, 8), 1.5, 0.3, 0.2),
          lambda: DenseOperator(operator_matrix(make_gaussian_blur(1, 8, 8, 1.2)),
                                signal_shape=(1, 8, 8))),
-        (lambda: rbf_prior((1, 8, 8), 1.5, 0.3, 0.2),
-         lambda: make_centered_square_inpaint(1, 8, 8)),
+        # on these grids the centred square sits off the centre line of one axis
+        (lambda: rbf_prior((1, 7, 9), 1.5, 0.3, 0.2),
+         lambda: make_centered_square_inpaint(1, 7, 9)),
+        (lambda: rbf_prior((1, 6, 10), 1.5, 0.3, 0.2),
+         lambda: make_centered_square_inpaint(1, 6, 10)),
     ],
-    ids=["prior_not_flip_invariant", "dense_operator", "inpaint"],
+    ids=["prior_not_flip_invariant", "dense_operator", "inpaint_1x7x9", "inpaint_1x6x10"],
 )
 def test_inexact_split_conditions_as_one_block(make_prior, make_op, monkeypatch):
     prior, op = make_prior(), make_op()
@@ -284,12 +292,78 @@ def test_inexact_split_conditions_as_one_block(make_prior, make_op, monkeypatch)
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
+def test_inexact_masks_are_not_flip_invariant():
+    for side_h, side_w in [(7, 9), (6, 10)]:
+        assert make_centered_square_inpaint(1, side_h, side_w).measurement_flips() is None
+
+
 def test_flip_gap_of_the_rbf_prior_is_rounding():
     # the factor-built RBF covariance passes the 1e-12 gate with room: its
-    # flip gap is about 3e-15 of its largest entry on these shapes
+    # largest off-block entry is about 3e-15 of its largest entry here
     for shape in [(1, 8, 8), (3, 6, 10), (1, 32, 32)]:
-        cov = rbf_prior(shape, length_scale=3.0, variance=0.05).covariance
-        assert priors._flip_gap(cov, shape, shape) <= 1e-13 * np.abs(cov).max()
+        _, _, gap = rbf_prior(shape, length_scale=3.0, variance=0.05)._covariance_blocks(shape)
+        assert gap <= 1e-13
+
+
+def _parity_oracle(shape):
+    """Dense bases I_c (x) B_h (x) B_w of the four parity blocks, from the
+    per-axis columns (e_i + e_{N-1-i})/sqrt(2) (plus e_centre on an odd
+    axis) and (e_i - e_{N-1-i})/sqrt(2), i < N/2."""
+    def axis(size):
+        half, eye = size // 2, np.eye(size)
+        even = [(eye[i] + eye[size - 1 - i]) / np.sqrt(2.0) for i in range(half)]
+        odd = [(eye[i] - eye[size - 1 - i]) / np.sqrt(2.0) for i in range(half)]
+        even += [eye[half]] if size % 2 else []
+        return [np.array(even).reshape(-1, size).T, np.array(odd).reshape(-1, size).T]
+
+    c, h, w = shape
+    return [np.kron(np.eye(c), np.kron(b_h, b_w)) for b_h in axis(h) for b_w in axis(w)]
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (3, 6, 10), (1, 7, 9)])
+def test_flip_sums_match_the_dense_parity_basis(shape):
+    n = int(np.prod(shape))
+    bases = _parity_oracle(shape)
+    blocks = priors._FlipBlocks(*grid_flips(shape))
+    assert blocks.sizes == [basis.shape[1] for basis in bases]
+    rng = np.random.default_rng(24)
+    x, matrix = rng.standard_normal((3, n)), rng.standard_normal((n, 5))
+    parts = blocks.split(x)
+    for k, basis in enumerate(bases):
+        assert np.allclose(parts[k], x @ basis, rtol=0.0, atol=1e-14)
+        assert np.allclose(blocks.rows(matrix, k), basis.T @ matrix, rtol=0.0, atol=1e-14)
+    assert np.allclose(blocks.merge(dict(enumerate(parts))), x, rtol=0.0, atol=1e-14)
+    square = [rng.standard_normal((b.shape[1],) * 2) for b in bases]
+    assert np.allclose(blocks.expand(dict(enumerate(square))),
+                       sum(b @ s @ b.T for b, s in zip(bases, square)), rtol=0.0, atol=1e-14)
+    # with identity flips the one block is the identity, bit for bit
+    one = priors._identity_blocks(n)
+    assert one.sizes == [n, 0, 0, 0] and np.array_equal(one.part(x, 0), x)
+    assert np.array_equal(one.merge({0: x}), x)
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (3, 6, 10), (1, 7, 9)])
+def test_covariance_blocks_match_the_dense_parity_basis(shape):
+    cov = rbf_covariance(shape, 1.5, 0.3)
+    bases = _parity_oracle(shape)
+    factor_form = rbf_prior(shape, 1.5, 0.3)
+    dense_form = GaussianPrior(mean=np.zeros(cov.shape[0]), covariance=cov)
+    for prior in (factor_form, dense_form):
+        _, blocks, gap = prior._covariance_blocks(shape)
+        assert gap <= 1e-13
+        assert list(blocks) == list(range(len(bases)))
+        for k, basis in enumerate(bases):
+            assert np.allclose(blocks[k], basis.T @ cov @ basis, rtol=0.0, atol=1e-13)
+    assert "covariance" not in factor_form.__dict__
+
+
+def test_factor_form_conditioning_never_forms_the_covariance():
+    for op in (make_gaussian_blur(1, 8, 8, 1.2), make_centered_square_inpaint(1, 8, 8),
+               make_centered_square_inpaint(1, 7, 9)):
+        prior = rbf_prior(op.signal_shape, 1.5, 0.3, 0.2)
+        fn = prior.measurement_consistency(op, 0.05)
+        fn(np.zeros(op.n), np.zeros(op.m), 0.5)
+        assert "covariance" not in prior.__dict__
 
 
 def test_one_eigendecomposition_per_covariance(monkeypatch):
@@ -349,6 +423,22 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
     for result in results:
         for got, want in zip(result, expected):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_conditioned_closure_holds_less_than_one_dense_matrix(monkeypatch):
+    # K_y and Sigma_y's eigenfactor stay per block: four n/4 x n/4 blocks of
+    # each, half an n x n array, and neither A nor Sigma is kept
+    op = make_gaussian_blur(1, 32, 32, 3.0)
+    prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
+    shapes = _eigh_shapes(monkeypatch)
+    tracemalloc.start()
+    try:
+        fn = prior.measurement_consistency(op, 0.05)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= op.n * op.n * 8, f"closure holds {held / (op.n * op.n * 8):.2f} n x n"
+    assert shapes == [(256, 256)] * 8 and fn is not None
 
 
 def test_conditioning_at_48_squared_factors_only_quarter_blocks(monkeypatch):
