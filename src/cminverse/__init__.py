@@ -35,7 +35,7 @@ from .samplers import (
     inverse_addim_step,
     sample,
 )
-from .schedules import NoiseSchedule, make_karras_schedule, step_pairs
+from .schedules import NoiseSchedule, make_karras_schedule
 from .verification import (
     VerificationReport,
     mc_dropped_variance_check,
@@ -81,6 +81,5 @@ __all__ = [
     "residual_bound_check",
     "sample",
     "ssim",
-    "step_pairs",
     "variance_compensation_check",
 ]

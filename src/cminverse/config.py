@@ -24,10 +24,12 @@ from .operators import (
     make_synthetic_nonlinear_blur,
 )
 from .samplers import SamplerConfig
-from .schedules import DEFAULT_RHO, DEFAULT_T_MAX, DEFAULT_T_MIN
+from .verification import DEFAULT_GAMMA_GRID
 
 TASKS = ("super_resolution", "deblur", "inpaint", "denoise", "nonlinear_deblur")
 GENERATORS = ("gaussian_prior", "piecewise_constant", "atoms")
+# [sampler] keys read as floats; a key the file leaves out keeps SamplerConfig's default
+_SAMPLER_FLOATS = ("eta", "gamma", "ddrm_eta", "ddrm_eta_b", "t_min", "t_max", "rho")
 
 
 class ConfigError(ValueError):
@@ -181,22 +183,19 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     kernel_radius_raw = _get(parser, "operator", "kernel_radius", "")
-    grid_raw = _get(parser, "tune", "gamma_grid", "0, 0.25, 0.5, 1, 2")
-    try:
-        gamma_grid = tuple(float(tok) for tok in grid_raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"[tune] gamma_grid: {exc}") from exc
+    gamma_grid = DEFAULT_GAMMA_GRID
+    if parser.has_option("tune", "gamma_grid"):
+        grid_raw = parser.get("tune", "gamma_grid")
+        try:
+            gamma_grid = tuple(float(tok) for tok in grid_raw.split(",") if tok.strip())
+        except ValueError as exc:
+            raise ConfigError(f"[tune] gamma_grid: {exc}") from exc
 
     sampler = SamplerConfig(
         variant=_get(parser, "sampler", "variant", "inverse_addim"),
         steps=_get_int(parser, "sampler", "steps", 2),
-        eta=_get_float(parser, "sampler", "eta", 1.0),
-        gamma=_get_float(parser, "sampler", "gamma", 1.0),
-        ddrm_eta=_get_float(parser, "sampler", "ddrm_eta", 0.85),
-        ddrm_eta_b=_get_float(parser, "sampler", "ddrm_eta_b", 1.0),
-        t_min=_get_float(parser, "sampler", "t_min", DEFAULT_T_MIN),
-        t_max=_get_float(parser, "sampler", "t_max", DEFAULT_T_MAX),
-        rho=_get_float(parser, "sampler", "rho", DEFAULT_RHO),
+        **{key: _get_float(parser, "sampler", key, None)
+           for key in _SAMPLER_FLOATS if parser.has_option("sampler", key)},
     )
 
     feature_recon = _get(parser, "metrics", "feature_file_reconstructions", "")

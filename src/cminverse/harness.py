@@ -15,7 +15,7 @@ from a shared generator.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -589,7 +589,7 @@ def verify(config: ExperimentConfig, check_filter: str = "") -> list:
     os.makedirs(paths["reports"], exist_ok=True)
     write_jsonl(
         os.path.join(paths["reports"], "verify.jsonl"),
-        [report.as_dict() for report in reports],
+        [asdict(report) for report in reports],
     )
     return reports
 

@@ -396,8 +396,13 @@ class CircularBlurOperator(LinearOperator):
 
 
 def centered_square_mask(height: int, width: int) -> np.ndarray:
-    """Observation mask hiding a centered square of half the side length."""
-    side_h, side_w = height // 2, width // 2
+    """Observation mask hiding a centered square of about half the side length.
+
+    Each side is the largest at most half the grid's that has the grid's
+    parity (0 where there is none), so the square sits on the centre line
+    and the mask is invariant under both flips of the grid.
+    """
+    side_h, side_w = (max(size // 2 - (size // 2 - size) % 2, 0) for size in (height, width))
     top, left = (height - side_h) // 2, (width - side_w) // 2
     mask = np.ones((height, width), dtype=bool)
     mask[top : top + side_h, left : left + side_w] = False

@@ -21,7 +21,7 @@ from typing import Protocol
 import numpy as np
 
 from . import kernels
-from .operators import grid_flips
+from .operators import LinearOperator, grid_flips
 
 
 # Largest dimension n a pipeline conditions a Gaussian prior on the
@@ -38,13 +38,9 @@ class ConsistencyFn(Protocol):
         ...
 
 
-def operator_matrix(operator) -> np.ndarray:
+def operator_matrix(operator: LinearOperator) -> np.ndarray:
     """Materialise a linear operator as its dense (m, n) matrix."""
     return np.ascontiguousarray(operator.apply(np.eye(operator.n)).T)
-
-
-def _as_matrix(operator) -> np.ndarray:
-    return operator if isinstance(operator, np.ndarray) else operator_matrix(operator)
 
 
 def _check_t(t: float) -> float:
@@ -57,12 +53,10 @@ def _check_t(t: float) -> float:
 def _basis_product(x: np.ndarray, axes: tuple[np.ndarray, ...], transpose: bool) -> np.ndarray:
     """x Q, or x Q^T when transpose, for the rows of x.
 
-    ``axes`` gives the orthonormal Q: ``()`` is the identity, ``(Q,)`` a
-    dense Q, and ``(Q_h, Q_w)`` stands for Q = I_c (x) Q_h (x) Q_w, applied
-    one image axis at a time and never formed.
+    ``axes`` gives the orthonormal Q: ``(Q,)`` a dense Q, and ``(Q_h, Q_w)``
+    stands for Q = I_c (x) Q_h (x) Q_w, applied one image axis at a time and
+    never formed.
     """
-    if not axes:
-        return x
     if len(axes) == 1:
         vecs = axes[0]
         return x @ (vecs.T if transpose else vecs)
@@ -178,13 +172,14 @@ class _FlipBlocks:
     identity flips block 0 is the identity, exactly, and the other three
     are empty.
 
-    A vector's coordinates are one gather of the orbits' members, a
-    ``_walsh`` over the flips that move something, and a scale of
-    1 / (members |P e_r|) per orbit, so no basis matrix is formed.  The way
-    back is the transpose: the same scales, ``_walsh`` again (its signs are
-    symmetric) and one gather, where an index that its orbit's members
-    repeat takes the value times the number of repeats; every block that
-    holds such an orbit has equal signs on the repeats.
+    ``split`` is the one way in: a vector's coordinates are one gather of
+    the orbits' members, a ``_walsh`` over the flips that move something,
+    and a scale of 1 / (members |P e_r|) per orbit, so no basis matrix is
+    formed.  ``merge``, the way back, is the transpose: the same scales,
+    ``_walsh`` again (its signs are symmetric) and one gather, where an
+    index that its orbit's members repeat takes the value times the number
+    of repeats; every block that holds such an orbit has equal signs on
+    the repeats.
     """
 
     def __init__(self, flip_rows: np.ndarray, flip_cols: np.ndarray):
@@ -197,25 +192,20 @@ class _FlipBlocks:
         self.size, self.orbit = index.size, orbit[self.members]
         signs = np.array([[(-1.0) ** bin(j & k).count("1") for j in range(4)] for k in range(4)])
         at_rep = (orbit == orbit[0]).astype(float)  # the members equal to r
-        self.reps, self.norms, self.keep, self.scales = [], [], [], []
+        self.sizes, self.norms, self.keep, self.scales = [], [], [], []
         for k in range(4):
             weight = signs[k] @ at_rep  # 4 e_r^T P e_r = 4 |P e_r|^2
             keep = weight > 0
-            self.reps.append(reps[keep])
+            self.sizes.append(int(keep.sum()))
             self.norms.append(np.sqrt(weight[keep] / 4.0))
             self.keep.append(slice(None) if keep.all() else np.flatnonzero(keep))
             self.scales.append(1.0 / (len(self.members) * self.norms[-1]))
-        self._signs = signs[:, self.members]
         # back to indices: each index from a place it takes in the orbit table,
         # times the number of places it takes there
         self._back = np.empty(self.size, dtype=np.intp)
         self._back[self.orbit.ravel()] = np.arange(self.orbit.size)
         repeats = (self.orbit[:, None, :] == self.orbit[None, :, :]).sum(axis=1)
         self._repeats = repeats.ravel()[self._back]
-
-    @property
-    def sizes(self) -> list[int]:
-        return [reps.size for reps in self.reps]
 
     def _gather(self, x: np.ndarray) -> list:
         """x at the orbits' members, one (..., orbits) array per member j, None
@@ -225,21 +215,6 @@ class _FlipBlocks:
         for i, j in enumerate(self.members):
             values[j] = members[..., i, :]
         return values
-
-    def part(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x B_k: block k's coordinates of the rows of x (its last axis)."""
-        values = [v for v in self._gather(x) if v is not None]
-        total = values[0]  # a view of the gathered copy: safe to add into
-        for value, sign in zip(values[1:], self._signs[k, 1:]):
-            if sign > 0:
-                total += value
-            else:
-                total -= value
-        return total[..., self.keep[k]] * self.scales[k]
-
-    def rows(self, matrix: np.ndarray, k: int) -> np.ndarray:
-        """B_k^T M: block k's coordinates of the columns of M."""
-        return self.part(matrix.T, k).T
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """The four blocks' coordinates of the rows of x."""
@@ -336,6 +311,10 @@ class GaussianPrior:
     ``covariance`` is then Q diag(lam) Q^T, formed once when first read.
     Nothing here reads it for a per-axis factor: conditioning on a
     measurement builds Sigma's blocks from the factor.
+
+    Conditioning on a measurement (``measurement_consistency``,
+    ``posterior``, ``joint_denoise_cov``) takes a ``LinearOperator``; wrap
+    a bare matrix in ``DenseOperator``.
     """
 
     def __init__(self, mean, covariance: np.ndarray | None = None,
@@ -401,8 +380,10 @@ class GaussianPrior:
         or None for one block in pixel coordinates.  A factor-form prior
         (``rbf_prior``) gives each block as (R_h (x) R_w) diag(lam) (R_h (x) R_w)^T
         with R = B^T Q per image axis, so Sigma is never formed; any other
-        prior's dense covariance goes through the same flip sums as A.
-        Sigma is PSD, so its largest entry is on its diagonal.
+        prior's dense covariance goes through the flip sums on both sides:
+        ``split`` of its rows gives Sigma B_l, and as Sigma is symmetric,
+        ``split`` of (Sigma B_k)^T gives B_k^T Sigma B_l.  Sigma is PSD, so its
+        largest entry is on its diagonal.
         """
         signal = _FlipBlocks(*grid_flips(shape)) if shape else _identity_blocks(self.n)
         kept = [k for k in range(4) if signal.sizes[k]]  # an axis of length 1 has no odd part
@@ -414,8 +395,8 @@ class GaussianPrior:
                 """R = B^T Q of one axis for its even and its odd part (empty
                 without flips)."""
                 index = np.arange(len(q))
-                axis = _FlipBlocks(index[::-1] if shape else index, index)
-                return axis.rows(q, 0), axis.rows(q, 2)
+                parts = _FlipBlocks(index[::-1] if shape else index, index).split(q.T)
+                return parts[0].T, parts[2].T
 
             r_h, r_w = (even_odd(q) for q in axes)
             rs = {k: (r_h[k >> 1], r_w[k & 1]) for k in kept}  # block k is odd by row if k & 2
@@ -426,7 +407,8 @@ class GaussianPrior:
             top = ((axes[0] ** 2) @ grid @ (axes[1] ** 2).T).max()
         else:
             cov = self.covariance
-            parts = [signal.split(signal.rows(cov, k)) for k in kept]
+            half = signal.split(cov)
+            parts = [signal.split(half[k].T) for k in kept]
             blocks = [part[k] for k, part in zip(kept, parts)]
             off = [np.abs(part[l]).max() for k, part in zip(kept, parts)
                    for l in kept if l != k]
@@ -434,7 +416,8 @@ class GaussianPrior:
         blocks = {k: (block + block.T) / 2.0 for k, block in zip(kept, blocks)}
         return signal, blocks, max(off, default=0.0) / top if top > 0.0 else 0.0
 
-    def _parity_split(self, operator, a: np.ndarray) -> tuple[_FlipBlocks, _FlipBlocks, dict]:
+    def _parity_split(self, operator: LinearOperator, a: np.ndarray
+                      ) -> tuple[_FlipBlocks, _FlipBlocks, dict]:
         """(signal blocks, measurement blocks, Sigma's diagonal blocks) to condition in.
 
         The four parity blocks of the operator's flips when the split is
@@ -443,8 +426,7 @@ class GaussianPrior:
         is a rounding-level projection like its symmetrisation.  Otherwise
         one block in pixel coordinates.
         """
-        flips = getattr(operator, "measurement_flips", None)
-        flips = flips() if flips is not None else None
+        flips = operator.measurement_flips()
         if flips is not None:
             shape = operator.signal_shape
             if all(_commutes(a, flip, shape, axis) for axis, flip in enumerate(flips, 1)):
@@ -454,7 +436,7 @@ class GaussianPrior:
         signal, blocks, _ = self._covariance_blocks(None)
         return signal, _identity_blocks(a.shape[0]), blocks
 
-    def _condition_on_measurement(self, operator, sigma_y: float) -> "_Conditioned":
+    def _condition_on_measurement(self, operator: LinearOperator, sigma_y: float) -> "_Conditioned":
         """x | y for y = A x + sigma_y * noise, block by block.
 
         K_y = Sigma A^T (A Sigma A^T + sigma_y^2 I)^+ and
@@ -462,24 +444,27 @@ class GaussianPrior:
         posterior mean is mean + K_y (y - A mean).  Sigma and A are split
         into the diagonal blocks of ``_parity_split`` (four parity blocks of
         about n/4 for a flip-invariant prior and operator, else one block).
-        A's blocks are its representative rows, each taken through the
-        signal's flip sums: as A commutes with the flips, that is
-        B'_k^T A B_k.  Each block takes one eigendecomposition of its part
-        of A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.
-        Measurement directions whose variance lies below working precision
-        (relative to the largest over all blocks) carry no information and
-        are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
-        numerically singular (a strong blur).  K_y and Sigma_y's eigenfactor
-        stay per block; no n x n array outlives the call.
+        A's blocks are its representative rows (one per measurement orbit,
+        divided by |P e_r|), each taken through the signal's flip sums: as A
+        commutes with the flips, that is B'_k^T A B_k.  Each block takes one
+        eigendecomposition of its part of A Sigma A^T + sigma_y^2 I and one of
+        its part of Sigma_y.  Measurement directions whose variance lies below
+        working precision (relative to the largest over all blocks) carry no
+        information and are dropped, so sigma_y = 0 stays exact where
+        A Sigma A^T is numerically singular (a strong blur).  K_y and
+        Sigma_y's eigenfactor stay per block; no n x n array outlives the call.
         """
-        a = _as_matrix(operator)
+        a = operator_matrix(operator)
         signal, measurement, covs = self._parity_split(operator, a)
         kept = list(covs)
+        # every block of every orbit's representative row (member 0 of the
+        # orbit), of which block k keeps the orbits that span it
+        rows = signal.split(a[measurement.orbit[0]])
         stages = [_measurement_stage(
-            cov, signal.part(a[measurement.reps[k]], k) / measurement.norms[k][:, None], sigma_y)
+            cov, rows[k][measurement.keep[k]] / measurement.norms[k][:, None], sigma_y)
             for k, cov in covs.items()]
         a_mu = a @ self.mean
-        del a
+        del a, rows
         top = max((lam[-1] for _, lam, _ in stages if lam.size), default=0.0)
         floor = top * a_mu.size * np.finfo(np.float64).eps
         # one block at a time, each y-stage released before Sigma_y is factored
@@ -488,13 +473,7 @@ class GaussianPrior:
         factors = [_eigen_factor(_finite_or_raise(cov_y, sigma_y)) for _, cov_y in parts]
         return _Conditioned(signal, measurement, kept, self.mean, a_mu, gains, factors)
 
-    def joint_denoise(
-        self, x_t: np.ndarray, y: np.ndarray, t: float, operator, sigma_y: float
-    ) -> np.ndarray:
-        """E[x | x_t, y] for y = A x + sigma_y * noise, jointly Gaussian."""
-        return self.measurement_consistency(operator, sigma_y)(x_t, y, t)
-
-    def joint_denoise_cov(self, t: float, operator, sigma_y: float) -> np.ndarray:
+    def joint_denoise_cov(self, t: float, operator: LinearOperator, sigma_y: float) -> np.ndarray:
         """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y;
         dense n x n, built from its blocks."""
         t = _check_t(t)
@@ -502,7 +481,7 @@ class GaussianPrior:
         return cond.signal.expand({k: _denoise_cov(factor, t)
                                    for k, factor in zip(cond.blocks, cond.factors)})
 
-    def posterior(self, operator, y: np.ndarray, sigma_y: float):
+    def posterior(self, operator: LinearOperator, y: np.ndarray, sigma_y: float):
         """Mean and covariance of x | y under y = A x + sigma_y * noise; the
         covariance is dense, sum_k B_k Q_k diag(lam_k) Q_k^T B_k^T from the
         blocks' eigenfactors of Sigma_y, with lam clamped at 0."""
@@ -526,7 +505,7 @@ class GaussianPrior:
 
         return fn
 
-    def measurement_consistency(self, operator, sigma_y: float) -> ConsistencyFn:
+    def measurement_consistency(self, operator: LinearOperator, sigma_y: float) -> ConsistencyFn:
         """Denoiser that conditions on both the latent and the measurement.
 
         x | y is Gaussian, N(mean_y, Sigma_y), so E[x | x_t, y] is plain

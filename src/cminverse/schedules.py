@@ -67,9 +67,3 @@ def make_karras_schedule(
     levels[0] = t_max
     levels[-1] = t_min
     return NoiseSchedule(levels=levels, t_min=t_min, t_max=t_max)
-
-
-def step_pairs(schedule: NoiseSchedule) -> list[tuple[float, float]]:
-    """Consecutive (t, s) level pairs, coarse to fine; every pair has t > s."""
-    levels = schedule.levels
-    return [(float(levels[i]), float(levels[i + 1])) for i in range(levels.size - 1)]

@@ -30,16 +30,9 @@ class VerificationReport:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "statistic": self.statistic,
-            "bound_or_target": self.bound_or_target,
-            "tolerance": self.tolerance,
-            "n_samples": self.n_samples,
-            "passed": bool(self.passed),
-            "details": self.details,
-        }
+    def __post_init__(self):
+        # a numpy comparison gives np.bool_, which JSON cannot write
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 def mc_dropped_variance_check(

@@ -513,7 +513,7 @@ def test_verify_dropped_variance_passes_on_unlucky_seeds(tmp_path, seed):
     # with 20000 Monte Carlo samples these seeds missed the 2% tolerance
     config = make_config(tmp_path, seed=seed)
     (report,) = harness.verify(config, check_filter="dropped_variance")
-    assert report.passed, report.as_dict()
+    assert report.passed, report
 
 
 # -- tune-gamma -------------------------------------------------------------

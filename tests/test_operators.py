@@ -200,6 +200,15 @@ def test_inpaint_centered_mask_keeps_588_of_784():
     assert op.m == 588 and op.n == 784
 
 
+def test_centered_mask_is_flip_invariant_on_every_grid():
+    for size in range(1, 71):
+        mask = centered_square_mask(size, size)
+        assert np.array_equal(mask, mask[::-1]) and np.array_equal(mask, mask[:, ::-1]), size
+        # the hidden square's side is at most half the grid's
+        assert (~mask).sum() <= (size // 2) ** 2
+        assert make_centered_square_inpaint(1, size, size).measurement_flips() is not None
+
+
 def test_inpaint_selects_and_adjoint_zero_fills():
     mask = np.zeros((2, 2), dtype=bool)
     mask[0, 0] = mask[1, 1] = True

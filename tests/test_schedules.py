@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cminverse.schedules import NoiseSchedule, make_karras_schedule, step_pairs
+from cminverse.schedules import NoiseSchedule, make_karras_schedule
 
 
 def test_default_endpoints_pinned_exactly():
@@ -44,14 +44,6 @@ def test_levels_stay_in_range_and_decrease(n, rho, t_min, span):
     assert sched.levels[0] == t_max and sched.levels[-1] == t_min
     assert np.all(np.diff(sched.levels) < 0.0)
     assert np.all((sched.levels >= t_min) & (sched.levels <= t_max))
-
-
-def test_step_pairs_cover_adjacent_levels():
-    sched = make_karras_schedule(6)
-    pairs = step_pairs(sched)
-    assert len(pairs) == 5
-    for (t, s), lo, hi in zip(pairs, sched.levels[:-1], sched.levels[1:]):
-        assert t == lo and s == hi and t > s
 
 
 def test_custom_schedule_validation():

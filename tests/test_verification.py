@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_report_as_dict_round_trip():
         check_name="x", statistic=1.0, bound_or_target=2.0,
         tolerance=0.1, n_samples=7, passed=np.bool_(True), details={"k": 3},
     )
-    d = report.as_dict()
+    d = asdict(report)
     assert d["passed"] is True
     assert isinstance(d["passed"], bool)
     assert d["details"] == {"k": 3}
