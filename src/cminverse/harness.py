@@ -284,10 +284,11 @@ def build_consistency(config: ExperimentConfig, prior, operator):
     measurement-conditioned denoiser when the prior supports it (Gaussian
     prior with a linear operator).  Empirical priors and nonlinear tasks
     fall back to unconditional denoising, where only the residual-guided
-    variant sees the measurement at all.  Building a conditioned closure
-    materialises the operator as a dense m x n array, so above
-    ``MAX_CONDITIONED_N`` pixels it is refused (a ValueError) before any is
-    allocated.
+    variant sees the measurement at all.  A conditioned closure holds dense
+    per-block gains and factors, about n^2 / 2 floats, and building it
+    takes per-block eigendecompositions whose cost grows as n^3, so above
+    ``MAX_CONDITIONED_N`` pixels it is refused (a ValueError) before any
+    block is allocated.
     """
     conditioned = (
         isinstance(prior, GaussianPrior)
@@ -297,8 +298,9 @@ def build_consistency(config: ExperimentConfig, prior, operator):
     if conditioned:
         if prior.n > MAX_CONDITIONED_N:
             raise ValueError(
-                f"conditioning the Gaussian prior on the measurement needs dense n x n "
-                f"arrays, and n = {prior.n} exceeds the limit of {MAX_CONDITIONED_N}; "
+                f"conditioning the Gaussian prior on the measurement needs dense blocks "
+                f"of about n^2 / 2 floats, and n = {prior.n} exceeds the limit of "
+                f"{MAX_CONDITIONED_N}; "
                 "use variant = ddrm, which needs none, or smaller images"
             )
         return prior.measurement_consistency(operator, config.sigma_y), True

@@ -160,6 +160,14 @@ class LinearOperator:
             return None
         return grid_flips(self.measurement_shape)
 
+    def axis_matrices(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(M_h, M_w) when A = I_c (x) M_h (x) M_w bit for bit, else None.
+
+        M_h is (m_h, h) and M_w is (m_w, w), for the (c, h, w) signal grid
+        and the (c, m_h, m_w) measurement grid.
+        """
+        return None
+
     def padded_singular_values(self) -> np.ndarray:
         """Singular values zero-padded to the full spectral length n."""
         s = np.zeros(self.n)
@@ -179,6 +187,10 @@ class IdentityOperator(LinearOperator):
         return x2d.copy()
 
     _v = _ut = _u = _direct = _vt
+
+    def axis_matrices(self):
+        _, h, w = self.signal_shape
+        return np.eye(h), np.eye(w)
 
 
 class DenseOperator(LinearOperator):
@@ -260,6 +272,15 @@ class BlockDownsampleOperator(LinearOperator):
 
     def _direct(self, x2d):
         return self._blocks(x2d).mean(axis=2)
+
+    def axis_matrices(self):
+        """The 0/1 pooling matrices, with the mean's 1/block^2 on the row
+        factor, so that every entry of their product is 1/block^2 as
+        ``_direct`` computes it."""
+        b = self.block
+        pool_h, pool_w = (np.kron(np.eye(size // b), np.ones((1, b)))
+                          for size in (self.height, self.width))
+        return pool_h / (b * b), pool_w
 
     def _vt(self, x2d):
         coords = self._blocks(x2d) @ self._basis
@@ -375,6 +396,9 @@ class CircularBlurOperator(LinearOperator):
     def _direct(self, x2d):
         img = x2d.reshape(-1, self.channels, self.height, self.width)
         return (self._ch @ img @ self._cw.T).reshape(-1, self.n)
+
+    def axis_matrices(self):
+        return self._ch, self._cw
 
     def _vt(self, x2d):
         c, h, w = self.channels, self.height, self.width

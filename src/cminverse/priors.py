@@ -25,11 +25,13 @@ from .operators import LinearOperator, grid_flips
 
 
 # Largest dimension n a pipeline conditions a Gaussian prior on the
-# measurement for.  Building the conditioned closure materialises A as a
-# dense m x n float64 array (``operator_matrix`` peaks at 3 n x n for a
-# blur), and the closure keeps about n^2 / 2 floats of per-block gains and
-# factors: a 64 x 64 deblur (n = 4096) sampled 8 images at a peak resident
-# size of about 420 MiB, so 128 x 128 would need about 6 GiB.
+# measurement for.  A separable operator is never materialised, but the
+# closure keeps about n^2 / 2 floats of per-block gains and factors, and
+# its build peaks at about 1.1 n x n float64 arrays for a blur (1.3 for
+# inpainting, whose A is materialised as m x n), while the per-block
+# eigendecompositions grow as n^3: a 64 x 64 deblur (n = 4096) sampled
+# 8 images in 2.9 s at a peak resident size of about 190 MiB, and 128 x 128
+# would need more than 2 GiB and about 64 times the factorisation work.
 MAX_CONDITIONED_N = 64 * 64
 
 
@@ -39,8 +41,19 @@ class ConsistencyFn(Protocol):
 
 
 def operator_matrix(operator: LinearOperator) -> np.ndarray:
-    """Materialise a linear operator as its dense (m, n) matrix."""
-    return np.ascontiguousarray(operator.apply(np.eye(operator.n)).T)
+    """Materialise a linear operator as its dense (m, n) matrix.
+
+    The columns are filled a block of identity rows at a time, so that the
+    identity, A^T and a contiguous copy are never held at once.  Each
+    identity row has one non-zero, so no column depends on the block it is
+    computed in.
+    """
+    n, block = operator.n, 256
+    out = np.empty((operator.m, n))
+    for lo in range(0, n, block):
+        rows = np.eye(min(block, n - lo), n, lo)
+        out[:, lo:lo + len(rows)] = operator.apply(rows).T
+    return out
 
 
 def _check_t(t: float) -> float:
@@ -252,6 +265,29 @@ def _identity_blocks(size: int) -> _FlipBlocks:
     return _FlipBlocks(index, index)
 
 
+def _axis_split(x: np.ndarray, flipped: bool) -> tuple[np.ndarray, np.ndarray]:
+    """B_0^T x and B_1^T x for the even and the odd basis B_0, B_1 of one
+    image axis, whose length is x's first dimension: the ``_FlipBlocks`` of
+    its flip, or without the flip the identity and an empty odd part."""
+    index = np.arange(len(x))
+    parts = _FlipBlocks(index[::-1] if flipped else index, index).split(x.T)
+    return parts[0].T, parts[2].T
+
+
+def _flip_invariant(m: np.ndarray) -> bool:
+    """F' M == M F bit for bit, for the flips F of M's columns and F' of its
+    rows (each axis reversed): the flip check of one axis factor."""
+    return np.array_equal(m[::-1, ::-1], m)
+
+
+def _axis_blocks(m: np.ndarray, flipped: bool) -> tuple[np.ndarray, np.ndarray]:
+    """B'_p^T M B_p of one axis factor M for the even (p = 0) and the odd
+    (p = 1) part, B' the bases of M's row axis and B those of its column
+    axis.  The cross-parity parts are zero when M commutes with the flips."""
+    return tuple(_axis_split(left.T, flipped)[p].T
+                 for p, left in enumerate(_axis_split(m, flipped)))
+
+
 def _commutes(a: np.ndarray, flip_rows: np.ndarray, shape, axis: int, chunk: int = 256) -> bool:
     """F' A == A F bit for bit, for the flip of image axis ``axis`` (1 rows,
     2 columns) of the (c, h, w) signal grid and its permutation ``flip_rows``
@@ -284,10 +320,31 @@ def _channel_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _measurement_stage(cov, a, sigma_y):
-    """Sigma A^T and the eigendecomposition of A Sigma A^T + sigma_y^2 I for one block."""
-    sig_at = cov @ a.T
-    gram = a @ sig_at + sigma_y * sigma_y * np.eye(a.shape[0])
+def _dense_rows(a: np.ndarray):
+    """x -> x A^T on the rows of x, for a dense block A."""
+    return lambda x: x @ a.T
+
+
+def _separable_rows(channels: int, left: np.ndarray, right: np.ndarray):
+    """x -> x A^T on the rows of x, for the block A = I_c (x) L (x) R: each row,
+    read as c images X of (L's columns, R's columns), becomes the c images
+    L X R^T.  A is never formed."""
+    size = channels * len(left) * len(right)
+
+    def apply(x):
+        images = x.reshape(len(x), channels, left.shape[1], right.shape[1])
+        return (left @ images @ right.T).reshape(len(x), size)
+
+    return apply
+
+
+def _measurement_stage(cov, a_rows, sigma_y):
+    """Sigma A^T and the eigendecomposition of A Sigma A^T + sigma_y^2 I for one
+    block, with ``a_rows`` the map x -> x A^T.  Sigma is symmetric, so
+    Sigma A^T is A applied to its rows, and A Sigma A^T is A applied to the
+    rows of (Sigma A^T)^T, transposed."""
+    sig_at = a_rows(cov)
+    gram = a_rows(sig_at.T).T + sigma_y * sigma_y * np.eye(sig_at.shape[1])
     return (sig_at, *np.linalg.eigh(_finite_or_raise(gram, sigma_y)))
 
 
@@ -391,14 +448,8 @@ class GaussianPrior:
         axes = factor.axes if factor is not None else ()
         sides = tuple(len(q) for q in axes)
         if len(axes) == 2 and (shape is None or shape[1:] == sides):
-            def even_odd(q):
-                """R = B^T Q of one axis for its even and its odd part (empty
-                without flips)."""
-                index = np.arange(len(q))
-                parts = _FlipBlocks(index[::-1] if shape else index, index).split(q.T)
-                return parts[0].T, parts[2].T
-
-            r_h, r_w = (even_odd(q) for q in axes)
+            # R = B^T Q of each axis for its even and its odd part
+            r_h, r_w = (_axis_split(q, shape is not None) for q in axes)
             rs = {k: (r_h[k >> 1], r_w[k & 1]) for k in kept}  # block k is odd by row if k & 2
             grid = factor.lam.reshape((-1,) + sides)
             blocks = [_channel_diagonal(_kron_block(grid, rs[k], rs[k])) for k in kept]
@@ -416,25 +467,56 @@ class GaussianPrior:
         blocks = {k: (block + block.T) / 2.0 for k, block in zip(kept, blocks)}
         return signal, blocks, max(off, default=0.0) / top if top > 0.0 else 0.0
 
-    def _parity_split(self, operator: LinearOperator, a: np.ndarray
-                      ) -> tuple[_FlipBlocks, _FlipBlocks, dict]:
-        """(signal blocks, measurement blocks, Sigma's diagonal blocks) to condition in.
+    def _parity_split(self, operator: LinearOperator
+                      ) -> tuple[_FlipBlocks, _FlipBlocks, dict, dict]:
+        """(signal blocks, measurement blocks, Sigma's diagonal blocks, A's
+        diagonal blocks) to condition in, both by block index k; A's block
+        A_k is given as the map x -> x A_k^T on rows.
 
         The four parity blocks of the operator's flips when the split is
         exact: A commutes with both flips bit for bit, and Sigma to rounding
         (1e-12 of its largest entry), so that dropping its off-block entries
         is a rounding-level projection like its symmetrisation.  Otherwise
         one block in pixel coordinates.
+
+        A separable operator, A = I_c (x) M_h (x) M_w (``axis_matrices``),
+        is never materialised.  As the product is exact, A commutes with the
+        flips exactly when each axis factor does (``_flip_invariant``), and
+        block k is I_c (x) M_h^p (x) M_w^q, with M^p = B'_p^T M B_p per axis
+        and p = k >> 1 for the rows, q = k & 1 for the columns, applied one
+        axis at a time (``_separable_rows``).  Any other
+        operator is materialised (``operator_matrix``) and checked row by
+        row (``_commutes``).  Its blocks are its representative rows (one
+        per measurement orbit, divided by |P e_r|), each taken through the
+        signal's flip sums: as A commutes with the flips, that is B'_k^T A B_k.
         """
-        flips = operator.measurement_flips()
-        if flips is not None:
-            shape = operator.signal_shape
-            if all(_commutes(a, flip, shape, axis) for axis, flip in enumerate(flips, 1)):
-                signal, blocks, gap = self._covariance_blocks(shape)
-                if gap <= 1e-12:
-                    return signal, _FlipBlocks(*flips), blocks
-        signal, blocks, _ = self._covariance_blocks(None)
-        return signal, _identity_blocks(a.shape[0]), blocks
+        axes = operator.axis_matrices()
+        a = operator_matrix(operator) if axes is None else None
+        flips, shape = operator.measurement_flips(), operator.signal_shape
+        split = False
+        if flips is not None and (
+                all(_flip_invariant(m) for m in axes) if axes is not None
+                else all(_commutes(a, flip, shape, axis) for axis, flip in enumerate(flips, 1))):
+            signal, covs, gap = self._covariance_blocks(shape)
+            split = gap <= 1e-12
+        if split:
+            measurement = _FlipBlocks(*flips)
+        else:
+            signal, covs, _ = self._covariance_blocks(None)
+            measurement = _identity_blocks(operator.m)
+        if axes is not None:
+            h, w = (_axis_blocks(m, split) for m in axes)
+            return signal, measurement, covs, {
+                k: _separable_rows(shape[0], h[k >> 1], w[k & 1]) for k in covs}
+        # every block of every orbit's representative row (member 0 of the
+        # orbit), of which block k keeps the orbits that span it; A itself is
+        # released before the split
+        reps = a[measurement.orbit[0]]
+        del a
+        rows = signal.split(reps)
+        return signal, measurement, covs, {
+            k: _dense_rows(rows[k][measurement.keep[k]] / measurement.norms[k][:, None])
+            for k in covs}
 
     def _condition_on_measurement(self, operator: LinearOperator, sigma_y: float) -> "_Conditioned":
         """x | y for y = A x + sigma_y * noise, block by block.
@@ -444,27 +526,19 @@ class GaussianPrior:
         posterior mean is mean + K_y (y - A mean).  Sigma and A are split
         into the diagonal blocks of ``_parity_split`` (four parity blocks of
         about n/4 for a flip-invariant prior and operator, else one block).
-        A's blocks are its representative rows (one per measurement orbit,
-        divided by |P e_r|), each taken through the signal's flip sums: as A
-        commutes with the flips, that is B'_k^T A B_k.  Each block takes one
-        eigendecomposition of its part of A Sigma A^T + sigma_y^2 I and one of
-        its part of Sigma_y.  Measurement directions whose variance lies below
-        working precision (relative to the largest over all blocks) carry no
-        information and are dropped, so sigma_y = 0 stays exact where
-        A Sigma A^T is numerically singular (a strong blur).  K_y and
-        Sigma_y's eigenfactor stay per block; no n x n array outlives the call.
+        Each block takes one eigendecomposition of its part of
+        A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.
+        Measurement directions whose variance lies below working precision
+        (relative to the largest over all blocks) carry no information and
+        are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
+        numerically singular (a strong blur).  K_y and Sigma_y's eigenfactor
+        stay per block; no n x n array outlives the call.
         """
-        a = operator_matrix(operator)
-        signal, measurement, covs = self._parity_split(operator, a)
+        signal, measurement, covs, a_blocks = self._parity_split(operator)
         kept = list(covs)
-        # every block of every orbit's representative row (member 0 of the
-        # orbit), of which block k keeps the orbits that span it
-        rows = signal.split(a[measurement.orbit[0]])
-        stages = [_measurement_stage(
-            cov, rows[k][measurement.keep[k]] / measurement.norms[k][:, None], sigma_y)
-            for k, cov in covs.items()]
-        a_mu = a @ self.mean
-        del a, rows
+        # each block of A is released once its y-stage is built
+        stages = [_measurement_stage(covs[k], a_blocks.pop(k), sigma_y) for k in kept]
+        a_mu = operator.apply(self.mean)
         top = max((lam[-1] for _, lam, _ in stages if lam.size), default=0.0)
         floor = top * a_mu.size * np.finfo(np.float64).eps
         # one block at a time, each y-stage released before Sigma_y is factored

@@ -81,6 +81,16 @@ def test_noiseless_measurement_spectralizes_to_signal_coordinates(op):
     assert valid.sum() == np.sum(op.singular_values > 0.0)
 
 
+def test_only_separable_operators_give_axis_matrices():
+    # each factor's shape is (measurement side, signal side) of its axis
+    shapes = {op.structure_tag: [m.shape for m in op.axis_matrices()]
+              for op in all_test_operators() if op.axis_matrices() is not None}
+    assert shapes == {"identity": [(3, 3), (4, 4)], "downsample": [(2, 4), (3, 6)],
+                      "blur_circular": [(5, 5), (5, 5)]}
+    assert {op.structure_tag for op in all_test_operators() if op.axis_matrices() is None} == {
+        "dense", "inpaint"}
+
+
 def test_dense_apply_is_matmul():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 8))

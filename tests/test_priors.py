@@ -463,6 +463,141 @@ def test_conditioning_at_48_squared_factors_only_quarter_blocks(monkeypatch):
     assert np.all(np.isfinite(fn(x_t, y, 0.5)))
 
 
+def _shifted_blur(shape, sigma):
+    """A circular blur that also moves the rows one pixel down: still
+    I_c (x) M_h (x) M_w, but its row factor no longer commutes with the flip."""
+    op = make_gaussian_blur(*shape, sigma)
+    op._ch = np.roll(op._ch, 1, axis=0)
+    return op
+
+
+_SEPARABLE_CASES = {
+    "identity_1x8x8": lambda: IdentityOperator(1, 8, 8),
+    "identity_3x6x10": lambda: IdentityOperator(3, 6, 10),
+    "identity_1x7x9": lambda: IdentityOperator(1, 7, 9),
+    "blur_1x8x8": lambda: make_gaussian_blur(1, 8, 8, 1.2),
+    "blur_3x6x10": lambda: make_gaussian_blur(3, 6, 10, 1.2),
+    "blur_1x7x9": lambda: make_gaussian_blur(1, 7, 9, 1.2),
+    # a kernel radius of 9 wraps round a side of 5 more than once
+    "blur_1x5x5_wide": lambda: make_gaussian_blur(1, 5, 5, 3.0),
+    "downsample_1x8x8_b2": lambda: make_downsample(1, 8, 8, 2),
+    "downsample_3x6x10_b2": lambda: make_downsample(3, 6, 10, 2),
+    "downsample_1x6x9_b3": lambda: make_downsample(1, 6, 9, 3),
+    "downsample_3x6x12_b3": lambda: make_downsample(3, 6, 12, 3),
+    "downsample_1x8x8_b4": lambda: make_downsample(1, 8, 8, 4),
+    "shifted_blur_1x7x9": lambda: _shifted_blur((1, 7, 9), 1.2),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEPARABLE_CASES))
+def test_separable_operators_are_exact_kronecker_products(case):
+    op = _SEPARABLE_CASES[case]()
+    m_h, m_w = op.axis_matrices()
+    a = operator_matrix(op)
+    assert np.array_equal(np.kron(np.eye(op.signal_shape[0]), np.kron(m_h, m_w)), a)
+    # so the per-axis flip check gives the verdict of the dense one
+    per_axis = all(priors._flip_invariant(m) for m in (m_h, m_w))
+    dense = all(priors._commutes(a, flip, op.signal_shape, axis)
+                for axis, flip in enumerate(op.measurement_flips(), 1))
+    assert per_axis == dense == (not case.startswith("shifted"))
+
+
+def _refuse_dense_operator(monkeypatch):
+    """Make materialising A, or checking its flips on the dense matrix, raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense operator route ran")
+
+    monkeypatch.setattr(priors, "operator_matrix", refuse)
+    monkeypatch.setattr(priors, "_commutes", refuse)
+
+
+@pytest.mark.parametrize("make_op", [lambda: make_gaussian_blur(1, 32, 32, 3.0),
+                                     lambda: make_downsample(1, 32, 32, 2)],
+                         ids=["blur_1x32x32", "downsample_1x32x32"])
+def test_separable_conditioning_never_builds_the_operator_matrix(make_op, monkeypatch):
+    op = make_op()
+    prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
+    rng = np.random.default_rng(25)
+    a = operator_matrix(op)  # for the oracles, before the dense route is refused
+    x = prior.sample(rng)
+    y = a @ x + 0.05 * rng.standard_normal(op.m)
+    _refuse_dense_operator(monkeypatch)
+    tracemalloc.start()
+    try:
+        fn = prior.measurement_consistency(op, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    unit = op.n * op.n * 8
+    assert peak <= 1.25 * unit, f"build peaks at {peak / unit:.2f} n x n"
+
+    # brute force at n = 1024 on y alone, then that posterior conditioned on
+    # x_t by one solve: conditioning in two stages is exact
+    mean_y, cov_y = _conditional_oracle(prior.mean, prior.covariance, a, 0.05**2 * np.eye(op.m), y)
+    mean, cov = prior.posterior(op, y, 0.05)
+    assert np.allclose(mean, mean_y, rtol=0.0, atol=1e-8)
+    assert np.allclose(cov, cov_y, rtol=0.0, atol=1e-8)
+    for t in (DEFAULT_T_MIN, 1.0, DEFAULT_T_MAX):
+        x_t = x + t * rng.standard_normal(prior.n)
+        want = mean_y + cov_y @ np.linalg.solve(cov_y + t * t * np.eye(prior.n), x_t - mean_y)
+        assert np.allclose(fn(x_t, y, t), want, rtol=0.0, atol=1e-8)
+
+
+def test_dense_covariance_prior_takes_the_separable_operator_route(monkeypatch):
+    # the operator's route does not depend on the prior's form: a dense Sigma
+    # is split by flip sums, A by its axes
+    op = make_gaussian_blur(3, 6, 10, 1.2)
+    prior = GaussianPrior(mean=np.full(op.n, 0.2), covariance=rbf_covariance(op.signal_shape, 1.5, 0.3))
+    _refuse_dense_operator(monkeypatch)
+    shapes = _eigh_shapes(monkeypatch)
+    prior.measurement_consistency(op, 0.05)
+    assert shapes == [(45, 45)] * 8
+    _check_against_oracles(prior, op, 0.05, atol=1e-8)
+
+
+def test_separable_operator_off_the_flips_conditions_as_one_block(monkeypatch):
+    op = _shifted_blur((1, 7, 9), 1.2)
+    prior = rbf_prior(op.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
+    _refuse_dense_operator(monkeypatch)
+    shapes = _eigh_shapes(monkeypatch)
+    prior.measurement_consistency(op, 0.05)
+    assert shapes == [(op.m, op.m), (prior.n, prior.n)]
+    _check_against_oracles(prior, op, 0.05, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "make_op",
+    [
+        lambda: make_centered_square_inpaint(1, 20, 20),
+        lambda: _off_centre_inpaint(*_OFF_CENTRE_MASKS["inpaint_1x7x9"]),
+        lambda: DenseOperator(np.random.default_rng(26).standard_normal((30, 300))),
+        lambda: make_gaussian_blur(3, 6, 10, 1.2),
+        lambda: make_downsample(1, 20, 20, 2),
+    ],
+    ids=["inpaint_1x20x20", "inpaint_off_centre", "dense_30x300", "blur_3x6x10",
+         "downsample_1x20x20"],
+)
+def test_operator_matrix_is_apply_on_the_identity(make_op):
+    # n up to 400: the columns are filled in more than one block
+    op = make_op()
+    assert np.array_equal(operator_matrix(op), np.ascontiguousarray(op.apply(np.eye(op.n)).T))
+
+
+def test_inpaint_build_never_holds_the_identity_with_the_operator():
+    # the dense route still materialises A (0.75 n x n here), but not next to
+    # an n x n identity and two copies of A^T (1.75 n x n before)
+    op = make_centered_square_inpaint(1, 48, 48)
+    prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
+    tracemalloc.start()
+    try:
+        prior.measurement_consistency(op, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    unit = op.n * op.n * 8
+    assert peak <= 1.5 * unit, f"build peaks at {peak / unit:.2f} n x n"
+
+
 @pytest.mark.parametrize("size, shape", [(None, (16,)), (3, (3, 16)), (0, (0, 16))])
 def test_gaussian_sample_shapes(size, shape):
     draws = small_prior(13, n=16).sample(np.random.default_rng(0), size=size)
