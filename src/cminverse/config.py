@@ -12,6 +12,7 @@ pins every byte of the outputs.  Sections:
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -128,6 +129,17 @@ class ExperimentConfig:
             raise ConfigError("subset_size must be >= 2 and n_subsets >= 1")
         if not self.gamma_grid:
             raise ConfigError("gamma grid must not be empty")
+        labels = {}  # each candidate writes under tune/gamma_{g:g}
+        for g in self.gamma_grid:
+            if not math.isfinite(g):
+                raise ConfigError(f"[tune] gamma_grid: entries must be finite, got {g}")
+            label = f"gamma_{g:g}"
+            if label in labels:
+                raise ConfigError(
+                    f"[tune] gamma_grid: entries {labels[label]!r} and {g!r} share the "
+                    f"output name {label}; give values that differ in 6 significant digits"
+                )
+            labels[label] = g
         if any(g < 0.0 for g in self.gamma_grid):
             raise ConfigError("gamma grid entries must be >= 0")
         return self
@@ -191,12 +203,16 @@ def load_config(path: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"[tune] gamma_grid: {exc}") from exc
 
-    sampler = SamplerConfig(
+    sampler_fields = dict(
         variant=_get(parser, "sampler", "variant", "inverse_addim"),
         steps=_get_int(parser, "sampler", "steps", 2),
         **{key: _get_float(parser, "sampler", key, None)
            for key in _SAMPLER_FLOATS if parser.has_option("sampler", key)},
     )
+    try:
+        sampler = SamplerConfig(**sampler_fields)
+    except ValueError as exc:
+        raise ConfigError(f"[sampler] {exc}") from exc
 
     feature_recon = _get(parser, "metrics", "feature_file_reconstructions", "")
     feature_ref = _get(parser, "metrics", "feature_file_references", "")

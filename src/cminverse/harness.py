@@ -285,7 +285,8 @@ def build_consistency(config: ExperimentConfig, prior, operator):
     prior with a linear operator).  Empirical priors and nonlinear tasks
     fall back to unconditional denoising, where only the residual-guided
     variant sees the measurement at all.  A conditioned closure holds dense
-    per-block gains and factors, about n^2 / 2 floats, and building it
+    per-block gains and factors, about n^2 / 4 floats where a square grid
+    splits by its transpose too and n^2 / 2 otherwise, and building it
     takes per-block eigendecompositions whose cost grows as n^3, so above
     ``MAX_CONDITIONED_N`` pixels it is refused (a ValueError) before any
     block is allocated.
@@ -299,7 +300,7 @@ def build_consistency(config: ExperimentConfig, prior, operator):
         if prior.n > MAX_CONDITIONED_N:
             raise ValueError(
                 f"conditioning the Gaussian prior on the measurement needs dense blocks "
-                f"of about n^2 / 2 floats, and n = {prior.n} exceeds the limit of "
+                f"of n^2 / 4 to n^2 / 2 floats, and n = {prior.n} exceeds the limit of "
                 f"{MAX_CONDITIONED_N}; "
                 "use variant = ddrm, which needs none, or smaller images"
             )

@@ -274,12 +274,16 @@ class BlockDownsampleOperator(LinearOperator):
         return self._blocks(x2d).mean(axis=2)
 
     def axis_matrices(self):
-        """The 0/1 pooling matrices, with the mean's 1/block^2 on the row
-        factor, so that every entry of their product is 1/block^2 as
-        ``_direct`` computes it."""
+        """The 0/1 pooling matrices scaled so that every entry of their
+        product is 1/block^2 as ``_direct`` computes it: by 1/block each
+        where (1/block)^2 rounds to 1/block^2 (block 2, 3, 4, but not 5),
+        so that a square grid has equal factors, else by 1/block^2 on the
+        row factor."""
         b = self.block
         pool_h, pool_w = (np.kron(np.eye(size // b), np.ones((1, b)))
                           for size in (self.height, self.width))
+        if (1.0 / b) * (1.0 / b) == 1.0 / (b * b):
+            return pool_h / b, pool_w / b
         return pool_h / (b * b), pool_w
 
     def _vt(self, x2d):

@@ -26,12 +26,14 @@ from .operators import LinearOperator, grid_flips
 
 # Largest dimension n a pipeline conditions a Gaussian prior on the
 # measurement for.  A separable operator is never materialised, but the
-# closure keeps about n^2 / 2 floats of per-block gains and factors, and
-# its build peaks at about 1.1 n x n float64 arrays for a blur (1.3 for
-# inpainting, whose A is materialised as m x n), while the per-block
-# eigendecompositions grow as n^3: a 64 x 64 deblur (n = 4096) sampled
-# 8 images in 2.9 s at a peak resident size of about 190 MiB, and 128 x 128
-# would need more than 2 GiB and about 64 times the factorisation work.
+# closure keeps per-block gains and factors, about n^2 / 4 floats on a
+# square grid that commutes with the transpose and n^2 / 2 otherwise; its
+# build peaks at about 0.7 n x n float64 arrays for a square blur (1.1 on
+# other grids, 1.3 for inpainting, whose A is materialised as m x n), and
+# the per-block eigendecompositions grow as n^3: a 64 x 64 deblur
+# (n = 4096) sampled 8 images in 1.3 s at a peak resident size of about
+# 150 MiB, and 128 x 128 would need more than 1 GiB and about 64 times the
+# factorisation work.
 MAX_CONDITIONED_N = 64 * 64
 
 
@@ -195,6 +197,8 @@ class _FlipBlocks:
     the repeats.
     """
 
+    shared = {}  # no block takes another's gain and factor (see _SquareBlocks)
+
     def __init__(self, flip_rows: np.ndarray, flip_cols: np.ndarray):
         index = np.arange(flip_rows.size)
         orbit = np.stack([index, flip_cols, flip_rows, flip_rows[flip_cols]])
@@ -219,6 +223,22 @@ class _FlipBlocks:
         self._back[self.orbit.ravel()] = np.arange(self.orbit.size)
         repeats = (self.orbit[:, None, :] == self.orbit[None, :, :]).sum(axis=1)
         self._repeats = repeats.ravel()[self._back]
+
+    def carry(self, perm: np.ndarray, k: int, l: int) -> np.ndarray:
+        """For each coordinate of block k, the coordinate of block l that the
+        index permutation ``perm`` takes it to.  ``perm`` must map the
+        representatives of block k's orbits onto those of block l and turn
+        the one block's projection P into the other's, so that it takes each
+        basis vector of block k to one of block l, sign included."""
+        reps = self.orbit[0]
+        return np.searchsorted(reps[self.keep[l]], perm[reps[self.keep[k]]])
+
+    def reorder(self, k: int, order: np.ndarray) -> None:
+        """Put block k's coordinates in the given order, each entry of
+        ``order`` an index into its current coordinates."""
+        places = np.arange(self.orbit.shape[1])[self.keep[k]]
+        self.keep[k], self.norms[k], self.scales[k] = (
+            places[order], self.norms[k][order], self.scales[k][order])
 
     def _gather(self, x: np.ndarray) -> list:
         """x at the orbits' members, one (..., orbits) array per member j, None
@@ -257,6 +277,61 @@ class _FlipBlocks:
         matrix."""
         half = {k: self.merge({k: block.T}) for k, block in blocks.items()}  # (B_k M_k)^T
         return self.merge({k: rows.T for k, rows in half.items()})
+
+
+# the blocks of a square grid as (parity block, its half under the grid's
+# transpose: 0 the symmetric, 2 the antisymmetric, None the whole block)
+_SQUARE_BLOCKS = ((0, 0), (0, 2), (1, None), (2, None), (3, 0), (3, 2))
+
+
+class _SquareBlocks:
+    """The parity blocks of a square (c, s, s) grid, split once more by the
+    transpose T of every channel image.
+
+    T swaps the row and the column flip, so it maps parity block eo onto oe
+    and each of ee and oo onto itself: together the flips and T make the
+    symmetry group D4 of the square (Fassler & Stiefel, Group Theoretical
+    Methods and Their Applications, 1992).  T takes each basis vector of eo
+    to one of oe, so block oe's coordinates are put in the order of T
+    applied to eo's (``_FlipBlocks.reorder``): a matrix that commutes with T
+    then has equal blocks in eo and oe, and ``shared`` names oe as taking
+    eo's.  In ee and in oo, T permutes the block's own coordinates, and a
+    ``_FlipBlocks`` with that permutation as its one flip splits the block
+    into a symmetric and an antisymmetric half.  The six blocks run ee+,
+    ee-, eo, oe, oo+, oo- (``_SQUARE_BLOCKS``).
+    """
+
+    shared = {3: 2}
+
+    def __init__(self, shape):
+        self.parity = _FlipBlocks(*grid_flips(shape))
+        transpose = np.arange(math.prod(shape)).reshape(shape).transpose(0, 2, 1).ravel()
+        self.halves = {k: _FlipBlocks(self.parity.carry(transpose, k, k),
+                                      np.arange(self.parity.sizes[k])) for k in (0, 3)}
+        self.parity.reorder(2, self.parity.carry(transpose, 1, 2))
+        self.size = self.parity.size
+        self.sizes = [self.parity.sizes[k] if j is None else self.halves[k].sizes[j]
+                      for k, j in _SQUARE_BLOCKS]
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """The six blocks' coordinates of the rows of x."""
+        parts = self.parity.split(x)
+        halves = {k: half.split(parts[k]) for k, half in self.halves.items()}
+        return [parts[k] if j is None else halves[k][j] for k, j in _SQUARE_BLOCKS]
+
+    def merge(self, parts: dict) -> np.ndarray:
+        """Coordinates of the blocks in ``parts`` back to rows."""
+        outer, halves = {}, {}
+        for key, part in parts.items():
+            k, j = _SQUARE_BLOCKS[key]
+            if j is None:
+                outer[k] = part
+            else:
+                halves.setdefault(k, {})[j] = part
+        outer.update({k: self.halves[k].merge(sub) for k, sub in halves.items()})
+        return self.parity.merge(outer)
+
+    expand = _FlipBlocks.expand
 
 
 def _identity_blocks(size: int) -> _FlipBlocks:
@@ -299,15 +374,22 @@ def _commutes(a: np.ndarray, flip_rows: np.ndarray, shape, axis: int, chunk: int
                for lo in range(0, a.shape[0], chunk))
 
 
+def _kron_entries(grid: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """The entries of (R_h (x) R_w) diag(lam_c) (C_h (x) C_w)^T for every
+    channel image lam_c of ``grid`` (c, h, w), by two contractions over the
+    image axes; ``rows`` is (R_h, R_w) and ``cols`` is (C_h, C_w).  Shape
+    (c, a p, b q) for R_h (a, h), R_w (b, w), C_h (p, h) and C_w (q, w):
+    the axes are not yet in the block's order (``_kron_block``)."""
+    (r_h, r_w), (c_h, c_w) = rows, cols
+    left = (r_h[:, None, :] * c_h[None, :, :]).reshape(-1, grid.shape[1]) @ grid
+    return left @ (r_w[:, None, :] * c_w[None, :, :]).reshape(-1, grid.shape[2]).T
+
+
 def _kron_block(grid: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
-    """(R_h (x) R_w) diag(lam_c) (C_h (x) C_w)^T for every channel image lam_c
-    of ``grid`` (c, h, w), by two contractions over the image axes; ``rows``
-    is (R_h, R_w) and ``cols`` is (C_h, C_w).  Shape (c, a b, p q) for
-    R_h (a, h), R_w (b, w), C_h (p, h) and C_w (q, w)."""
+    """(R_h (x) R_w) diag(lam_c) (C_h (x) C_w)^T per channel, shape (c, a b, p q)."""
     (r_h, r_w), (c_h, c_w) = rows, cols
     a, b, p, q = r_h.shape[0], r_w.shape[0], c_h.shape[0], c_w.shape[0]
-    left = (r_h[:, None, :] * c_h[None, :, :]).reshape(a * p, -1) @ grid
-    out = left @ (r_w[:, None, :] * c_w[None, :, :]).reshape(b * q, -1).T
+    out = _kron_entries(grid, rows, cols)
     return out.reshape(-1, a, p, b, q).transpose(0, 1, 3, 2, 4).reshape(-1, a * b, p * q)
 
 
@@ -346,6 +428,42 @@ def _measurement_stage(cov, a_rows, sigma_y):
     sig_at = a_rows(cov)
     gram = a_rows(sig_at.T).T + sigma_y * sigma_y * np.eye(sig_at.shape[1])
     return (sig_at, *np.linalg.eigh(_finite_or_raise(gram, sigma_y)))
+
+
+def _half_rows(rows, signal_half: _FlipBlocks, measurement_half: _FlipBlocks, j: int):
+    """x -> x A_j^T for half j of a parity block whose map is ``rows``: the
+    half's coordinates merged back into the block's, mapped, and split on
+    the measurement side."""
+    return lambda x: measurement_half.split(rows(signal_half.merge({j: x})))[j]
+
+
+def _transpose_split(shape, measurement_shape, covs: dict, a_rows: dict):
+    """The parity split of a prior and an operator that commute with the
+    transpose of the grid, refined into the blocks of ``_SquareBlocks``:
+    (signal blocks, measurement blocks, Sigma's diagonal blocks, A's blocks
+    as maps on rows, each by block index, and Sigma's largest entry between
+    two halves relative to the largest diagonal entry of its parity
+    blocks).  ``covs`` and ``a_rows`` are the parity blocks.  Block oe is
+    left out, as it takes eo's gain and factor.  A half of ee or oo takes
+    Sigma's block by two ``split``s of the parity block, as
+    ``_covariance_blocks`` splits a dense Sigma, and A's block through the
+    parity block's map (``_half_rows``)."""
+    signal = _SquareBlocks(shape)
+    measurement = signal if measurement_shape == shape else _SquareBlocks(measurement_shape)
+    blocks, rows, off = {}, {}, []
+    for key, (k, j) in enumerate(_SQUARE_BLOCKS):
+        if key in signal.shared or not signal.sizes[key]:
+            continue
+        if j is None:
+            blocks[key], rows[key] = covs[k], a_rows[k]
+            continue
+        half = signal.halves[k]
+        sides = half.split(half.split(covs[k])[j].T)  # B_i^T Sigma_k B_j for each half i
+        blocks[key] = (sides[j] + sides[j].T) / 2.0
+        off.append(np.abs(sides[2 - j]).max(initial=0.0))
+        rows[key] = _half_rows(a_rows[k], half, measurement.halves[k], j)
+    top = max(cov.diagonal().max() for cov in covs.values())
+    return signal, measurement, blocks, rows, max(off, default=0.0) / top if top > 0.0 else 0.0
 
 
 def _block_posterior(cov, sig_at, lam, vecs, floor):
@@ -453,7 +571,7 @@ class GaussianPrior:
             rs = {k: (r_h[k >> 1], r_w[k & 1]) for k in kept}  # block k is odd by row if k & 2
             grid = factor.lam.reshape((-1,) + sides)
             blocks = [_channel_diagonal(_kron_block(grid, rs[k], rs[k])) for k in kept]
-            off = [np.abs(_kron_block(grid, rs[k], rs[l])).max()
+            off = [np.abs(_kron_entries(grid, rs[k], rs[l])).max()
                    for k in kept for l in kept if k < l]
             top = ((axes[0] ** 2) @ grid @ (axes[1] ** 2).T).max()
         else:
@@ -467,8 +585,18 @@ class GaussianPrior:
         blocks = {k: (block + block.T) / 2.0 for k, block in zip(kept, blocks)}
         return signal, blocks, max(off, default=0.0) / top if top > 0.0 else 0.0
 
-    def _parity_split(self, operator: LinearOperator
-                      ) -> tuple[_FlipBlocks, _FlipBlocks, dict, dict]:
+    def _transpose_symmetric(self, side: int) -> bool:
+        """Sigma = T Sigma T bit for bit, for the transpose T of every
+        (side, side) channel image: a per-axis factor whose Q_h equals Q_w,
+        with side pixels per axis, and a lam grid equal to its transpose.
+        A dense covariance is not checked."""
+        axes = getattr(self.__dict__.get("factor"), "axes", ())
+        if len(axes) != 2 or len(axes[0]) != side or not np.array_equal(*axes):
+            return False
+        grid = self.factor.lam.reshape(-1, side, side)
+        return np.array_equal(grid, grid.transpose(0, 2, 1))
+
+    def _parity_split(self, operator: LinearOperator) -> tuple:
         """(signal blocks, measurement blocks, Sigma's diagonal blocks, A's
         diagonal blocks) to condition in, both by block index k; A's block
         A_k is given as the map x -> x A_k^T on rows.
@@ -489,6 +617,14 @@ class GaussianPrior:
         row (``_commutes``).  Its blocks are its representative rows (one
         per measurement orbit, divided by |P e_r|), each taken through the
         signal's flip sums: as A commutes with the flips, that is B'_k^T A B_k.
+
+        A square problem splits further (``_SquareBlocks``, ``_transpose_split``)
+        when both Sigma and A commute with the grid's transpose bit for bit:
+        a separable operator with M_h equal to M_w, and a per-axis factor of
+        Sigma with Q_h equal to Q_w and a lam grid equal to its transpose
+        (``_transpose_symmetric``), with Sigma's entries between the halves
+        of ee and oo within 1e-12 of its largest.  Block oe is then left
+        out of the blocks: it takes eo's gain and factor.
         """
         axes = operator.axis_matrices()
         a = operator_matrix(operator) if axes is None else None
@@ -506,8 +642,12 @@ class GaussianPrior:
             measurement = _identity_blocks(operator.m)
         if axes is not None:
             h, w = (_axis_blocks(m, split) for m in axes)
-            return signal, measurement, covs, {
-                k: _separable_rows(shape[0], h[k >> 1], w[k & 1]) for k in covs}
+            a_blocks = {k: _separable_rows(shape[0], h[k >> 1], w[k & 1]) for k in covs}
+            if split and np.array_equal(*axes) and self._transpose_symmetric(shape[2]):
+                *square, gap = _transpose_split(shape, operator.measurement_shape, covs, a_blocks)
+                if gap <= 1e-12:
+                    return tuple(square)
+            return signal, measurement, covs, a_blocks
         # every block of every orbit's representative row (member 0 of the
         # orbit), of which block k keeps the orbits that span it; A itself is
         # released before the split
@@ -524,10 +664,14 @@ class GaussianPrior:
         K_y = Sigma A^T (A Sigma A^T + sigma_y^2 I)^+ and
         Sigma_y = Sigma - K_y A Sigma depend on neither t nor y; the
         posterior mean is mean + K_y (y - A mean).  Sigma and A are split
-        into the diagonal blocks of ``_parity_split`` (four parity blocks of
-        about n/4 for a flip-invariant prior and operator, else one block).
+        into the diagonal blocks of ``_parity_split``: four parity blocks of
+        about n/4 for a flip-invariant prior and operator, else one block.
         Each block takes one eigendecomposition of its part of
-        A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.
+        A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.  A square
+        problem that commutes with the transpose splits ee and oo into
+        halves of about n/8 and factors eo alone: block oe is the same
+        problem in coordinates that the transpose permutes, so it holds
+        eo's gain and factor, not copies (``signal.shared``).
         Measurement directions whose variance lies below working precision
         (relative to the largest over all blocks) carry no information and
         are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
@@ -543,9 +687,13 @@ class GaussianPrior:
         floor = top * a_mu.size * np.finfo(np.float64).eps
         # one block at a time, each y-stage released before Sigma_y is factored
         parts = [_block_posterior(covs.pop(k), *stages.pop(0), floor) for k in kept]
-        gains = [_finite_or_raise(gain, sigma_y) for gain, _ in parts]
-        factors = [_eigen_factor(_finite_or_raise(cov_y, sigma_y)) for _, cov_y in parts]
-        return _Conditioned(signal, measurement, kept, self.mean, a_mu, gains, factors)
+        gains = {k: _finite_or_raise(gain, sigma_y) for k, (gain, _) in zip(kept, parts)}
+        factors = {k: _eigen_factor(_finite_or_raise(cov_y, sigma_y))
+                   for k, (_, cov_y) in zip(kept, parts)}
+        for k, source in signal.shared.items():
+            if source in gains:
+                gains[k], factors[k] = gains[source], factors[source]
+        return _Conditioned(signal, measurement, self.mean, a_mu, gains, factors)
 
     def joint_denoise_cov(self, t: float, operator: LinearOperator, sigma_y: float) -> np.ndarray:
         """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y;
@@ -553,16 +701,16 @@ class GaussianPrior:
         t = _check_t(t)
         cond = self._condition_on_measurement(operator, sigma_y)
         return cond.signal.expand({k: _denoise_cov(factor, t)
-                                   for k, factor in zip(cond.blocks, cond.factors)})
+                                   for k, factor in cond.factors.items()})
 
     def posterior(self, operator: LinearOperator, y: np.ndarray, sigma_y: float):
         """Mean and covariance of x | y under y = A x + sigma_y * noise; the
         covariance is dense, sum_k B_k Q_k diag(lam_k) Q_k^T B_k^T from the
         blocks' eigenfactors of Sigma_y, with lam clamped at 0."""
         cond = self._condition_on_measurement(operator, sigma_y)
-        mean = cond.signal.merge(dict(zip(cond.blocks, cond.means(y))))
+        mean = cond.signal.merge(cond.means(y))
         cov = cond.signal.expand({k: factor.matrix(factor.lam)
-                                  for k, factor in zip(cond.blocks, cond.factors)})
+                                  for k, factor in cond.factors.items()})
         return mean.reshape(self.mean.shape), cov
 
     # --- consistency-function views -------------------------------------
@@ -587,7 +735,10 @@ class GaussianPrior:
         G_t = Sigma_y (Sigma_y + t^2 I)^-1.  The closure conditions on y
         and factors Sigma_y once, block by block (``_condition_on_measurement``:
         eight eigendecompositions of about n/4 x n/4 for a flip-invariant
-        prior and operator, else one of m x m and one of n x n), so
+        prior and operator; on a square grid that also commutes with the
+        transpose, two of about n/4 for eo, which oe shares, and eight of
+        about n/8 for the halves of ee and oo; else one of m x m and one of
+        n x n), so
         G_t = Q_k diag(lam_k/(lam_k+t^2)) Q_k^T in every block at every
         level.  A call moves the rows of y - A mean and x_t into the blocks'
         coordinates by flip sums, makes three matrix products per block and
@@ -604,29 +755,29 @@ class GaussianPrior:
 
 
 class _Conditioned:
-    """x | y of a Gaussian prior, held in the blocks of its parity split:
-    per block k, the prior mean's part, the gain K_k and the eigenfactor of
-    Sigma_y,k.  Read-only once built, so threads may share it."""
+    """x | y of a Gaussian prior, held in the blocks of its split: per block
+    k, the prior mean's part, the gain K_k and the eigenfactor of
+    Sigma_y,k, by block index (a shared block holds its source's arrays).
+    Read-only once built, so threads may share it."""
 
-    def __init__(self, signal: _FlipBlocks, measurement: _FlipBlocks, blocks: list,
-                 mean: np.ndarray, a_mu: np.ndarray, gains: list, factors: list):
-        self.signal, self.measurement, self.blocks = signal, measurement, blocks
+    def __init__(self, signal, measurement, mean: np.ndarray, a_mu: np.ndarray,
+                 gains: dict, factors: dict):
+        self.signal, self.measurement = signal, measurement
         self.a_mu, self.gains, self.factors = a_mu, gains, factors
         self.mean_parts = signal.split(mean)
 
-    def means(self, y) -> list[np.ndarray]:
+    def means(self, y) -> dict:
         """Each block's part of mean_y = mean + K_y (y - A mean), for the rows of y."""
         y = np.asarray(y, dtype=np.float64).reshape(-1, self.a_mu.size)
         resid = self.measurement.split(y - self.a_mu)
-        return [self.mean_parts[k] + resid[k] @ gain.T
-                for k, gain in zip(self.blocks, self.gains)]
+        return {k: self.mean_parts[k] + resid[k] @ gain.T for k, gain in self.gains.items()}
 
     def denoise(self, x_t, y, t) -> np.ndarray:
         """E[x | x_t, y]: denoising under N(mean_y, Sigma_y), block by block."""
         x_t = np.asarray(x_t, dtype=np.float64)
         parts = self.signal.split(x_t.reshape(-1, self.signal.size))
-        out = {k: _denoise(mean, factor, parts[k], t)
-               for k, mean, factor in zip(self.blocks, self.means(y), self.factors)}
+        means = self.means(y)
+        out = {k: _denoise(means[k], factor, parts[k], t) for k, factor in self.factors.items()}
         return self.signal.merge(out).reshape(x_t.shape)
 
 
@@ -700,18 +851,20 @@ def rbf_prior(shape: tuple[int, int, int], length_scale: float, variance: float 
     The covariance (see ``rbf_covariance``) is separable,
     Sigma = I_c (x) variance (K_h (x) K_w) + 1e-10 variance I with K the
     1-D RBF matrix of each axis (Saatci 2011; Rasmussen & Williams,
-    GPML ch. 4).  One eigh per axis, K_h = Q_h diag(a) Q_h^T and
+    GPML ch. 4).  One eigh per axis length, K_h = Q_h diag(a) Q_h^T and
     K_w = Q_w diag(b) Q_w^T with a, b clamped at 0, therefore factors it
     exactly: Q = I_c (x) Q_h (x) Q_w and
-    lam = tile(variance (a (x) b) + 1e-10 variance, c).  No n x n array is
-    built here: sampling and denoising use the factor alone, and its
-    eigenvectors, unlike those of a dense eigh, do not depend on the BLAS
-    thread count for axes up to 128 pixels.
+    lam = tile(variance (a (x) b) + 1e-10 variance, c).  A square grid takes
+    one eigh for both axes, so Q_h is Q_w and the lam grid is its own
+    transpose, bit for bit: conditioning then splits by the transpose too.
+    No n x n array is built here: sampling and denoising use the factor
+    alone, and its eigenvectors, unlike those of a dense eigh, do not depend
+    on the BLAS thread count for axes up to 128 pixels.
     """
     _check_rbf(length_scale, variance)
     c, h, w = shape
     axis_h = _eigen_factor(_rbf_axis(h, length_scale))
-    axis_w = _eigen_factor(_rbf_axis(w, length_scale))
+    axis_w = axis_h if w == h else _eigen_factor(_rbf_axis(w, length_scale))
     lam = np.tile(variance * np.outer(axis_h.lam, axis_w.lam).ravel() + 1e-10 * variance, c)
     return GaussianPrior(
         mean=np.full(c * h * w, float(mean_level)),

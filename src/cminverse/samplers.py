@@ -63,6 +63,9 @@ class SamplerConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
+        for key in ("eta", "gamma", "rho", "t_max"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.eta < 0.0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if self.gamma < 0.0:

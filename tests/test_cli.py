@@ -119,6 +119,15 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
     assert "task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", ["[sampler]\ngamma = nan\n",
+                                  "[tune]\ngamma_grid = 0.1234567, 0.1234568\n"],
+                         ids=["gamma_nan", "grid_labels_collide"])
+def test_floats_that_would_fail_late_are_exit_2_at_load(tmp_path, capsys, body):
+    ini = write_ini(tmp_path, "[experiment]\ntask = denoise\n" + body)
+    assert cli.main(["--config", ini, "synthesize"]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
 def test_stage_out_of_order_is_exit_2(tmp_path, capsys):
     ini = base_ini(tmp_path)
     assert cli.main(["--config", ini, "degrade"]) == 2

@@ -256,3 +256,39 @@ def test_direct_construction_validates_too():
         gamma_grid=(0.0, 1.0),
     )
     assert config.validate() is config
+
+
+@pytest.mark.parametrize(
+    "body, fragment",
+    [
+        ("[tune]\ngamma_grid = nan, 1\n", r"\[tune\] gamma_grid: .*finite, got nan"),
+        ("[tune]\ngamma_grid = 0, inf\n", r"\[tune\] gamma_grid: .*finite, got inf"),
+        # both would write tune/gamma_0.123457 and reports/tune_gamma_0.123457.jsonl
+        ("[tune]\ngamma_grid = 0.1234567, 0.1234568, 1\n",
+         r"\[tune\] gamma_grid: entries 0.1234567 and 0.1234568 share .*gamma_0.123457"),
+        ("[tune]\ngamma_grid = 1, 0.5, 1.0\n", r"entries 1.0 and 1.0 share .*gamma_1\b"),
+        ("[sampler]\ngamma = nan\n", r"\[sampler\] gamma must be finite, got nan"),
+        ("[sampler]\ngamma = inf\n", r"\[sampler\] gamma must be finite, got inf"),
+        ("[sampler]\neta = nan\n", r"\[sampler\] eta must be finite, got nan"),
+        ("[sampler]\nrho = inf\n", r"\[sampler\] rho must be finite, got inf"),
+        # sample used to stop only at its first level, with exit 2
+        ("[sampler]\nt_max = inf\n", r"\[sampler\] t_max must be finite, got inf"),
+    ],
+    ids=["grid_nan", "grid_inf", "grid_same_label", "grid_duplicate", "gamma_nan",
+         "gamma_inf", "eta_nan", "rho_inf", "t_max_inf"],
+)
+def test_non_finite_or_colliding_floats_are_config_errors(tmp_path, body, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(write_config(tmp_path, "[experiment]\ntask = denoise\n" + body))
+
+
+def test_sampler_rejects_non_finite_floats():
+    for key in ("eta", "gamma", "rho", "t_max"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                SamplerConfig(variant="ddim", steps=2, **{key: value})
+
+
+def test_distinct_grid_labels_are_accepted(tmp_path):
+    body = "[experiment]\ntask = denoise\n[tune]\ngamma_grid = 0.123456, 0.123457, 0\n"
+    assert load_config(write_config(tmp_path, body)).gamma_grid == (0.123456, 0.123457, 0.0)

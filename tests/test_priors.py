@@ -206,17 +206,46 @@ def _eigh_shapes(monkeypatch):
     return shapes
 
 
-# (operator, (signal, measurement) sizes of its non-empty parity blocks)
+def _unequal_axes_blur(shape, sigma, sigma_w):
+    """A square circular blur whose column factor is the circulant of another
+    sigma: it commutes with both flips, but not with the transpose."""
+    op = make_gaussian_blur(*shape, sigma)
+    op._cw = make_gaussian_blur(*shape, sigma_w)._cw
+    return op
+
+
+# (operator, (signal, measurement) sizes of its non-empty blocks).  A square
+# grid with equal axis factors splits six ways, ee+, ee-, eo, oe, oo+, oo-
+# (priors._SquareBlocks), and oe takes eo's gain and factor, so it is not
+# listed; any other problem keeps the four parity blocks ee, eo, oe, oo.
 _PARITY_CASES = {
-    "blur_1x8x8": (lambda: make_gaussian_blur(1, 8, 8, 1.2), [(16, 16)] * 4),
+    # 8 x 8: ee and oo have 16 coordinates, 10 symmetric and 6 antisymmetric
+    "blur_1x8x8": (lambda: make_gaussian_blur(1, 8, 8, 1.2),
+                   [(10, 10), (6, 6), (16, 16), (10, 10), (6, 6)]),
+    "blur_3x8x8": (lambda: make_gaussian_blur(3, 8, 8, 1.2),
+                   [(30, 30), (18, 18), (48, 48), (30, 30), (18, 18)]),
+    # an odd side: ee is 4 x 4, eo 4 x 3 and oo 3 x 3
+    "blur_1x7x7": (lambda: make_gaussian_blur(1, 7, 7, 1.2),
+                   [(10, 10), (6, 6), (12, 12), (6, 6), (3, 3)]),
+    "identity_1x6x6": (lambda: IdentityOperator(1, 6, 6),
+                       [(6, 6), (3, 3), (9, 9), (6, 6), (3, 3)]),
     "blur_3x6x10": (lambda: make_gaussian_blur(3, 6, 10, 1.2), [(45, 45)] * 4),
     "blur_1x7x9": (lambda: make_gaussian_blur(1, 7, 9, 1.2),
                    [(20, 20), (16, 16), (15, 15), (12, 12)]),
-    "downsample_1x8x8": (lambda: make_downsample(1, 8, 8, 2), [(16, 4)] * 4),
-    # a 1 x 1 measurement has no odd part: three blocks see no measurement
-    "downsample_1x2x2": (lambda: make_downsample(1, 2, 2, 2), [(1, 1)] + [(1, 0)] * 3),
+    # flip-invariant, but the two axes blur by different sigmas
+    "blur_1x8x8_unequal_axes": (lambda: _unequal_axes_blur((1, 8, 8), 1.2, 2.0),
+                                [(16, 16)] * 4),
+    "downsample_1x8x8": (lambda: make_downsample(1, 8, 8, 2),
+                         [(10, 3), (6, 1), (16, 4), (10, 3), (6, 1)]),
+    # a 3 x 3 measurement: its oo block is one symmetric coordinate
+    "downsample_3x6x6": (lambda: make_downsample(3, 6, 6, 2),
+                         [(18, 9), (9, 3), (27, 6), (18, 3), (9, 0)]),
+    # 2 x 2 pixels have no antisymmetric half, and a 1 x 1 measurement has
+    # neither an odd part nor such a half: two blocks see no measurement
+    "downsample_1x2x2": (lambda: make_downsample(1, 2, 2, 2), [(1, 1), (1, 0), (1, 0)]),
     "identity_1x1x8": (lambda: IdentityOperator(1, 1, 8), [(4, 4)] * 2),
-    # the centred square is flip-invariant: its kept pixels split four ways
+    # the centred square is flip-invariant: its kept pixels split four ways,
+    # and no further, as inpainting gives no axis factors
     "inpaint_1x8x8": (lambda: make_centered_square_inpaint(1, 8, 8), [(16, 12)] * 4),
     "inpaint_3x8x8": (lambda: make_centered_square_inpaint(3, 8, 8), [(48, 36)] * 4),
     # on an odd axis and on a side of 2 mod 4 too
@@ -316,6 +345,40 @@ def test_flip_gap_of_the_rbf_prior_is_rounding():
         assert gap <= 1e-13
 
 
+def test_transpose_gap_of_the_rbf_prior_is_rounding():
+    # Sigma's entries between the symmetric and the antisymmetric half of ee
+    # and oo are rounding too: T Sigma T = Sigma holds exactly in the factor
+    for shape in [(1, 8, 8), (3, 7, 7), (1, 32, 32)]:
+        _, covs, _ = rbf_prior(shape, length_scale=3.0, variance=0.05)._covariance_blocks(shape)
+        *_, gap = priors._transpose_split(shape, shape, covs, dict.fromkeys(covs))
+        assert 0.0 < gap <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (3, 7, 7), (1, 1, 1), (2, 2, 2)])
+def test_square_blocks_are_an_orthonormal_basis_that_the_transpose_respects(shape):
+    n = int(np.prod(shape))
+    blocks = priors._SquareBlocks(shape)
+    bases = blocks.split(np.eye(n))  # row i of block k: e_i^T B_k, so B_k itself
+    assert [b.shape[1] for b in bases] == blocks.sizes and sum(blocks.sizes) == n
+    full = np.concatenate(bases, axis=1)
+    assert np.allclose(full.T @ full, np.eye(n), rtol=0.0, atol=1e-14)
+    # T B_eo is B_oe column by column, and T keeps each half of ee and oo, with
+    # a sign that is + on the symmetric and - on the antisymmetric half
+    transpose = np.arange(n).reshape(shape).transpose(0, 2, 1).ravel()
+    assert np.array_equal(bases[2][transpose], bases[3])
+    for key, sign in ((0, 1.0), (1, -1.0), (4, 1.0), (5, -1.0)):
+        assert np.array_equal(bases[key][transpose], sign * bases[key])
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((3, n))
+    parts = blocks.split(x)
+    for part, basis in zip(parts, bases):
+        assert np.allclose(part, x @ basis, rtol=0.0, atol=1e-14)
+    assert np.allclose(blocks.merge(dict(enumerate(parts))), x, rtol=0.0, atol=1e-14)
+    square = {k: rng.standard_normal((size, size)) for k, size in enumerate(blocks.sizes)}
+    assert np.allclose(blocks.expand(square),
+                       sum(b @ square[k] @ b.T for k, b in enumerate(bases)), rtol=0.0, atol=1e-14)
+
+
 def _parity_oracle(shape):
     """Dense bases I_c (x) B_h (x) B_w of the four parity blocks, from the
     per-axis columns (e_i + e_{N-1-i})/sqrt(2) (plus e_centre on an odd
@@ -387,13 +450,15 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
     cond = prior.measurement_consistency(op, 0.05)
     assert shapes == [(4, 4), (16, 16)]
 
-    # a flip-invariant prior and operator: four (m/4)^2 grams and four
-    # (n/4)^2 factors of Sigma_y, never an n x n eigh
+    # a square prior and operator that commute with the flips and the
+    # transpose: a gram and a factor of Sigma_y for each half of ee and oo
+    # (10 and 6 of the 16 coordinates) and for eo, which oe shares; never an
+    # n x n eigh
     blur = make_gaussian_blur(1, 8, 8, 1.5)  # m = n = 64
     rbf = rbf_prior(blur.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
     shapes.clear()
     cond_rbf = rbf.measurement_consistency(blur, 0.05)
-    assert shapes == [(16, 16)] * 8
+    assert shapes == [(10, 10), (6, 6), (16, 16), (10, 10), (6, 6)] * 2
 
     # one factor of Sigma per prior, shared by every unconditional use
     shapes.clear()
@@ -437,8 +502,9 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
 
 
 def test_conditioned_closure_holds_less_than_one_dense_matrix(monkeypatch):
-    # K_y and Sigma_y's eigenfactor stay per block: four n/4 x n/4 blocks of
-    # each, half an n x n array, and neither A nor Sigma is kept
+    # K_y and Sigma_y's eigenfactor stay per block: 2 (136^2 + 120^2) + 256^2
+    # floats of each, as oe holds eo's arrays, a quarter of an n x n array
+    # for the two, and neither A nor Sigma is kept
     op = make_gaussian_blur(1, 32, 32, 3.0)
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
     shapes = _eigh_shapes(monkeypatch)
@@ -448,8 +514,9 @@ def test_conditioned_closure_holds_less_than_one_dense_matrix(monkeypatch):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held <= op.n * op.n * 8, f"closure holds {held / (op.n * op.n * 8):.2f} n x n"
-    assert shapes == [(256, 256)] * 8 and fn is not None
+    assert held <= 0.3 * op.n * op.n * 8, f"closure holds {held / (op.n * op.n * 8):.2f} n x n"
+    assert shapes == [(136, 136), (120, 120), (256, 256), (136, 136), (120, 120)] * 2
+    assert fn is not None
 
 
 def test_conditioning_at_48_squared_factors_only_quarter_blocks(monkeypatch):
@@ -457,7 +524,8 @@ def test_conditioning_at_48_squared_factors_only_quarter_blocks(monkeypatch):
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
     shapes = _eigh_shapes(monkeypatch)
     fn = prior.measurement_consistency(op, 0.05)
-    assert shapes == [(576, 576)] * 8
+    # a quarter block for eo, which oe shares, and the halves of ee and oo
+    assert shapes == [(300, 300), (276, 276), (576, 576), (300, 300), (276, 276)] * 2
     rng = np.random.default_rng(23)
     x_t, y = rng.standard_normal((2, op.n)), rng.standard_normal((2, op.m))
     assert np.all(np.isfinite(fn(x_t, y, 0.5)))
@@ -552,6 +620,32 @@ def test_dense_covariance_prior_takes_the_separable_operator_route(monkeypatch):
     shapes = _eigh_shapes(monkeypatch)
     prior.measurement_consistency(op, 0.05)
     assert shapes == [(45, 45)] * 8
+    _check_against_oracles(prior, op, 0.05, atol=1e-8)
+
+
+def test_dense_covariance_prior_on_a_square_grid_keeps_the_four_flip_blocks(monkeypatch):
+    # the transpose is checked on a per-axis factor only; a dense Sigma on a
+    # square grid conditions in the four parity blocks
+    op = make_gaussian_blur(1, 8, 8, 1.2)
+    prior = GaussianPrior(mean=np.full(op.n, 0.2), covariance=rbf_covariance(op.signal_shape, 1.5, 0.3))
+    _refuse_dense_operator(monkeypatch)
+    shapes = _eigh_shapes(monkeypatch)
+    prior.measurement_consistency(op, 0.05)
+    assert shapes == [(16, 16)] * 8
+    _check_against_oracles(prior, op, 0.05, atol=1e-8)
+
+
+def test_factor_off_the_transpose_keeps_the_four_flip_blocks(monkeypatch):
+    # equal axis bases, but a lam grid that is not its own transpose: Sigma
+    # still commutes with the flips, not with the transpose
+    op = make_gaussian_blur(1, 8, 8, 1.2)
+    rbf = rbf_prior(op.signal_shape, 1.5, 0.3, 0.2)
+    lam = rbf.factor.lam * np.linspace(1.0, 1.5, op.n)
+    prior = GaussianPrior(mean=rbf.mean, factor=priors.EigenFactor(lam, rbf.factor.axes))
+    assert rbf._transpose_symmetric(8) and not prior._transpose_symmetric(8)
+    shapes = _eigh_shapes(monkeypatch)
+    prior.measurement_consistency(op, 0.05)
+    assert shapes == [(16, 16)] * 8
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
