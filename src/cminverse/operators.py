@@ -154,7 +154,8 @@ class LinearOperator:
         measurement: two index permutations of the m measurements, or None.
 
         An image measurement gives its own grid's flips (``grid_flips``).
-        Whether A commutes with them is for the caller to check.
+        Whether A commutes with them is for the caller to check, from the
+        axis factors of a separable operator or the indices of a selection.
         """
         if self.measurement_shape is None:
             return None
@@ -166,6 +167,10 @@ class LinearOperator:
         M_h is (m_h, h) and M_w is (m_w, w), for the (c, h, w) signal grid
         and the (c, m_h, m_w) measurement grid.
         """
+        return None
+
+    def selection(self) -> np.ndarray | None:
+        """The increasing signal indices ``kept`` when A x = x[kept], else None."""
         return None
 
     def padded_singular_values(self) -> np.ndarray:
@@ -472,6 +477,9 @@ class InpaintOperator(LinearOperator):
         position = np.empty(self.n, dtype=np.intp)
         position[self._kept_full] = np.arange(self.m)
         return tuple(position[flip[self._kept_full]] for flip in grid_flips(self.signal_shape))
+
+    def selection(self) -> np.ndarray:
+        return self._kept_full
 
     def _direct(self, x2d):
         return x2d[:, self._kept_full]

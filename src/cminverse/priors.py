@@ -15,7 +15,7 @@ on x_t (the fixed-point boundary of a consistency function).
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Protocol
 
 import numpy as np
@@ -25,37 +25,21 @@ from .operators import LinearOperator, grid_flips
 
 
 # Largest dimension n a pipeline conditions a Gaussian prior on the
-# measurement for.  A separable operator is never materialised, but the
-# closure keeps per-block gains and factors, about n^2 / 4 floats on a
-# square grid that commutes with the transpose and n^2 / 2 otherwise; its
-# build peaks at about 0.7 n x n float64 arrays for a square blur (1.1 on
-# other grids, 1.3 for inpainting, whose A is materialised as m x n), and
-# the per-block eigendecompositions grow as n^3: a 64 x 64 deblur
-# (n = 4096) sampled 8 images in 1.3 s at a peak resident size of about
-# 150 MiB, and 128 x 128 would need more than 1 GiB and about 64 times the
-# factorisation work.
+# measurement for.  No operator is materialised, but the closure keeps
+# per-block gains and factors, about n^2 / 4 floats on a square grid that
+# commutes with the transpose and n^2 / 2 otherwise; its build peaks at
+# about 0.7 n x n float64 arrays for a square blur or centred-square
+# inpainting (1.0 on other grids, and about 5 for a problem that conditions
+# as one block, such as an off-centre mask), and the per-block
+# eigendecompositions grow as n^3: a 64 x 64 deblur (n = 4096) sampled 8
+# images in 1.3 s at a peak resident size of about 150 MiB, and 128 x 128
+# would need more than 1 GiB and about 64 times the factorisation work.
 MAX_CONDITIONED_N = 64 * 64
 
 
 class ConsistencyFn(Protocol):
     def __call__(self, x_t: np.ndarray, y: np.ndarray | None, t: float) -> np.ndarray:
         ...
-
-
-def operator_matrix(operator: LinearOperator) -> np.ndarray:
-    """Materialise a linear operator as its dense (m, n) matrix.
-
-    The columns are filled a block of identity rows at a time, so that the
-    identity, A^T and a contiguous copy are never held at once.  Each
-    identity row has one non-zero, so no column depends on the block it is
-    computed in.
-    """
-    n, block = operator.n, 256
-    out = np.empty((operator.m, n))
-    for lo in range(0, n, block):
-        rows = np.eye(min(block, n - lo), n, lo)
-        out[:, lo:lo + len(rows)] = operator.apply(rows).T
-    return out
 
 
 def _check_t(t: float) -> float:
@@ -209,14 +193,13 @@ class _FlipBlocks:
         self.size, self.orbit = index.size, orbit[self.members]
         signs = np.array([[(-1.0) ** bin(j & k).count("1") for j in range(4)] for k in range(4)])
         at_rep = (orbit == orbit[0]).astype(float)  # the members equal to r
-        self.sizes, self.norms, self.keep, self.scales = [], [], [], []
+        self.sizes, self.keep, self.scales = [], [], []
         for k in range(4):
             weight = signs[k] @ at_rep  # 4 e_r^T P e_r = 4 |P e_r|^2
             keep = weight > 0
             self.sizes.append(int(keep.sum()))
-            self.norms.append(np.sqrt(weight[keep] / 4.0))
             self.keep.append(slice(None) if keep.all() else np.flatnonzero(keep))
-            self.scales.append(1.0 / (len(self.members) * self.norms[-1]))
+            self.scales.append(1.0 / (len(self.members) * np.sqrt(weight[keep] / 4.0)))
         # back to indices: each index from a place it takes in the orbit table,
         # times the number of places it takes there
         self._back = np.empty(self.size, dtype=np.intp)
@@ -237,8 +220,7 @@ class _FlipBlocks:
         """Put block k's coordinates in the given order, each entry of
         ``order`` an index into its current coordinates."""
         places = np.arange(self.orbit.shape[1])[self.keep[k]]
-        self.keep[k], self.norms[k], self.scales[k] = (
-            places[order], self.norms[k][order], self.scales[k][order])
+        self.keep[k], self.scales[k] = places[order], self.scales[k][order]
 
     def _gather(self, x: np.ndarray) -> list:
         """x at the orbits' members, one (..., orbits) array per member j, None
@@ -355,23 +337,20 @@ def _flip_invariant(m: np.ndarray) -> bool:
     return np.array_equal(m[::-1, ::-1], m)
 
 
+def _selection_invariant(kept: np.ndarray, flips: tuple, shape) -> bool:
+    """F' A == A F for the selection A x = x[kept], each flip f of the
+    (c, h, w) signal grid and its permutation f' of the measurements
+    (``flips``): kept[f'] == f[kept], O(m) per flip."""
+    return all(np.array_equal(kept[flip], pixel_flip[kept])
+               for flip, pixel_flip in zip(flips, grid_flips(shape)))
+
+
 def _axis_blocks(m: np.ndarray, flipped: bool) -> tuple[np.ndarray, np.ndarray]:
     """B'_p^T M B_p of one axis factor M for the even (p = 0) and the odd
     (p = 1) part, B' the bases of M's row axis and B those of its column
     axis.  The cross-parity parts are zero when M commutes with the flips."""
     return tuple(_axis_split(left.T, flipped)[p].T
                  for p, left in enumerate(_axis_split(m, flipped)))
-
-
-def _commutes(a: np.ndarray, flip_rows: np.ndarray, shape, axis: int, chunk: int = 256) -> bool:
-    """F' A == A F bit for bit, for the flip of image axis ``axis`` (1 rows,
-    2 columns) of the (c, h, w) signal grid and its permutation ``flip_rows``
-    of the measurements: A's permuted rows against a reversed view of A,
-    a block of rows at a time, so that no flipped copy of A is made."""
-    grid = a.reshape((a.shape[0],) + tuple(shape))
-    flipped = np.flip(grid, axis + 1)
-    return all(np.array_equal(grid[flip_rows[lo:lo + chunk]], flipped[lo:lo + chunk])
-               for lo in range(0, a.shape[0], chunk))
 
 
 def _kron_entries(grid: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
@@ -402,11 +381,6 @@ def _channel_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense_rows(a: np.ndarray):
-    """x -> x A^T on the rows of x, for a dense block A."""
-    return lambda x: x @ a.T
-
-
 def _separable_rows(channels: int, left: np.ndarray, right: np.ndarray):
     """x -> x A^T on the rows of x, for the block A = I_c (x) L (x) R: each row,
     read as c images X of (L's columns, R's columns), becomes the c images
@@ -424,10 +398,15 @@ def _measurement_stage(cov, a_rows, sigma_y):
     """Sigma A^T and the eigendecomposition of A Sigma A^T + sigma_y^2 I for one
     block, with ``a_rows`` the map x -> x A^T.  Sigma is symmetric, so
     Sigma A^T is A applied to its rows, and A Sigma A^T is A applied to the
-    rows of (Sigma A^T)^T, transposed."""
+    rows of (Sigma A^T)^T, transposed.  The eigenvectors come in column-major
+    order, the order that a column selection gives, so ``_block_posterior``
+    selects nothing when it keeps every direction, and its products round
+    alike either way."""
     sig_at = a_rows(cov)
-    gram = a_rows(sig_at.T).T + sigma_y * sigma_y * np.eye(sig_at.shape[1])
-    return (sig_at, *np.linalg.eigh(_finite_or_raise(gram, sigma_y)))
+    gram = a_rows(sig_at.T).T
+    gram[np.diag_indices_from(gram)] += sigma_y * sigma_y
+    lam, vecs = np.linalg.eigh(_finite_or_raise(gram, sigma_y))
+    return sig_at, lam, np.asfortranarray(vecs)
 
 
 def _half_rows(rows, signal_half: _FlipBlocks, measurement_half: _FlipBlocks, j: int):
@@ -468,13 +447,19 @@ def _transpose_split(shape, measurement_shape, covs: dict, a_rows: dict):
 
 def _block_posterior(cov, sig_at, lam, vecs, floor):
     """Gain and Sigma_y of one block from its y-stage eigendecomposition,
-    keeping the measurement directions whose variance exceeds floor."""
+    keeping the measurement directions whose variance exceeds floor.  The
+    block of Sigma, ``cov``, is overwritten with Sigma_y's."""
     keep = lam > floor
-    lam, vecs = lam[keep], vecs[:, keep]
-    root = (sig_at @ vecs) / np.sqrt(lam)
-    gain = (root / np.sqrt(lam)) @ vecs.T
-    cov = cov - root @ root.T
-    return gain, (cov + cov.T) / 2.0
+    if not keep.all():
+        lam, vecs = lam[keep], vecs[:, keep]
+    scale = np.sqrt(lam)
+    root = sig_at @ vecs
+    root /= scale
+    cov -= root @ root.T
+    cov += cov.T
+    cov *= 0.5
+    root /= scale
+    return root @ vecs.T, cov
 
 
 class GaussianPrior:
@@ -607,16 +592,20 @@ class GaussianPrior:
         is a rounding-level projection like its symmetrisation.  Otherwise
         one block in pixel coordinates.
 
-        A separable operator, A = I_c (x) M_h (x) M_w (``axis_matrices``),
-        is never materialised.  As the product is exact, A commutes with the
-        flips exactly when each axis factor does (``_flip_invariant``), and
-        block k is I_c (x) M_h^p (x) M_w^q, with M^p = B'_p^T M B_p per axis
-        and p = k >> 1 for the rows, q = k & 1 for the columns, applied one
-        axis at a time (``_separable_rows``).  Any other
-        operator is materialised (``operator_matrix``) and checked row by
-        row (``_commutes``).  Its blocks are its representative rows (one
-        per measurement orbit, divided by |P e_r|), each taken through the
-        signal's flip sums: as A commutes with the flips, that is B'_k^T A B_k.
+        A is never materialised.  A separable operator,
+        A = I_c (x) M_h (x) M_w (``axis_matrices``), commutes with the flips
+        exactly when each axis factor does (``_flip_invariant``), as the
+        product is exact, and block k is I_c (x) M_h^p (x) M_w^q, with
+        M^p = B'_p^T M B_p per axis and p = k >> 1 for the rows, q = k & 1
+        for the columns, applied one axis at a time (``_separable_rows``).
+        A selection, A x = x[kept] (``selection``), commutes with a signal
+        flip f and its measurement flip f' exactly when kept[f'] = f[kept]
+        (``_selection_invariant``).  Its measurement orbits are then the
+        signal orbits of kept pixels, with the same representatives as kept
+        increases, so block k is a selection too: the coordinates of block
+        k whose representative is kept, which with one block are kept
+        itself.  Any other operator
+        (``DenseOperator``) is one block, mapped by ``apply``.
 
         A square problem splits further (``_SquareBlocks``, ``_transpose_split``)
         when both Sigma and A commute with the grid's transpose bit for bit:
@@ -626,13 +615,12 @@ class GaussianPrior:
         of ee and oo within 1e-12 of its largest.  Block oe is then left
         out of the blocks: it takes eo's gain and factor.
         """
-        axes = operator.axis_matrices()
-        a = operator_matrix(operator) if axes is None else None
+        axes, kept = operator.axis_matrices(), operator.selection()
         flips, shape = operator.measurement_flips(), operator.signal_shape
         split = False
         if flips is not None and (
                 all(_flip_invariant(m) for m in axes) if axes is not None
-                else all(_commutes(a, flip, shape, axis) for axis, flip in enumerate(flips, 1))):
+                else kept is not None and _selection_invariant(kept, flips, shape)):
             signal, covs, gap = self._covariance_blocks(shape)
             split = gap <= 1e-12
         if split:
@@ -648,14 +636,11 @@ class GaussianPrior:
                 if gap <= 1e-12:
                     return tuple(square)
             return signal, measurement, covs, a_blocks
-        # every block of every orbit's representative row (member 0 of the
-        # orbit), of which block k keeps the orbits that span it; A itself is
-        # released before the split
-        reps = a[measurement.orbit[0]]
-        del a
-        rows = signal.split(reps)
+        if kept is None:
+            return signal, measurement, covs, {0: operator.apply}
+        reps = signal.orbit[0]
         return signal, measurement, covs, {
-            k: _dense_rows(rows[k][measurement.keep[k]] / measurement.norms[k][:, None])
+            k: partial(np.take, indices=np.flatnonzero(np.isin(reps[signal.keep[k]], kept)), axis=-1)
             for k in covs}
 
     def _condition_on_measurement(self, operator: LinearOperator, sigma_y: float) -> "_Conditioned":

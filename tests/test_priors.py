@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import threading
 import tracemalloc
@@ -19,11 +20,15 @@ from cminverse.operators import (
 from cminverse.priors import (
     EmpiricalPrior,
     GaussianPrior,
-    operator_matrix,
     rbf_covariance,
     rbf_prior,
 )
 from cminverse.schedules import DEFAULT_T_MAX, DEFAULT_T_MIN
+
+
+def operator_matrix(op):
+    """A as its dense (m, n) matrix, for the oracles: apply on the identity."""
+    return op.apply(np.eye(op.n)).T
 
 
 def small_prior(seed=0, n=5):
@@ -563,36 +568,49 @@ def test_separable_operators_are_exact_kronecker_products(case):
     m_h, m_w = op.axis_matrices()
     a = operator_matrix(op)
     assert np.array_equal(np.kron(np.eye(op.signal_shape[0]), np.kron(m_h, m_w)), a)
-    # so the per-axis flip check gives the verdict of the dense one
+    # so the per-axis flip check gives the verdict of the dense one, F' A = A F
+    # for each image axis: A's rows permuted by the measurement flip against
+    # A with that axis of the signal grid reversed
     per_axis = all(priors._flip_invariant(m) for m in (m_h, m_w))
-    dense = all(priors._commutes(a, flip, op.signal_shape, axis)
+    grid = a.reshape((op.m,) + op.signal_shape)
+    dense = all(np.array_equal(grid[flip], np.flip(grid, axis + 1))
                 for axis, flip in enumerate(op.measurement_flips(), 1))
     assert per_axis == dense == (not case.startswith("shifted"))
 
 
-def _refuse_dense_operator(monkeypatch):
-    """Make materialising A, or checking its flips on the dense matrix, raise."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the dense operator route ran")
+@contextlib.contextmanager
+def _refuse_dense_operator(op):
+    """Make op.apply raise on more than one row, and give the list of what it
+    mapped: a build maps the prior mean alone, so it never forms A."""
+    apply, seen = op.apply, []
 
-    monkeypatch.setattr(priors, "operator_matrix", refuse)
-    monkeypatch.setattr(priors, "_commutes", refuse)
+    def one_row(x):
+        if np.ndim(x) > 1 and len(x) > 1:
+            raise AssertionError(f"apply on {np.shape(x)}: the build formed A")
+        seen.append(x)
+        return apply(x)
+
+    op.apply = one_row
+    try:
+        yield seen
+    finally:
+        del op.apply
 
 
 @pytest.mark.parametrize("make_op", [lambda: make_gaussian_blur(1, 32, 32, 3.0),
                                      lambda: make_downsample(1, 32, 32, 2)],
                          ids=["blur_1x32x32", "downsample_1x32x32"])
-def test_separable_conditioning_never_builds_the_operator_matrix(make_op, monkeypatch):
+def test_separable_conditioning_never_builds_the_operator_matrix(make_op):
     op = make_op()
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
     rng = np.random.default_rng(25)
-    a = operator_matrix(op)  # for the oracles, before the dense route is refused
+    a = operator_matrix(op)
     x = prior.sample(rng)
     y = a @ x + 0.05 * rng.standard_normal(op.m)
-    _refuse_dense_operator(monkeypatch)
     tracemalloc.start()
     try:
-        fn = prior.measurement_consistency(op, 0.05)
+        with _refuse_dense_operator(op):
+            fn = prior.measurement_consistency(op, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -616,9 +634,9 @@ def test_dense_covariance_prior_takes_the_separable_operator_route(monkeypatch):
     # is split by flip sums, A by its axes
     op = make_gaussian_blur(3, 6, 10, 1.2)
     prior = GaussianPrior(mean=np.full(op.n, 0.2), covariance=rbf_covariance(op.signal_shape, 1.5, 0.3))
-    _refuse_dense_operator(monkeypatch)
     shapes = _eigh_shapes(monkeypatch)
-    prior.measurement_consistency(op, 0.05)
+    with _refuse_dense_operator(op):
+        prior.measurement_consistency(op, 0.05)
     assert shapes == [(45, 45)] * 8
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
@@ -628,9 +646,9 @@ def test_dense_covariance_prior_on_a_square_grid_keeps_the_four_flip_blocks(monk
     # square grid conditions in the four parity blocks
     op = make_gaussian_blur(1, 8, 8, 1.2)
     prior = GaussianPrior(mean=np.full(op.n, 0.2), covariance=rbf_covariance(op.signal_shape, 1.5, 0.3))
-    _refuse_dense_operator(monkeypatch)
     shapes = _eigh_shapes(monkeypatch)
-    prior.measurement_consistency(op, 0.05)
+    with _refuse_dense_operator(op):
+        prior.measurement_consistency(op, 0.05)
     assert shapes == [(16, 16)] * 8
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
@@ -652,44 +670,65 @@ def test_factor_off_the_transpose_keeps_the_four_flip_blocks(monkeypatch):
 def test_separable_operator_off_the_flips_conditions_as_one_block(monkeypatch):
     op = _shifted_blur((1, 7, 9), 1.2)
     prior = rbf_prior(op.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
-    _refuse_dense_operator(monkeypatch)
     shapes = _eigh_shapes(monkeypatch)
-    prior.measurement_consistency(op, 0.05)
+    with _refuse_dense_operator(op):
+        prior.measurement_consistency(op, 0.05)
     assert shapes == [(op.m, op.m), (prior.n, prior.n)]
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
-@pytest.mark.parametrize(
-    "make_op",
-    [
-        lambda: make_centered_square_inpaint(1, 20, 20),
-        lambda: _off_centre_inpaint(*_OFF_CENTRE_MASKS["inpaint_1x7x9"]),
-        lambda: DenseOperator(np.random.default_rng(26).standard_normal((30, 300))),
-        lambda: make_gaussian_blur(3, 6, 10, 1.2),
-        lambda: make_downsample(1, 20, 20, 2),
-    ],
-    ids=["inpaint_1x20x20", "inpaint_off_centre", "dense_30x300", "blur_3x6x10",
-         "downsample_1x20x20"],
-)
-def test_operator_matrix_is_apply_on_the_identity(make_op):
-    # n up to 400: the columns are filled in more than one block
-    op = make_op()
-    assert np.array_equal(operator_matrix(op), np.ascontiguousarray(op.apply(np.eye(op.n)).T))
-
-
-def test_inpaint_build_never_holds_the_identity_with_the_operator():
-    # the dense route still materialises A (0.75 n x n here), but not next to
-    # an n x n identity and two copies of A^T (1.75 n x n before)
+def test_inpaint_build_never_forms_the_operator():
+    # every block of A is a selection of Sigma's block, so the build maps the
+    # prior mean alone and holds no (m, n) array (0.69 n x n here)
     op = make_centered_square_inpaint(1, 48, 48)
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
     tracemalloc.start()
     try:
-        prior.measurement_consistency(op, 0.05)
+        with _refuse_dense_operator(op) as seen:
+            prior.measurement_consistency(op, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     unit = op.n * op.n * 8
-    assert peak <= 1.5 * unit, f"build peaks at {peak / unit:.2f} n x n"
+    assert peak <= 1.0 * unit, f"build peaks at {peak / unit:.2f} n x n"
+    assert len(seen) == 1 and np.array_equal(seen[0], prior.mean)
+
+
+def test_one_block_inpaint_build_peaks_below_six_dense_matrices():
+    # an off-centre mask conditions as one block (n = 576, m = 512): Sigma's
+    # block turns into Sigma_y's in place, and the gain reuses the root's
+    # array (4.6 n x n here)
+    op = _off_centre_inpaint((1, 24, 24), slice(7, 15), slice(8, 16))
+    assert op.measurement_flips() is None
+    prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
+    tracemalloc.start()
+    try:
+        with _refuse_dense_operator(op):
+            prior.measurement_consistency(op, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    unit = op.n * op.n * 8
+    assert peak <= 6.0 * unit, f"build peaks at {peak / unit:.2f} n x n"
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (3, 6, 10), (1, 7, 9)])
+def test_selection_blocks_equal_the_dense_split(shape):
+    # B'_k^T A B_k from the dense A by the flip sums on both sides, against
+    # the selection that conditioning takes as block k; on an odd axis the
+    # sums over the centre line round by up to one ulp
+    op = make_centered_square_inpaint(*shape)
+    signal, measurement = priors._FlipBlocks(*grid_flips(shape)), priors._FlipBlocks(*op.measurement_flips())
+    _, _, covs, a_blocks = rbf_prior(shape, 1.5, 0.3)._parity_split(op)
+    assert list(a_blocks) == list(covs) == [0, 1, 2, 3]
+    sides = signal.split(operator_matrix(op))  # A B_k
+    for k, rows in a_blocks.items():
+        want = measurement.split(sides[k].T)[k].T
+        got = rows(np.eye(signal.sizes[k])).T
+        if shape[1] % 2 or shape[2] % 2:
+            assert np.allclose(got, want, rtol=0.0, atol=np.spacing(1.0))
+        else:
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("size, shape", [(None, (16,)), (3, (3, 16)), (0, (0, 16))])
