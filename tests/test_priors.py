@@ -731,6 +731,34 @@ def test_selection_blocks_equal_the_dense_split(shape):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "make_op, selects",
+    [
+        (lambda: make_centered_square_inpaint(1, 20, 20), True),
+        (lambda: _off_centre_inpaint(*_OFF_CENTRE_MASKS["inpaint_1x7x9"]), True),
+        (lambda: make_centered_square_inpaint(3, 6, 10), True),
+        (lambda: DenseOperator(np.random.default_rng(26).standard_normal((30, 300))), False),
+        (lambda: make_gaussian_blur(3, 6, 10, 1.2), False),
+        (lambda: make_downsample(1, 20, 20, 2), False),
+    ],
+    ids=["inpaint_1x20x20", "inpaint_off_centre", "inpaint_3x6x10", "dense_30x300",
+         "blur_3x6x10", "downsample_1x20x20"],
+)
+def test_selection_is_the_rows_that_apply_keeps(make_op, selects):
+    # conditioning indexes Sigma by selection() in place of mapping it by A,
+    # so a selection must be A bit for bit, with increasing indices
+    op = make_op()
+    kept = op.selection()
+    if not selects:
+        assert kept is None
+        return
+    assert kept.shape == (op.m,) and np.all(np.diff(kept) > 0)
+    assert 0 <= kept[0] and kept[-1] < op.n
+    x = np.random.default_rng(27).standard_normal((3, op.n))
+    assert np.array_equal(op.apply(x), x[:, kept])
+    assert np.array_equal(operator_matrix(op), np.eye(op.n)[kept])
+
+
 @pytest.mark.parametrize("size, shape", [(None, (16,)), (3, (3, 16)), (0, (0, 16))])
 def test_gaussian_sample_shapes(size, shape):
     draws = small_prior(13, n=16).sample(np.random.default_rng(0), size=size)
