@@ -454,9 +454,9 @@ def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
 
     ``references`` is a ``_references`` result to reuse across passes.
     """
-    if config.count == 0:
-        raise ValueError("evaluate: the dataset has no images (count = 0)")
     _, records, ds_dir = load_dataset(config)
+    if not records:
+        raise ValueError(f"evaluate: the dataset has no images (count = 0) in {ds_dir}")
     paths = _stage_paths(config)
     recon_dir = recon_dir if recon_dir is not None else paths["recon"]
     manifest_path = os.path.join(recon_dir, "sample.jsonl")
@@ -614,10 +614,16 @@ def tune_gamma(config: ExperimentConfig) -> dict:
     if not (config.metric_kid or config.metric_psnr):
         raise ValueError("tuning needs at least one of KID or PSNR enabled")
     paths = _stage_paths(config)
-    setup = _sampling_setup(config)
     _, records, ds_dir = load_dataset(config)
+    # every candidate must be scorable before the first one samples
+    if not records:
+        raise ValueError(f"tune-gamma: the dataset has no images (count = 0) in {ds_dir}")
+    if config.metric_kid and config.subset_size > len(records):
+        raise ValueError(f"tune-gamma: KID takes subsets of subset_size = {config.subset_size} "
+                         f"images, but the dataset has {len(records)}")
+    setup = _sampling_setup(config)
     ys = _measurement_stack(config, _measurement_rows(config, records))
-    references = _references(config, records, ds_dir) if records else None
+    references = _references(config, records, ds_dir)
     rows = []
     for gamma in config.gamma_grid:
         sampler = replace(config.sampler, variant="inverse_addim", gamma=float(gamma))

@@ -33,15 +33,6 @@ def _as_batch(x, dim: int, what: str):
     return np.ascontiguousarray(arr), single
 
 
-def grid_flips(shape) -> tuple[np.ndarray, np.ndarray]:
-    """The row flip and the column flip of a (c, h, w) grid as index
-    permutations of its flat row-major pixels: ``flips[0][i]`` is the pixel
-    that pixel i lands on when the rows are reversed, ``flips[1][i]`` when the
-    columns are.  Each is an involution, and the two commute."""
-    index = np.arange(math.prod(shape)).reshape(shape)
-    return index[:, ::-1, :].ravel(), index[:, :, ::-1].ravel()
-
-
 class LinearOperator:
     """Base class: subclasses provide the orthonormal factor maps.
 
@@ -54,6 +45,10 @@ class LinearOperator:
     signal_shape : (c, h, w) of the signal domain.
     measurement_shape : (c, h, w) of the measurement when it is an image,
         else None.
+
+    Gaussian conditioning (``priors``) reads an operator's structure from
+    ``axis_matrices`` and ``selection``, both None unless a subclass states
+    them; an operator with neither conditions through ``apply`` alone.
     """
 
     structure_tag = "dense"
@@ -148,18 +143,6 @@ class LinearOperator:
     def spectral_norm(self) -> float:
         """Largest singular value of the operator."""
         return float(self.singular_values[0])
-
-    def measurement_flips(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The row and column flips of the signal grid, as seen on the
-        measurement: two index permutations of the m measurements, or None.
-
-        An image measurement gives its own grid's flips (``grid_flips``).
-        Whether A commutes with them is for the caller to check, from the
-        axis factors of a separable operator or the indices of a selection.
-        """
-        if self.measurement_shape is None:
-            return None
-        return grid_flips(self.measurement_shape)
 
     def axis_matrices(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(M_h, M_w) when A = I_c (x) M_h (x) M_w bit for bit, else None.
@@ -443,7 +426,13 @@ def centered_square_mask(height: int, width: int) -> np.ndarray:
 
 
 class InpaintOperator(LinearOperator):
-    """Row selection keeping the observed pixels of every channel."""
+    """Row selection keeping the observed pixels of every channel.
+
+    ``selection()`` gives their increasing indices, so conditioning takes
+    the prior covariance's rows and columns at them and never forms A; it
+    splits by the grid's flips when the mask equals both of its flips, as
+    the centred square does on every grid.
+    """
 
     structure_tag = "inpaint"
 
@@ -466,17 +455,6 @@ class InpaintOperator(LinearOperator):
         n = channels * hw
         m = channels * kept.size
         super().__init__(n, m, np.ones(m), (channels, height, width))
-
-    def measurement_flips(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Each flip of the grid mapped onto the kept pixels: measurement k,
-        pixel p, goes to the measurement of p's mirror image.  None unless
-        the mask is invariant under both flips."""
-        mask = self.mask
-        if not (np.array_equal(mask, mask[::-1]) and np.array_equal(mask, mask[:, ::-1])):
-            return None
-        position = np.empty(self.n, dtype=np.intp)
-        position[self._kept_full] = np.arange(self.m)
-        return tuple(position[flip[self._kept_full]] for flip in grid_flips(self.signal_shape))
 
     def selection(self) -> np.ndarray:
         return self._kept_full

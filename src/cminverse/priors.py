@@ -15,13 +15,13 @@ on x_t (the fixed-point boundary of a consistency function).
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Protocol
 
 import numpy as np
 
 from . import kernels
-from .operators import LinearOperator, grid_flips
+from .operators import LinearOperator
 
 
 # Largest dimension n a pipeline conditions a Gaussian prior on the
@@ -140,119 +140,140 @@ def _finite_or_raise(array: np.ndarray, sigma_y: float) -> np.ndarray:
     return array
 
 
-def _walsh(values: list) -> list:
-    """sum_j (-1)^popcount(j & k) values[j] for k = 0..3: a 4-point Hadamard
-    transform in 8 adds.  A member left out (None) belongs to a flip that
-    moves nothing; the stage of that flip is skipped and its odd sums are
-    left out too."""
-    out = list(values)
-    for bit in (1, 2):
-        for k in range(4):
-            if not k & bit and out[k | bit] is not None:
-                out[k], out[k | bit] = out[k] + out[k | bit], out[k] - out[k | bit]
+def _axis_parity(size: int) -> np.ndarray:
+    """The even/odd basis of one image axis, unscaled: as columns, the pair
+    sums e_i + e_{size-1-i} for i < size // 2, then the centre line e_i,
+    i = size // 2, of an odd axis, then the pair differences
+    e_i - e_{size-1-i}; the even columns come first.  Its entries are 0 and
+    +-1, and its columns are orthogonal, with a squared norm of 2 on a pair
+    and 1 on the centre line."""
+    eye, half = np.eye(size), size // 2
+    mirror = eye[:, ::-1][:, :half]  # column i is e_{size-1-i}
+    return np.hstack([eye[:, :half] + mirror, eye[:, half:size - half], eye[:, :half] - mirror])
+
+
+def _axis_parts(x: np.ndarray, split: bool) -> tuple[np.ndarray, np.ndarray]:
+    """B_0^T x and B_1^T x for the even and the odd basis B_0, B_1 of the
+    image axis that x's first dimension runs over (``_axis_parity``, its
+    columns scaled to unit length); without the split, x itself and an
+    empty odd part."""
+    if not split:
+        return x, x[:0]
+    p = _axis_parity(len(x))
+    parts = (p * np.sqrt(1.0 / (p * p).sum(axis=0))).T @ x
+    even = len(x) - len(x) // 2
+    return parts[:even], parts[even:]
+
+
+@lru_cache(maxsize=None)
+def _triangle(side: int, strict: bool) -> tuple:
+    """Rows a, columns b and scales of the upper triangle of a side x side
+    grid, row-major: 1/2 on the diagonal, which a symmetric sum doubles, and
+    sqrt(1/2) off it; without the diagonal when strict."""
+    a, b = np.triu_indices(side, int(strict))
+    out = a, b, np.where(a == b, 0.5, math.sqrt(0.5))
+    for array in out:  # shared by every caller
+        array.setflags(write=False)
     return out
 
 
-class _FlipBlocks:
-    """An orthonormal basis of R^size, split into four blocks by two flips.
+def _half(q: np.ndarray, sign: int) -> np.ndarray:
+    """The coordinates of the square images q (..., side, side) in the half
+    that their transpose keeps (sign 1) or negates (sign -1):
+    (u_ab + sign u_ba)/sqrt(2) over a < b, and u_aa on the kept half's
+    diagonal, read row-major over the upper triangle.  Shape (..., count)."""
+    a, b, scale = _triangle(q.shape[-1], sign < 0)
+    return (q[..., a, b] + sign * q[..., b, a]) * scale
 
-    The flips are commuting index involutions: a row flip f and a column
-    flip g (``grid_flips``, or an operator's ``measurement_flips``).  Block
-    k is odd under f when k & 2 and under g when k & 1, so the blocks run
-    even-even, even-odd, odd-even, odd-odd.  It is spanned by the unit
-    vectors P e_r / |P e_r|, P = (I +- F)(I +- G) / 4 with those signs, one
-    per orbit {r, g r, f r, f g r} (member j applies g when j & 1 and f
-    when j & 2) whose least index r represents it, in increasing r; an
-    orbit adds no vector where P e_r = 0.  A matrix M with F' M = M F and
-    G' M = M G is block diagonal between two such bases (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  On an image grid a vector is a
-    product of per-axis sums and differences over mirrored pixels,
-    (e_i +- e_{size-1-i})/sqrt(2), or the centre line of an odd axis; with
-    identity flips block 0 is the identity, exactly, and the other three
-    are empty.
 
-    ``split`` is the one way in: a vector's coordinates are one gather of
-    the orbits' members, a ``_walsh`` over the flips that move something,
-    and a scale of 1 / (members |P e_r|) per orbit, so no basis matrix is
-    formed.  ``merge``, the way back, is the transpose: the same scales,
-    ``_walsh`` again (its signs are symmetric) and one gather, where an
-    index that its orbit's members repeat takes the value times the number
-    of repeats; every block that holds such an orbit has equal signs on
-    the repeats.
+def _half_add(q: np.ndarray, coords: np.ndarray, sign: int) -> None:
+    """The transpose of ``_half``: add the images of a half's coordinates to
+    the square images q (..., side, side) in place."""
+    a, b, scale = _triangle(q.shape[-1], sign < 0)
+    coords = coords.reshape(q.shape[:-2] + (len(a),)) * scale
+    q[..., a, b] += coords
+    q[..., b, a] += sign * coords
+
+
+def _flat(part: np.ndarray, lead: tuple) -> np.ndarray:
+    """part with its axes after ``lead`` made one."""
+    return part.reshape(lead + (math.prod(part.shape[len(lead):]),))
+
+
+class _ParityBlocks:
+    """An orthonormal basis of R^n for a (c, h, w) grid, split into the
+    blocks in which a matrix that commutes with the row and the column flip
+    is block diagonal (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
+
+    The basis is I_c (x) P_h D_h (x) P_w D_w, with P the even/odd basis of
+    each image axis (``_axis_parity``) and D scaling its columns to unit
+    length.  So a row's coordinates are the channel images P_h^T X P_w
+    (``_basis_product``), each entry times 1/2 where both axes give a pair,
+    sqrt(1/2) where one does and 1 where both give a centre line; as P
+    holds only 0 and +-1, an identity row's coordinates are exact on an
+    even grid.  Block k is odd by rows where k & 2 and by columns where
+    k & 1, so the blocks run ee, eo, oe, oo: the four quadrants of the
+    coordinate images, each read row-major.  Coordinate (c, a, b) of a
+    quadrant stands for pixel (c, a, b) and its mirror images, of which it
+    is the first.
+
+    With ``square`` the grid is (c, s, s) and is split once more by the
+    transpose T of every channel image, which swaps the row and the column
+    flip: together they make the symmetry group D4 of the square (Fassler &
+    Stiefel, Group Theoretical Methods and Their Applications, 1992).  As
+    P_h is P_w, T transposes each coordinate image.  So ee and oo each split
+    into the half that T keeps and the half that it negates (``_half``), and
+    block oe is its quadrant transposed: the coordinates of T applied to
+    eo's, in eo's order.  A matrix that commutes with T then has equal
+    blocks in eo and oe, and ``shared`` names oe as taking eo's.  The six
+    blocks run ee+, ee-, eo, oe, oo+, oo-.
+
+    ``split`` is the way in; ``merge`` and ``expand`` are its transpose.
     """
 
-    shared = {}  # no block takes another's gain and factor (see _SquareBlocks)
-
-    def __init__(self, flip_rows: np.ndarray, flip_cols: np.ndarray):
-        index = np.arange(flip_rows.size)
-        orbit = np.stack([index, flip_cols, flip_rows, flip_rows[flip_cols]])
-        reps = index[(orbit >= index).all(axis=0)]
-        orbit = orbit[:, reps]
-        moves = [not np.array_equal(flip, index) for flip in (flip_cols, flip_rows)]
-        self.members = [j for j in range(4) if (moves[0] or not j & 1) and (moves[1] or not j & 2)]
-        self.size, self.orbit = index.size, orbit[self.members]
-        signs = np.array([[(-1.0) ** bin(j & k).count("1") for j in range(4)] for k in range(4)])
-        at_rep = (orbit == orbit[0]).astype(float)  # the members equal to r
-        self.sizes, self.keep, self.scales = [], [], []
-        for k in range(4):
-            weight = signs[k] @ at_rep  # 4 e_r^T P e_r = 4 |P e_r|^2
-            keep = weight > 0
-            self.sizes.append(int(keep.sum()))
-            self.keep.append(slice(None) if keep.all() else np.flatnonzero(keep))
-            self.scales.append(1.0 / (len(self.members) * np.sqrt(weight[keep] / 4.0)))
-        # back to indices: each index from a place it takes in the orbit table,
-        # times the number of places it takes there
-        self._back = np.empty(self.size, dtype=np.intp)
-        self._back[self.orbit.ravel()] = np.arange(self.orbit.size)
-        repeats = (self.orbit[:, None, :] == self.orbit[None, :, :]).sum(axis=1)
-        self._repeats = repeats.ravel()[self._back]
-
-    def carry(self, perm: np.ndarray, k: int, l: int) -> np.ndarray:
-        """For each coordinate of block k, the coordinate of block l that the
-        index permutation ``perm`` takes it to.  ``perm`` must map the
-        representatives of block k's orbits onto those of block l and turn
-        the one block's projection P into the other's, so that it takes each
-        basis vector of block k to one of block l, sign included."""
-        reps = self.orbit[0]
-        return np.searchsorted(reps[self.keep[l]], perm[reps[self.keep[k]]])
-
-    def reorder(self, k: int, order: np.ndarray) -> None:
-        """Put block k's coordinates in the given order, each entry of
-        ``order`` an index into its current coordinates."""
-        places = np.arange(self.orbit.shape[1])[self.keep[k]]
-        self.keep[k], self.scales[k] = places[order], self.scales[k][order]
-
-    def _gather(self, x: np.ndarray) -> list:
-        """x at the orbits' members, one (..., orbits) array per member j, None
-        for a member that only a still flip would make."""
-        members = x[..., self.orbit]
-        values = [None] * 4
-        for i, j in enumerate(self.members):
-            values[j] = members[..., i, :]
-        return values
+    def __init__(self, shape, square: bool = False):
+        self.shape, self.size, self.square = tuple(shape), math.prod(shape), square
+        self.axes = tuple(_axis_parity(size) for size in self.shape[1:])
+        self.scale = np.sqrt(1.0 / np.outer(*((p * p).sum(axis=0) for p in self.axes)))
+        rows, cols = ((slice(0, size - size // 2), slice(size - size // 2, size))
+                      for size in self.shape[1:])
+        self.quadrants = [(rows[k >> 1], cols[k & 1]) for k in range(4)]
+        self.quadrant_shapes = [(r.stop - r.start, s.stop - s.start) for r, s in self.quadrants]
+        self.shared = {3: 2} if square else {}
+        self.sizes = [part.shape[-1] for part in self.split(np.zeros(self.size))]
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """The four blocks' coordinates of the rows of x."""
-        sums = _walsh(self._gather(x))
+        """The blocks' coordinates of the rows of x."""
         lead = x.shape[:-1]
-        return [np.zeros(lead + (0,)) if total is None else total[..., keep] * scale
-                for total, keep, scale in zip(sums, self.keep, self.scales)]
+        z = _basis_product(x, self.axes, transpose=False).reshape(lead + self.shape)
+        z *= self.scale
+        ee, eo, oe, oo = (z[..., rows, cols] for rows, cols in self.quadrants)
+        if self.square:
+            parts = [_half(ee, 1), _half(ee, -1), eo, oe.swapaxes(-1, -2),
+                     _half(oo, 1), _half(oo, -1)]
+        else:
+            parts = [ee, eo, oe, oo]
+        return [_flat(part, lead) for part in parts]
 
     def merge(self, parts: dict) -> np.ndarray:
         """Coordinates back to rows: x = sum_k parts[k] B_k^T over the blocks
         k in ``parts``; a block left out counts as zero."""
         lead = next(iter(parts.values())).shape[:-1]
-        full = [None] * 4
-        for j in self.members:  # block j is non-empty only where member j exists
-            keep, scale = self.keep[j], self.scales[j]
-            if isinstance(keep, slice) and j in parts:
-                full[j] = parts[j] * scale
+        z = np.zeros(lead + self.shape)
+        ee, eo, oe, oo = (z[..., rows, cols] for rows, cols in self.quadrants)
+        # each block's place in z, and the half it fills there (0: the whole)
+        if self.square:
+            places = [(ee, 1), (ee, -1), (eo, 0), (oe.swapaxes(-1, -2), 0), (oo, 1), (oo, -1)]
+        else:
+            places = [(ee, 0), (eo, 0), (oe, 0), (oo, 0)]
+        for k, part in parts.items():
+            view, sign = places[k]
+            if sign:
+                _half_add(view, part, sign)
             else:
-                full[j] = np.zeros(lead + (self.orbit.shape[1],))
-                if j in parts:
-                    full[j][..., keep] = parts[j] * scale
-        table = np.concatenate([v for v in _walsh(full) if v is not None], axis=-1)
-        return table[..., self._back] * self._repeats
+                view[...] = part.reshape(view.shape)
+        z *= self.scale
+        return _basis_product(z.reshape(lead + (self.size,)), self.axes, transpose=True)
 
     def expand(self, blocks: dict) -> np.ndarray:
         """sum_k B_k blocks[k] B_k^T over the blocks k given, as one dense
@@ -261,74 +282,21 @@ class _FlipBlocks:
         return self.merge({k: rows.T for k, rows in half.items()})
 
 
-# the blocks of a square grid as (parity block, its half under the grid's
-# transpose: 0 the symmetric, 2 the antisymmetric, None the whole block)
-_SQUARE_BLOCKS = ((0, 0), (0, 2), (1, None), (2, None), (3, 0), (3, 2))
+class _OneBlock:
+    """One block whose basis is the identity: the unsplit problem."""
 
+    shared = {}
 
-class _SquareBlocks:
-    """The parity blocks of a square (c, s, s) grid, split once more by the
-    transpose T of every channel image.
-
-    T swaps the row and the column flip, so it maps parity block eo onto oe
-    and each of ee and oo onto itself: together the flips and T make the
-    symmetry group D4 of the square (Fassler & Stiefel, Group Theoretical
-    Methods and Their Applications, 1992).  T takes each basis vector of eo
-    to one of oe, so block oe's coordinates are put in the order of T
-    applied to eo's (``_FlipBlocks.reorder``): a matrix that commutes with T
-    then has equal blocks in eo and oe, and ``shared`` names oe as taking
-    eo's.  In ee and in oo, T permutes the block's own coordinates, and a
-    ``_FlipBlocks`` with that permutation as its one flip splits the block
-    into a symmetric and an antisymmetric half.  The six blocks run ee+,
-    ee-, eo, oe, oo+, oo- (``_SQUARE_BLOCKS``).
-    """
-
-    shared = {3: 2}
-
-    def __init__(self, shape):
-        self.parity = _FlipBlocks(*grid_flips(shape))
-        transpose = np.arange(math.prod(shape)).reshape(shape).transpose(0, 2, 1).ravel()
-        self.halves = {k: _FlipBlocks(self.parity.carry(transpose, k, k),
-                                      np.arange(self.parity.sizes[k])) for k in (0, 3)}
-        self.parity.reorder(2, self.parity.carry(transpose, 1, 2))
-        self.size = self.parity.size
-        self.sizes = [self.parity.sizes[k] if j is None else self.halves[k].sizes[j]
-                      for k, j in _SQUARE_BLOCKS]
+    def __init__(self, size: int):
+        self.size, self.sizes = size, [size]
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """The six blocks' coordinates of the rows of x."""
-        parts = self.parity.split(x)
-        halves = {k: half.split(parts[k]) for k, half in self.halves.items()}
-        return [parts[k] if j is None else halves[k][j] for k, j in _SQUARE_BLOCKS]
+        return [x]
 
     def merge(self, parts: dict) -> np.ndarray:
-        """Coordinates of the blocks in ``parts`` back to rows."""
-        outer, halves = {}, {}
-        for key, part in parts.items():
-            k, j = _SQUARE_BLOCKS[key]
-            if j is None:
-                outer[k] = part
-            else:
-                halves.setdefault(k, {})[j] = part
-        outer.update({k: self.halves[k].merge(sub) for k, sub in halves.items()})
-        return self.parity.merge(outer)
+        return parts[0]
 
-    expand = _FlipBlocks.expand
-
-
-def _identity_blocks(size: int) -> _FlipBlocks:
-    """One block, the identity: the basis of the unsplit problem."""
-    index = np.arange(size)
-    return _FlipBlocks(index, index)
-
-
-def _axis_split(x: np.ndarray, flipped: bool) -> tuple[np.ndarray, np.ndarray]:
-    """B_0^T x and B_1^T x for the even and the odd basis B_0, B_1 of one
-    image axis, whose length is x's first dimension: the ``_FlipBlocks`` of
-    its flip, or without the flip the identity and an empty odd part."""
-    index = np.arange(len(x))
-    parts = _FlipBlocks(index[::-1] if flipped else index, index).split(x.T)
-    return parts[0].T, parts[2].T
+    expand = merge
 
 
 def _flip_invariant(m: np.ndarray) -> bool:
@@ -337,20 +305,21 @@ def _flip_invariant(m: np.ndarray) -> bool:
     return np.array_equal(m[::-1, ::-1], m)
 
 
-def _selection_invariant(kept: np.ndarray, flips: tuple, shape) -> bool:
-    """F' A == A F for the selection A x = x[kept], each flip f of the
-    (c, h, w) signal grid and its permutation f' of the measurements
-    (``flips``): kept[f'] == f[kept], O(m) per flip."""
-    return all(np.array_equal(kept[flip], pixel_flip[kept])
-               for flip, pixel_flip in zip(flips, grid_flips(shape)))
+def _selection_split(signal: _ParityBlocks, kept: np.ndarray, picks: list, y: np.ndarray) -> list:
+    """The blocks' coordinates of the rows of y for a selection y = x[kept]
+    that commutes with the flips: the signal's split of y zero-filled at
+    kept, at the coordinates ``picks`` of each block whose pixels are kept."""
+    full = np.zeros(y.shape[:-1] + (signal.size,))
+    full[..., kept] = y
+    return [part[..., pick] for part, pick in zip(signal.split(full), picks)]
 
 
 def _axis_blocks(m: np.ndarray, flipped: bool) -> tuple[np.ndarray, np.ndarray]:
     """B'_p^T M B_p of one axis factor M for the even (p = 0) and the odd
     (p = 1) part, B' the bases of M's row axis and B those of its column
     axis.  The cross-parity parts are zero when M commutes with the flips."""
-    return tuple(_axis_split(left.T, flipped)[p].T
-                 for p, left in enumerate(_axis_split(m, flipped)))
+    return tuple(_axis_parts(left.T, flipped)[p].T
+                 for p, left in enumerate(_axis_parts(m, flipped)))
 
 
 def _kron_entries(grid: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
@@ -409,40 +378,48 @@ def _measurement_stage(cov, a_rows, sigma_y):
     return sig_at, lam, np.asfortranarray(vecs)
 
 
-def _half_rows(rows, signal_half: _FlipBlocks, measurement_half: _FlipBlocks, j: int):
-    """x -> x A_j^T for half j of a parity block whose map is ``rows``: the
-    half's coordinates merged back into the block's, mapped, and split on
-    the measurement side."""
-    return lambda x: measurement_half.split(rows(signal_half.merge({j: x})))[j]
-
-
 def _transpose_split(shape, measurement_shape, covs: dict, a_rows: dict):
     """The parity split of a prior and an operator that commute with the
-    transpose of the grid, refined into the blocks of ``_SquareBlocks``:
-    (signal blocks, measurement blocks, Sigma's diagonal blocks, A's blocks
-    as maps on rows, each by block index, and Sigma's largest entry between
-    two halves relative to the largest diagonal entry of its parity
-    blocks).  ``covs`` and ``a_rows`` are the parity blocks.  Block oe is
-    left out, as it takes eo's gain and factor.  A half of ee or oo takes
-    Sigma's block by two ``split``s of the parity block, as
-    ``_covariance_blocks`` splits a dense Sigma, and A's block through the
-    parity block's map (``_half_rows``)."""
-    signal = _SquareBlocks(shape)
-    measurement = signal if measurement_shape == shape else _SquareBlocks(measurement_shape)
+    transpose of the grid, refined into the six blocks of a square
+    ``_ParityBlocks``: (signal blocks, the measurement's split, Sigma's
+    diagonal blocks, A's blocks as maps on rows, each by block index, and
+    Sigma's largest entry between two halves relative to the largest
+    diagonal entry of its parity blocks).  ``covs`` and ``a_rows`` are the
+    parity blocks.  Block oe is left out, as it takes eo's gain and factor.
+    A half of ee or oo takes Sigma's block by ``_half`` on both sides of the
+    parity block, and A's block through the parity block's map: the half's
+    coordinates put back into square images (``_half_add``), mapped, and
+    taken into the same half on the measurement side."""
+    signal = _ParityBlocks(shape, square=True)
+    measurement = _ParityBlocks(measurement_shape, square=True)
+    c = shape[0]
     blocks, rows, off = {}, {}, []
-    for key, (k, j) in enumerate(_SQUARE_BLOCKS):
-        if key in signal.shared or not signal.sizes[key]:
+    if 1 in covs:
+        blocks[2], rows[2] = covs[1], a_rows[1]
+    for k, key in ((0, 0), (3, 4)):
+        if k not in covs:
             continue
-        if j is None:
-            blocks[key], rows[key] = covs[k], a_rows[k]
-            continue
-        half = signal.halves[k]
-        sides = half.split(half.split(covs[k])[j].T)  # B_i^T Sigma_k B_j for each half i
-        blocks[key] = (sides[j] + sides[j].T) / 2.0
-        off.append(np.abs(sides[2 - j]).max(initial=0.0))
-        rows[key] = _half_rows(a_rows[k], half, measurement.halves[k], j)
+        side, m_side = (basis.quadrant_shapes[k][0] for basis in (signal, measurement))
+        images = covs[k].reshape(-1, c, side, side)
+        for j, sign in enumerate((1, -1)):
+            if not signal.sizes[key + j]:
+                continue
+            # (Sigma_k H_j)^T as images, then H_i^T Sigma_k H_j for each half i
+            cols = _flat(_half(images, sign), (len(images),)).T.reshape(-1, c, side, side)
+            sides = [_flat(_half(cols, s), (len(cols),)) for s in (1, -1)]
+            blocks[key + j] = (sides[j] + sides[j].T) / 2.0
+            off.append(np.abs(sides[1 - j]).max(initial=0.0))
+
+            def half_map(x, parity_map=a_rows[k], side=side, m_side=m_side, sign=sign):
+                images = np.zeros((len(x), c, side, side))
+                _half_add(images, x, sign)
+                y = parity_map(_flat(images, (len(x),)))
+                return _flat(_half(y.reshape(len(x), c, m_side, m_side), sign), (len(x),))
+
+            rows[key + j] = half_map
     top = max(cov.diagonal().max() for cov in covs.values())
-    return signal, measurement, blocks, rows, max(off, default=0.0) / top if top > 0.0 else 0.0
+    return (signal, measurement.split, dict(sorted(blocks.items())), rows,
+            max(off, default=0.0) / top if top > 0.0 else 0.0)
 
 
 def _block_posterior(cov, sig_at, lam, vecs, floor):
@@ -531,28 +508,30 @@ class GaussianPrior:
         return _denoise_cov(self.factor, t)
 
     # --- conditioning on the measurement --------------------------------
-    def _covariance_blocks(self, shape) -> tuple[_FlipBlocks, dict, float]:
+    def _covariance_blocks(self, shape) -> tuple:
         """Signal blocks, Sigma's diagonal blocks B_k^T Sigma B_k in them by
         block index k (empty blocks left out), and Sigma's largest off-block
         entry relative to its largest entry.
 
-        ``shape`` is the (c, h, w) grid to split by its row and column flips,
-        or None for one block in pixel coordinates.  A factor-form prior
-        (``rbf_prior``) gives each block as (R_h (x) R_w) diag(lam) (R_h (x) R_w)^T
-        with R = B^T Q per image axis, so Sigma is never formed; any other
-        prior's dense covariance goes through the flip sums on both sides:
-        ``split`` of its rows gives Sigma B_l, and as Sigma is symmetric,
-        ``split`` of (Sigma B_k)^T gives B_k^T Sigma B_l.  Sigma is PSD, so its
-        largest entry is on its diagonal.
+        ``shape`` is the (c, h, w) grid to split into its parity blocks
+        (``_ParityBlocks``), or None for one block in pixel coordinates.  A
+        factor-form prior (``rbf_prior``) gives each block as
+        (R_h (x) R_w) diag(lam) (R_h (x) R_w)^T with R = B^T Q per image axis
+        (``_axis_parts``), so Sigma is never formed; any other prior's dense
+        covariance is split on both sides: ``split`` of its rows gives
+        Sigma B_l, and as Sigma is symmetric, ``split`` of (Sigma B_k)^T gives
+        B_k^T Sigma B_l.  Sigma is PSD, so its largest entry is on its
+        diagonal.
         """
-        signal = _FlipBlocks(*grid_flips(shape)) if shape else _identity_blocks(self.n)
-        kept = [k for k in range(4) if signal.sizes[k]]  # an axis of length 1 has no odd part
+        signal = _ParityBlocks(shape) if shape else _OneBlock(self.n)
+        # an axis of length 1 has no odd part
+        kept = [k for k, size in enumerate(signal.sizes) if size]
         factor = self.__dict__.get("factor")
         axes = factor.axes if factor is not None else ()
         sides = tuple(len(q) for q in axes)
         if len(axes) == 2 and (shape is None or shape[1:] == sides):
             # R = B^T Q of each axis for its even and its odd part
-            r_h, r_w = (_axis_split(q, shape is not None) for q in axes)
+            r_h, r_w = (_axis_parts(q, shape is not None) for q in axes)
             rs = {k: (r_h[k >> 1], r_w[k & 1]) for k in kept}  # block k is odd by row if k & 2
             grid = factor.lam.reshape((-1,) + sides)
             blocks = [_channel_diagonal(_kron_block(grid, rs[k], rs[k])) for k in kept]
@@ -582,66 +561,73 @@ class GaussianPrior:
         return np.array_equal(grid, grid.transpose(0, 2, 1))
 
     def _parity_split(self, operator: LinearOperator) -> tuple:
-        """(signal blocks, measurement blocks, Sigma's diagonal blocks, A's
-        diagonal blocks) to condition in, both by block index k; A's block
-        A_k is given as the map x -> x A_k^T on rows.
+        """(signal blocks, the measurement's split, Sigma's diagonal blocks,
+        A's diagonal blocks) to condition in, both by block index k; the
+        split maps rows of measurements to their blocks' coordinates, and
+        A's block A_k is given as the map x -> x A_k^T on rows.
 
-        The four parity blocks of the operator's flips when the split is
-        exact: A commutes with both flips bit for bit, and Sigma to rounding
-        (1e-12 of its largest entry), so that dropping its off-block entries
-        is a rounding-level projection like its symmetrisation.  Otherwise
-        one block in pixel coordinates.
+        The four parity blocks of the signal grid (``_ParityBlocks``) when
+        the split is exact: A commutes with both flips bit for bit, and
+        Sigma to rounding (1e-12 of its largest entry), so that dropping its
+        off-block entries is a rounding-level projection like its
+        symmetrisation.  Otherwise one block in pixel coordinates.
 
         A is never materialised.  A separable operator,
         A = I_c (x) M_h (x) M_w (``axis_matrices``), commutes with the flips
         exactly when each axis factor does (``_flip_invariant``), as the
-        product is exact, and block k is I_c (x) M_h^p (x) M_w^q, with
+        product is exact.  Its measurement grid then splits into parity
+        blocks too, and block k is I_c (x) M_h^p (x) M_w^q, with
         M^p = B'_p^T M B_p per axis and p = k >> 1 for the rows, q = k & 1
         for the columns, applied one axis at a time (``_separable_rows``).
-        A selection, A x = x[kept] (``selection``), commutes with a signal
-        flip f and its measurement flip f' exactly when kept[f'] = f[kept]
-        (``_selection_invariant``).  Its measurement orbits are then the
-        signal orbits of kept pixels, with the same representatives as kept
-        increases, so block k is a selection too: the coordinates of block
-        k whose representative is kept, which with one block are kept
-        itself.  Any other operator
-        (``DenseOperator``) is one block, mapped by ``apply``.
+        A selection, A x = x[kept] (``selection``), commutes with the flips
+        exactly when its grid of kept pixels equals both of its flips.  A
+        block coordinate then sees either kept pixels alone or none, so
+        block k of A is a selection too, of the coordinates ``picks[k]``
+        whose pixels are kept; the measurement's block coordinates are the
+        signal's of y zero-filled at kept, at those coordinates
+        (``_selection_split``).  With one block, A's block is kept itself.
+        Any other operator (``DenseOperator``) is one block, mapped by
+        ``apply``.
 
-        A square problem splits further (``_SquareBlocks``, ``_transpose_split``)
-        when both Sigma and A commute with the grid's transpose bit for bit:
-        a separable operator with M_h equal to M_w, and a per-axis factor of
+        A square problem splits further (``_transpose_split``) when both
+        Sigma and A commute with the grid's transpose bit for bit: a
+        separable operator with M_h equal to M_w, and a per-axis factor of
         Sigma with Q_h equal to Q_w and a lam grid equal to its transpose
         (``_transpose_symmetric``), with Sigma's entries between the halves
         of ee and oo within 1e-12 of its largest.  Block oe is then left
         out of the blocks: it takes eo's gain and factor.
         """
-        axes, kept = operator.axis_matrices(), operator.selection()
-        flips, shape = operator.measurement_flips(), operator.signal_shape
+        axes, kept, shape = operator.axis_matrices(), operator.selection(), operator.signal_shape
         split = False
-        if flips is not None and (
-                all(_flip_invariant(m) for m in axes) if axes is not None
-                else kept is not None and _selection_invariant(kept, flips, shape)):
+        if axes is not None:
+            split = all(_flip_invariant(m) for m in axes)
+        elif kept is not None:
+            grid = np.zeros(operator.n, dtype=bool)
+            grid[kept] = True
+            grid = grid.reshape(shape)
+            split = np.array_equal(grid, grid[:, ::-1]) and np.array_equal(grid, grid[:, :, ::-1])
+        if split:
             signal, covs, gap = self._covariance_blocks(shape)
             split = gap <= 1e-12
-        if split:
-            measurement = _FlipBlocks(*flips)
-        else:
+        if not split:
             signal, covs, _ = self._covariance_blocks(None)
-            measurement = _identity_blocks(operator.m)
         if axes is not None:
             h, w = (_axis_blocks(m, split) for m in axes)
             a_blocks = {k: _separable_rows(shape[0], h[k >> 1], w[k & 1]) for k in covs}
-            if split and np.array_equal(*axes) and self._transpose_symmetric(shape[2]):
+            if not split:
+                return signal, _OneBlock(operator.m).split, covs, a_blocks
+            if np.array_equal(*axes) and self._transpose_symmetric(shape[2]):
                 *square, gap = _transpose_split(shape, operator.measurement_shape, covs, a_blocks)
                 if gap <= 1e-12:
                     return tuple(square)
-            return signal, measurement, covs, a_blocks
-        if kept is None:
-            return signal, measurement, covs, {0: operator.apply}
-        reps = signal.orbit[0]
-        return signal, measurement, covs, {
-            k: partial(np.take, indices=np.flatnonzero(np.isin(reps[signal.keep[k]], kept)), axis=-1)
-            for k in covs}
+            return signal, _ParityBlocks(operator.measurement_shape).split, covs, a_blocks
+        if not split:
+            rows = operator.apply if kept is None else partial(np.take, indices=kept, axis=-1)
+            return signal, _OneBlock(operator.m).split, covs, {0: rows}
+        # coordinate (c, a, b) of a quadrant stands for pixel (c, a, b)
+        picks = [np.flatnonzero(grid[:, :rows, :cols]) for rows, cols in signal.quadrant_shapes]
+        return (signal, partial(_selection_split, signal, kept, picks), covs,
+                {k: partial(np.take, indices=picks[k], axis=-1) for k in covs})
 
     def _condition_on_measurement(self, operator: LinearOperator, sigma_y: float) -> "_Conditioned":
         """x | y for y = A x + sigma_y * noise, block by block.
@@ -655,15 +641,15 @@ class GaussianPrior:
         A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.  A square
         problem that commutes with the transpose splits ee and oo into
         halves of about n/8 and factors eo alone: block oe is the same
-        problem in coordinates that the transpose permutes, so it holds
-        eo's gain and factor, not copies (``signal.shared``).
+        problem with its coordinate images transposed, so it holds eo's
+        gain and factor, not copies (``signal.shared``).
         Measurement directions whose variance lies below working precision
         (relative to the largest over all blocks) carry no information and
         are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
         numerically singular (a strong blur).  K_y and Sigma_y's eigenfactor
         stay per block; no n x n array outlives the call.
         """
-        signal, measurement, covs, a_blocks = self._parity_split(operator)
+        signal, split_y, covs, a_blocks = self._parity_split(operator)
         kept = list(covs)
         # each block of A is released once its y-stage is built
         stages = [_measurement_stage(covs[k], a_blocks.pop(k), sigma_y) for k in kept]
@@ -678,7 +664,7 @@ class GaussianPrior:
         for k, source in signal.shared.items():
             if source in gains:
                 gains[k], factors[k] = gains[source], factors[source]
-        return _Conditioned(signal, measurement, self.mean, a_mu, gains, factors)
+        return _Conditioned(signal, split_y, self.mean, a_mu, gains, factors)
 
     def joint_denoise_cov(self, t: float, operator: LinearOperator, sigma_y: float) -> np.ndarray:
         """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y;
@@ -726,8 +712,9 @@ class GaussianPrior:
         n x n), so
         G_t = Q_k diag(lam_k/(lam_k+t^2)) Q_k^T in every block at every
         level.  A call moves the rows of y - A mean and x_t into the blocks'
-        coordinates by flip sums, makes three matrix products per block and
-        moves back, with no solve, cache or lock.
+        coordinates by one product with each axis's parity matrix
+        (``_ParityBlocks``), makes three matrix products per block and moves
+        back, with no solve, cache or lock.
         """
         cond = self._condition_on_measurement(operator, sigma_y)
 
@@ -743,18 +730,19 @@ class _Conditioned:
     """x | y of a Gaussian prior, held in the blocks of its split: per block
     k, the prior mean's part, the gain K_k and the eigenfactor of
     Sigma_y,k, by block index (a shared block holds its source's arrays).
+    ``split_y`` maps rows of measurements to their blocks' coordinates.
     Read-only once built, so threads may share it."""
 
-    def __init__(self, signal, measurement, mean: np.ndarray, a_mu: np.ndarray,
+    def __init__(self, signal, split_y, mean: np.ndarray, a_mu: np.ndarray,
                  gains: dict, factors: dict):
-        self.signal, self.measurement = signal, measurement
+        self.signal, self.split_y = signal, split_y
         self.a_mu, self.gains, self.factors = a_mu, gains, factors
         self.mean_parts = signal.split(mean)
 
     def means(self, y) -> dict:
         """Each block's part of mean_y = mean + K_y (y - A mean), for the rows of y."""
         y = np.asarray(y, dtype=np.float64).reshape(-1, self.a_mu.size)
-        resid = self.measurement.split(y - self.a_mu)
+        resid = self.split_y(y - self.a_mu)
         return {k: self.mean_parts[k] + resid[k] @ gain.T for k, gain in self.gains.items()}
 
     def denoise(self, x_t, y, t) -> np.ndarray:
@@ -764,6 +752,11 @@ class _Conditioned:
         means = self.means(y)
         out = {k: _denoise(means[k], factor, parts[k], t) for k, factor in self.factors.items()}
         return self.signal.merge(out).reshape(x_t.shape)
+
+    def posterior_trace(self) -> float:
+        """tr(Sigma_y): the sum of every block's Sigma_y eigenvalues, clamped
+        at 0, a shared block's counted again as its own."""
+        return float(sum(factor.lam.sum() for factor in self.factors.values()))
 
 
 @dataclass(frozen=True)

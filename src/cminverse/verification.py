@@ -166,9 +166,11 @@ def variance_compensation_check(
     """Measure how far each sampler's output spread is from the true posterior.
 
     For one fixed measurement, the trace of the final-sample covariance is
-    compared with the trace of the analytic posterior covariance.  The
-    deterministic sampler (gamma = 0) under-covers; the check passes when
-    its ratio is below 1 and some grid gamma lands strictly closer to 1.
+    compared with the trace of the analytic posterior covariance, read off
+    the eigenvalues of the one conditioning that also gives the samplers'
+    consistency function.  The deterministic sampler (gamma = 0)
+    under-covers; the check passes when its ratio is below 1 and some grid
+    gamma lands strictly closer to 1.
     """
     rng = np.random.default_rng(seed)
     x_star = prior.sample(rng)
@@ -176,9 +178,9 @@ def variance_compensation_check(
     if sigma_y > 0.0:
         y = y + sigma_y * rng.standard_normal(op.m)
 
-    _, post_cov = prior.posterior(op, y, sigma_y)
-    post_trace = float(np.trace(post_cov))
-    consistency = prior.measurement_consistency(op, sigma_y)
+    conditioned = prior._condition_on_measurement(op, sigma_y)
+    post_trace = conditioned.posterior_trace()
+    consistency = conditioned.denoise
     steps = len(schedule)
 
     grid = [float(g) for g in gamma_grid]

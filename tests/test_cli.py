@@ -96,6 +96,64 @@ def test_evaluate_rejects_empty_dataset(tmp_path, capsys):
     assert not list((tmp_path / "run" / "reports").glob("evaluate.*"))
 
 
+def _with(ini, **fields):
+    """The config at ini with each `key = value` line of the given keys replaced."""
+    with open(ini) as fh:
+        lines = fh.read().splitlines()
+    for key, value in fields.items():
+        lines = [f"{key} = {value}" if line.strip().startswith(f"{key} =") else line
+                 for line in lines]
+    with open(ini, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return ini
+
+
+def test_evaluate_counts_the_images_of_an_existing_dataset(tmp_path, capsys):
+    # a dataset given by its directory is judged by what it holds, not by
+    # the config's count: 4 images with count = 0 evaluate, and an empty
+    # dataset with count = 4 is refused by name
+    for name, count in (("source", 4), ("empty", 0)):
+        (tmp_path / name).mkdir()
+        assert cli.main(["--config", _with(base_ini(tmp_path / name), count=count),
+                         "synthesize"]) == 0
+    for name, dataset, count, code in (("full", tmp_path / "source" / "run" / "dataset", 0, 0),
+                                       ("none", tmp_path / "empty" / "run" / "dataset", 4, 2)):
+        (tmp_path / name).mkdir()
+        ini = base_ini(tmp_path / name)
+        with open(ini) as fh:
+            body = fh.read()
+        with open(ini, "w") as fh:
+            fh.write(body.replace("[dataset]", f"[dataset]\nsource = {dataset}"))
+        _with(ini, count=count)
+        for stage in ("degrade", "sample"):
+            assert cli.main(["--config", ini, stage]) == 0
+        capsys.readouterr()
+        assert cli.main(["--config", ini, "evaluate"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "dataset has no images (count = 0)" in err
+        else:
+            assert out.startswith("aggregate:")
+            rows = read_jsonl(str(tmp_path / name / "run" / "reports" / "evaluate.jsonl"))
+            assert rows[-1]["n_samples"] == 4
+
+
+def test_tune_gamma_that_cannot_score_writes_nothing(tmp_path, capsys):
+    # KID over subsets of 8 with 4 images, or a dataset with no images:
+    # refused before the first candidate samples, so no tune/ tree is left
+    for name, fields, message in (("kid", {"subset_size": 8}, "subset_size = 8"),
+                                  ("empty", {"count": 0}, "dataset has no images")):
+        (tmp_path / name).mkdir()
+        ini = _with(base_ini(tmp_path / name), **fields)
+        for stage in ("synthesize", "degrade"):
+            assert cli.main(["--config", ini, stage]) == 0
+        capsys.readouterr()
+        assert cli.main(["--config", ini, "tune-gamma"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / name / "run" / "tune").exists()
+        assert not (tmp_path / name / "run" / "reports").exists()
+
+
 def test_seed_and_output_dir_overrides(tmp_path, capsys):
     ini = base_ini(tmp_path)
     rc = cli.main(
@@ -338,7 +396,7 @@ def test_unconditioned_gaussian_pipeline_holds_no_dense_covariance(tmp_path, sid
 @pytest.mark.parametrize("task", ["deblur", "inpaint"])
 def test_conditioned_gaussian_pipeline_at_64_squared_stays_below_four_dense_arrays(tmp_path, task):
     # the conditioned closure splits A and Sigma into parity blocks from the
-    # per-axis factor and flip sums, so no stage holds four n x n arrays
+    # per-axis factor and parity matrices, so no stage holds four n x n arrays
     body = _LARGE_DDRM_DEBLUR_INI.format(out=tmp_path / "run", side=64)
     body = body.replace("variant = ddrm", "variant = inverse_addim")
     body = body.replace("count = 8", "count = 2").replace("subset_size = 4", "subset_size = 2")

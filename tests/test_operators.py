@@ -216,7 +216,10 @@ def test_centered_mask_is_flip_invariant_on_every_grid():
         assert np.array_equal(mask, mask[::-1]) and np.array_equal(mask, mask[:, ::-1]), size
         # the hidden square's side is at most half the grid's
         assert (~mask).sum() <= (size // 2) ** 2
-        assert make_centered_square_inpaint(1, size, size).measurement_flips() is not None
+        # as conditioning reads it: the grid of the kept pixels
+        grid = np.zeros(size * size, dtype=bool)
+        grid[make_centered_square_inpaint(1, size, size).selection()] = True
+        assert np.array_equal(grid.reshape(size, size), mask)
 
 
 def test_inpaint_selects_and_adjoint_zero_fills():

@@ -12,7 +12,6 @@ from cminverse.operators import (
     DenseOperator,
     IdentityOperator,
     InpaintOperator,
-    grid_flips,
     make_centered_square_inpaint,
     make_downsample,
     make_gaussian_blur,
@@ -221,8 +220,9 @@ def _unequal_axes_blur(shape, sigma, sigma_w):
 
 # (operator, (signal, measurement) sizes of its non-empty blocks).  A square
 # grid with equal axis factors splits six ways, ee+, ee-, eo, oe, oo+, oo-
-# (priors._SquareBlocks), and oe takes eo's gain and factor, so it is not
-# listed; any other problem keeps the four parity blocks ee, eo, oe, oo.
+# (priors._ParityBlocks with square), and oe takes eo's gain and factor, so
+# it is not listed; any other problem keeps the four parity blocks ee, eo,
+# oe, oo.
 _PARITY_CASES = {
     # 8 x 8: ee and oo have 16 coordinates, 10 symmetric and 6 antisymmetric
     "blur_1x8x8": (lambda: make_gaussian_blur(1, 8, 8, 1.2),
@@ -337,9 +337,13 @@ def test_inexact_split_conditions_as_one_block(make_prior, make_op, monkeypatch)
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
+def _flip_invariant_mask(mask):
+    return np.array_equal(mask, mask[::-1]) and np.array_equal(mask, mask[:, ::-1])
+
+
 def test_inexact_masks_are_not_flip_invariant():
     for case in _OFF_CENTRE_MASKS.values():
-        assert _off_centre_inpaint(*case).measurement_flips() is None
+        assert not _flip_invariant_mask(_off_centre_inpaint(*case).mask)
 
 
 def test_flip_gap_of_the_rbf_prior_is_rounding():
@@ -362,11 +366,18 @@ def test_transpose_gap_of_the_rbf_prior_is_rounding():
 @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 7, 7), (1, 1, 1), (2, 2, 2)])
 def test_square_blocks_are_an_orthonormal_basis_that_the_transpose_respects(shape):
     n = int(np.prod(shape))
-    blocks = priors._SquareBlocks(shape)
+    blocks = priors._ParityBlocks(shape, square=True)
     bases = blocks.split(np.eye(n))  # row i of block k: e_i^T B_k, so B_k itself
     assert [b.shape[1] for b in bases] == blocks.sizes and sum(blocks.sizes) == n
     full = np.concatenate(bases, axis=1)
     assert np.allclose(full.T @ full, np.eye(n), rtol=0.0, atol=1e-14)
+    # eo is the dense parity basis's, and the halves of ee and oo span its ee and oo
+    parity = _parity_oracle(shape)
+    assert np.allclose(bases[2], parity[1], rtol=0.0, atol=1e-14)
+    for k, pair in ((0, bases[0:2]), (3, bases[4:6])):
+        halves = np.concatenate(pair, axis=1)
+        assert halves.shape == parity[k].shape
+        assert np.allclose(parity[k] @ (parity[k].T @ halves), halves, rtol=0.0, atol=1e-14)
     # T B_eo is B_oe column by column, and T keeps each half of ee and oo, with
     # a sign that is + on the symmetric and - on the antisymmetric half
     transpose = np.arange(n).reshape(shape).transpose(0, 2, 1).ravel()
@@ -400,10 +411,10 @@ def _parity_oracle(shape):
 
 
 @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 6, 10), (1, 7, 9)])
-def test_flip_sums_match_the_dense_parity_basis(shape):
+def test_parity_blocks_match_the_dense_parity_basis(shape):
     n = int(np.prod(shape))
     bases = _parity_oracle(shape)
-    blocks = priors._FlipBlocks(*grid_flips(shape))
+    blocks = priors._ParityBlocks(shape)
     assert blocks.sizes == [basis.shape[1] for basis in bases]
     rng = np.random.default_rng(24)
     x, matrix = rng.standard_normal((3, n)), rng.standard_normal((n, 5))
@@ -415,9 +426,12 @@ def test_flip_sums_match_the_dense_parity_basis(shape):
     square = [rng.standard_normal((b.shape[1],) * 2) for b in bases]
     assert np.allclose(blocks.expand(dict(enumerate(square))),
                        sum(b @ s @ b.T for b, s in zip(bases, square)), rtol=0.0, atol=1e-14)
-    # with identity flips the one block is the identity, bit for bit
-    one = priors._identity_blocks(n)
-    assert one.sizes == [n, 0, 0, 0] and np.array_equal(one.split(x)[0], x)
+    # on an even grid an identity row ends at exact coordinates: +-1/2 each
+    if not (shape[1] % 2 or shape[2] % 2):
+        assert all(np.array_equal(np.abs(part), (part != 0) * 0.5) for part in blocks.split(np.eye(n)))
+    # the unsplit problem's one block is the identity, bit for bit
+    one = priors._OneBlock(n)
+    assert one.sizes == [n] and np.array_equal(one.split(x)[0], x)
     assert np.array_equal(one.merge({0: x}), x)
 
 
@@ -569,12 +583,11 @@ def test_separable_operators_are_exact_kronecker_products(case):
     a = operator_matrix(op)
     assert np.array_equal(np.kron(np.eye(op.signal_shape[0]), np.kron(m_h, m_w)), a)
     # so the per-axis flip check gives the verdict of the dense one, F' A = A F
-    # for each image axis: A's rows permuted by the measurement flip against
-    # A with that axis of the signal grid reversed
+    # for each image axis: A with that axis of the measurement grid reversed
+    # against A with that axis of the signal grid reversed
     per_axis = all(priors._flip_invariant(m) for m in (m_h, m_w))
-    grid = a.reshape((op.m,) + op.signal_shape)
-    dense = all(np.array_equal(grid[flip], np.flip(grid, axis + 1))
-                for axis, flip in enumerate(op.measurement_flips(), 1))
+    grid = a.reshape(op.measurement_shape + op.signal_shape)
+    dense = all(np.array_equal(np.flip(grid, axis), np.flip(grid, axis + 3)) for axis in (1, 2))
     assert per_axis == dense == (not case.startswith("shifted"))
 
 
@@ -631,7 +644,7 @@ def test_separable_conditioning_never_builds_the_operator_matrix(make_op):
 
 def test_dense_covariance_prior_takes_the_separable_operator_route(monkeypatch):
     # the operator's route does not depend on the prior's form: a dense Sigma
-    # is split by flip sums, A by its axes
+    # is split on both sides by the parity basis, A by its axes
     op = make_gaussian_blur(3, 6, 10, 1.2)
     prior = GaussianPrior(mean=np.full(op.n, 0.2), covariance=rbf_covariance(op.signal_shape, 1.5, 0.3))
     shapes = _eigh_shapes(monkeypatch)
@@ -699,7 +712,7 @@ def test_one_block_inpaint_build_peaks_below_six_dense_matrices():
     # block turns into Sigma_y's in place, and the gain reuses the root's
     # array (4.6 n x n here)
     op = _off_centre_inpaint((1, 24, 24), slice(7, 15), slice(8, 16))
-    assert op.measurement_flips() is None
+    assert not _flip_invariant_mask(op.mask)
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
     tracemalloc.start()
     try:
@@ -714,21 +727,28 @@ def test_one_block_inpaint_build_peaks_below_six_dense_matrices():
 
 @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 6, 10), (1, 7, 9)])
 def test_selection_blocks_equal_the_dense_split(shape):
-    # B'_k^T A B_k from the dense A by the flip sums on both sides, against
-    # the selection that conditioning takes as block k; on an odd axis the
-    # sums over the centre line round by up to one ulp
+    # B'_k^T A B_k from the dense A, split on both sides, against the
+    # selection that conditioning takes as block k.  The measurement basis
+    # B'_k is A B_k's non-zero columns: the columns of B_k on kept pixels
+    # alone.  On an odd axis the products over the centre line round by up
+    # to one ulp
     op = make_centered_square_inpaint(*shape)
-    signal, measurement = priors._FlipBlocks(*grid_flips(shape)), priors._FlipBlocks(*op.measurement_flips())
-    _, _, covs, a_blocks = rbf_prior(shape, 1.5, 0.3)._parity_split(op)
+    a, signal, bases = operator_matrix(op), priors._ParityBlocks(shape), _parity_oracle(shape)
+    _, split_y, covs, a_blocks = rbf_prior(shape, 1.5, 0.3)._parity_split(op)
     assert list(a_blocks) == list(covs) == [0, 1, 2, 3]
-    sides = signal.split(operator_matrix(op))  # A B_k
+    y = np.random.default_rng(28).standard_normal((3, op.m))
+    sides = signal.split(a)  # A B_k
     for k, rows in a_blocks.items():
-        want = measurement.split(sides[k].T)[k].T
+        assert np.allclose(sides[k], a @ bases[k], rtol=0.0, atol=1e-14)
+        seen = sides[k][:, np.abs(sides[k]).sum(axis=0) > 0.0]  # B'_k
+        want = seen.T @ sides[k]
         got = rows(np.eye(signal.sizes[k])).T
         if shape[1] % 2 or shape[2] % 2:
             assert np.allclose(got, want, rtol=0.0, atol=np.spacing(1.0))
         else:
             assert np.array_equal(got, want)
+        # and the measurement's coordinates in block k are B'_k^T y
+        assert np.allclose(split_y(y)[k], y @ seen, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 import math
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from cminverse.operators import DenseOperator, IdentityOperator
-from cminverse.priors import GaussianPrior
+from cminverse import priors
+from cminverse.operators import DenseOperator, IdentityOperator, make_centered_square_inpaint
+from cminverse.priors import GaussianPrior, rbf_prior
 from cminverse.schedules import make_karras_schedule
 from cminverse.verification import (
     DEFAULT_GAMMA_GRID,
@@ -164,6 +166,29 @@ def test_variance_compensation_exact_measurement_edge():
     assert report.statistic == 1.0
     assert all(v == 1.0 for v in report.details["ratios"].values())
     assert report.passed
+
+
+def test_variance_compensation_conditions_once(monkeypatch):
+    # the posterior trace comes from the eigenvalues of the conditioning that
+    # also gives the samplers their closure: one gram and one Sigma_y factor
+    # per flip block of the 16 x 16 centred square, and nothing more
+    op = make_centered_square_inpaint(1, 16, 16)
+    prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
+    eigh, lock, shapes = np.linalg.eigh, threading.Lock(), []
+
+    def counting_eigh(a, *args, **kwargs):
+        with lock:
+            shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(priors.np.linalg, "eigh", counting_eigh)
+    schedule = make_karras_schedule(2, 0.01, 5.0)
+    report = variance_compensation_check(prior, op, 0.05, schedule, gamma_grid=(0.5,),
+                                         n_runs=20, seed=3)
+    assert shapes == [(48, 48)] * 4 + [(64, 64)] * 4
+    # Sigma_y does not depend on y
+    want = np.trace(prior.posterior(op, np.zeros(op.m), 0.05)[1])
+    assert report.details["posterior_trace"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_report_as_dict_round_trip():
