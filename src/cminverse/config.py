@@ -155,6 +155,36 @@ class ExperimentConfig:
         return cfg
 
 
+class _Parser(configparser.ConfigParser):
+    """An INI parser that records each (section, key) asked for: every
+    read goes through ``has_option``, so the keys ``load_config`` knows are
+    the ones it reads, and no second list of them is kept."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=(";", "#"))
+        self.asked = set()
+
+    def has_option(self, section, option):
+        self.asked.add((section, option))
+        return super().has_option(section, option)
+
+    def check_known(self):
+        """Raise ConfigError naming the first section or key never asked for."""
+        sections = sorted({section for section, _ in self.asked})
+        for key in self.defaults():
+            if key not in {known for _, known in self.asked}:
+                raise ConfigError(f"[{self.default_section}] {key}: unknown key")
+        for section in self.sections():
+            if section not in sections:
+                raise ConfigError(f"[{section}]: unknown section; the sections are "
+                                  + ", ".join(f"[{name}]" for name in sections))
+            known = sorted(key for name, key in self.asked if name == section)
+            for key in self.options(section):
+                if key not in known and key not in self.defaults():
+                    raise ConfigError(f"[{section}] {key}: unknown key; [{section}] "
+                                      f"takes {', '.join(known)}")
+
+
 def _get(parser, section, key, fallback):
     if parser.has_option(section, key):
         return parser.get(section, key)
@@ -188,7 +218,7 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an INI experiment file."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = _Parser()
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -252,6 +282,7 @@ def load_config(path: str) -> ExperimentConfig:
         feature_file_references=feature_ref or None,
         gamma_grid=gamma_grid,
     )
+    parser.check_known()
     return config.validate()
 
 

@@ -207,13 +207,16 @@ def load_prior(config: ExperimentConfig):
 
     A ``gaussian_prior`` dataset is rebuilt with ``rbf_prior`` from the
     parameters in its meta: the same float64 prior that drew its images.
+    Only a prior over the dataset's own images reads its manifest.
     """
-    meta, records, ds_dir = load_dataset(config)
+    ds_dir = _dataset_dir(config)
+    meta_path = os.path.join(ds_dir, "dataset_meta.jsonl")
+    meta = read_jsonl(meta_path)[0]
     if meta["generator"] == "gaussian_prior":
         missing = [name for name in _PRIOR_FIELDS if name not in meta]
         if missing:
             raise ValueError(
-                f"{os.path.join(ds_dir, 'dataset_meta.jsonl')} lacks the prior fields "
+                f"{meta_path} lacks the prior fields "
                 f"{', '.join(missing)}; re-run synthesize to record them"
             )
         shape = (meta["channels"], meta["height"], meta["width"])
@@ -221,6 +224,7 @@ def load_prior(config: ExperimentConfig):
     if meta["generator"] == "atoms":
         atoms = read_tensor(os.path.join(ds_dir, meta["atoms"]))
         return EmpiricalPrior(atoms.reshape(atoms.shape[0], -1))
+    _, records, _ = load_dataset(config)
     return EmpiricalPrior(_read_stack(ds_dir, [rec["file"] for rec in records]))
 
 
@@ -315,58 +319,34 @@ def _sampling_setup(config: ExperimentConfig):
     return (operator,) + build_consistency(config, prior, operator)
 
 
-def _measurement_rows(config: ExperimentConfig, records) -> list[dict]:
-    """The degrade manifest, checked to hold one row per dataset image."""
-    path = os.path.join(_stage_paths(config)["degraded"], "degrade.jsonl")
+def _measurements(config: ExperimentConfig, records):
+    """The degrade manifest, checked to hold one row per dataset image, and
+    the (N, m) stack of the measurements it names (None for N = 0)."""
+    degraded = _stage_paths(config)["degraded"]
+    path = os.path.join(degraded, "degrade.jsonl")
     if not os.path.isfile(path):
         raise FileNotFoundError(f"measurement manifest not found: {path}")
     rows = read_jsonl(path)
     if len(rows) != len(records):
         raise ValueError(f"{len(rows)} measurements for {len(records)} dataset images")
-    return rows
+    return rows, _read_stack(degraded, [row["measurement"] for row in rows]) if rows else None
 
 
-def _measurement_stack(config: ExperimentConfig, rows) -> np.ndarray | None:
-    """(N, m) stack of the measurements the manifest rows name; None for N = 0."""
-    if not rows:
-        return None
-    return _read_stack(_stage_paths(config)["degraded"], [row["measurement"] for row in rows])
-
-
-def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
-           recon_dir: str | None = None, setup=None, ys: np.ndarray | None = None) -> str:
-    """Reconstruct every measurement; returns the manifest path.
-
-    ``setup`` is a ``_sampling_setup(config)`` result to reuse, so that
-    repeated passes share one consistency closure and its eigenfactors;
-    ``ys`` is the measurement stack to reuse, as ``_measurement_stack``
-    reads it.  With ``dump_images`` on, the previews go to ``images/`` for
-    the default ``recon/`` and beside the reconstructions otherwise.
-    Raises NonFiniteEstimate, before writing anything, when an estimate
-    or residual norm is not finite.
-    """
-    _, records, ds_dir = load_dataset(config)
-    paths = _stage_paths(config)
-    measurements = _measurement_rows(config, records)
-    if ys is None:
-        ys = _measurement_stack(config, measurements)
-
-    sampler = sampler if sampler is not None else config.sampler
-    preview_dir = paths["images"] if recon_dir is None else recon_dir
-    recon_dir = recon_dir if recon_dir is not None else paths["recon"]
-    operator, consistency, conditioned = (
-        setup if setup is not None else _sampling_setup(config)
-    )
-    shape = (config.channels, config.height, config.width)
-    seeds = [config.seed + _SAMPLE_SEED_OFFSET + 2 * i for i in range(len(records))]
+def _reconstruct(config: ExperimentConfig, sampler: SamplerConfig, setup, ys, measurements,
+                 teachers=None):
+    """Sample a ``_measurements`` result under a ``_sampling_setup`` one;
+    ``teachers`` is the (N, n) dataset stack the ``addim`` variant needs.
+    Returns the N estimates, each of n values, and their ``sample.jsonl``
+    rows less the file names.  Raises NonFiniteEstimate when an estimate
+    or residual norm is not finite."""
+    operator, consistency, conditioned = setup
+    seeds = [config.seed + _SAMPLE_SEED_OFFSET + 2 * i for i in range(len(measurements))]
 
     def work(lo, hi):
         y = ys[lo:hi]
-        teachers = None
-        if sampler.variant == "addim":
-            teachers = _read_stack(ds_dir, [rec["file"] for rec in records[lo:hi]])
         trajectory = run_sampler(consistency, sampler, y=y, operator=operator,
-                                 sigma_y=config.sigma_y, x_teacher=teachers, seed=seeds[lo:hi])
+                                 sigma_y=config.sigma_y, seed=seeds[lo:hi],
+                                 x_teacher=None if teachers is None else teachers[lo:hi])
         resid_norms = np.sqrt(np.stack(
             [row_sq_norms(y - operator.apply(rec.estimate)) for rec in trajectory.records],
             axis=1,
@@ -374,16 +354,13 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
         return list(zip(trajectory.estimate, trajectory.degenerate_steps, resid_norms))
 
     results = [
-        row for chunk in _map_chunks(work, len(records), config.workers) for row in chunk
+        row for chunk in _map_chunks(work, len(measurements), config.workers) for row in chunk
     ]
     for i, (estimate, _, resid_norms) in enumerate(results):
         if not (np.isfinite(estimate).all() and np.isfinite(resid_norms).all()):
             raise NonFiniteEstimate(f"image {i} ({measurements[i]['measurement']}): non-finite "
                                     "estimate or residual norm; check t_min, t_max and the prior")
-
-    names = _write_stack(recon_dir, "recon", [row[0].reshape(shape) for row in results],
-                         preview_dir if config.dump_images else None)
-    manifest = [
+    rows = [
         {
             "conditioned": conditioned,
             "degenerate_steps": int(degenerate),
@@ -391,17 +368,47 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
             "index": i,
             "measurement": measurements[i]["measurement"],
             "nfe": sampler.steps,
-            "reconstruction": name,
             "residual_norms": resid_norms.tolist(),
             "seed": seeds[i],
             "steps": sampler.steps,
             "variant": sampler.variant,
         }
-        for i, (name, (_, degenerate, resid_norms)) in enumerate(zip(names, results))
+        for i, (_, degenerate, resid_norms) in enumerate(results)
     ]
+    return [row[0] for row in results], rows
+
+
+def _write_samples(config: ExperimentConfig, recon_dir, preview_dir, estimates, rows) -> str:
+    """Write the reconstructions and ``sample.jsonl``; returns the manifest path."""
+    shape = (config.channels, config.height, config.width)
+    names = _write_stack(recon_dir, "recon", [estimate.reshape(shape) for estimate in estimates],
+                         preview_dir if config.dump_images else None)
     path = os.path.join(recon_dir, "sample.jsonl")
-    write_jsonl(path, manifest)
+    write_jsonl(path, [dict(row, reconstruction=name) for row, name in zip(rows, names)])
     return path
+
+
+def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
+           recon_dir: str | None = None) -> str:
+    """Reconstruct every measurement; returns the manifest path.
+
+    With ``dump_images`` on, the previews go to ``images/`` for the default
+    ``recon/`` and beside the reconstructions otherwise.  Raises
+    NonFiniteEstimate, before writing anything, when an estimate or
+    residual norm is not finite.
+    """
+    _, records, ds_dir = load_dataset(config)
+    paths = _stage_paths(config)
+    measurements, ys = _measurements(config, records)
+    sampler = sampler if sampler is not None else config.sampler
+    teachers = None
+    if sampler.variant == "addim" and records:
+        teachers = _read_stack(ds_dir, [rec["file"] for rec in records])
+    estimates, rows = _reconstruct(config, sampler, _sampling_setup(config), ys, measurements,
+                                   teachers)
+    preview_dir = paths["images"] if recon_dir is None else recon_dir
+    recon_dir = recon_dir if recon_dir is not None else paths["recon"]
+    return _write_samples(config, recon_dir, preview_dir, estimates, rows)
 
 
 # --------------------------------------------------------------------------
@@ -421,6 +428,7 @@ def _features(config: ExperimentConfig, stack: np.ndarray, which: str) -> np.nda
 
 
 def _format_table(rows: list[dict]) -> str:
+    """The report rows as a text table; the aggregate row is labelled mean."""
     header = f"{'sample':>8} {'PSNR':>10} {'SSIM':>10} {'KID':>10} {'FID':>10}"
     lines = [header, "-" * len(header)]
 
@@ -433,7 +441,7 @@ def _format_table(rows: list[dict]) -> str:
 
     for row in rows:
         lines.append(
-            f"{str(row['label']):>8} {cell(row['psnr'])} {cell(row['ssim'])} "
+            f"{str(row.get('index', 'mean')):>8} {cell(row['psnr'])} {cell(row['ssim'])} "
             f"{cell(row.get('kid_x1000'))} {cell(row.get('fid'))}"
         )
     return "\n".join(lines) + "\n"
@@ -448,30 +456,12 @@ def _references(config: ExperimentConfig, records, ds_dir):
     return refs, _features(config, refs, "references")
 
 
-def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
-             report_name: str = "evaluate", references=None) -> dict:
-    """Score reconstructions against the dataset; returns the aggregate row.
-
-    ``references`` is a ``_references`` result to reuse across passes.
-    """
-    _, records, ds_dir = load_dataset(config)
-    if not records:
-        raise ValueError(f"evaluate: the dataset has no images (count = 0) in {ds_dir}")
-    paths = _stage_paths(config)
-    recon_dir = recon_dir if recon_dir is not None else paths["recon"]
-    manifest_path = os.path.join(recon_dir, "sample.jsonl")
-    if not os.path.isfile(manifest_path):
-        raise FileNotFoundError(f"reconstruction manifest not found: {manifest_path}")
-    recon_rows = read_jsonl(manifest_path)
-    if len(recon_rows) != len(records):
-        raise ValueError(
-            f"{len(recon_rows)} reconstructions for {len(records)} references"
-        )
-
-    if references is None:
-        references = _references(config, records, ds_dir)
+def _score(config: ExperimentConfig, recs: np.ndarray, references) -> list[dict]:
+    """Score N reconstructions, in rows of n values or as an (N, c, h, w)
+    stack, against a ``_references`` result; returns the report rows, one
+    per image and then the aggregate."""
     refs, feats_ref = references
-    recs = _read_stack(recon_dir, [row["reconstruction"] for row in recon_rows]).reshape(refs.shape)
+    recs = recs.reshape(refs.shape)
 
     def score(lo, hi):
         """Per-image PSNR and SSIM of one chunk; None for a disabled metric."""
@@ -480,8 +470,8 @@ def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
                                         (metrics_mod.ssim, config.metric_ssim))]
 
     psnrs, ssims = (
-        np.concatenate(column).tolist() if column[0] is not None else [None] * len(records)
-        for column in zip(*_map_chunks(score, len(records), config.workers))
+        np.concatenate(column).tolist() if column[0] is not None else [None] * len(refs)
+        for column in zip(*_map_chunks(score, len(refs), config.workers))
     )
     per_sample = [
         {"index": i, "psnr": p, "ssim": s} for i, (p, s) in enumerate(zip(psnrs, ssims))
@@ -490,7 +480,7 @@ def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
     aggregate = {
         "fid": None,
         "kid_x1000": None,
-        "n_samples": len(records),
+        "n_samples": len(refs),
         "psnr": None,
         "record": "aggregate",
         "ssim": None,
@@ -511,29 +501,38 @@ def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
             )
         if config.metric_fid:
             aggregate["fid"] = metrics_mod.frechet_from_features(feats_rec, feats_ref)
+    return per_sample + [aggregate]
 
-    os.makedirs(paths["reports"], exist_ok=True)
-    write_jsonl(
-        os.path.join(paths["reports"], f"{report_name}.jsonl"),
-        per_sample + [aggregate],
-    )
-    table_rows = [
-        {"label": row["index"], "psnr": row["psnr"], "ssim": row["ssim"]}
-        for row in per_sample
-    ]
-    table_rows.append(
-        {
-            "label": "mean",
-            "psnr": aggregate["psnr"],
-            "ssim": aggregate["ssim"],
-            "kid_x1000": aggregate["kid_x1000"],
-            "fid": aggregate["fid"],
-        }
-    )
-    write_text(
-        os.path.join(paths["reports"], f"{report_name}.txt"), _format_table(table_rows)
-    )
-    return aggregate
+
+def _write_report(config: ExperimentConfig, report_name: str, rows: list[dict]) -> dict:
+    """Write ``reports/<report_name>.jsonl`` and ``.txt``; returns the
+    aggregate, the last row."""
+    reports = _stage_paths(config)["reports"]
+    os.makedirs(reports, exist_ok=True)
+    write_jsonl(os.path.join(reports, f"{report_name}.jsonl"), rows)
+    write_text(os.path.join(reports, f"{report_name}.txt"), _format_table(rows))
+    return rows[-1]
+
+
+def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
+             report_name: str = "evaluate") -> dict:
+    """Score reconstructions against the dataset; returns the aggregate row."""
+    _, records, ds_dir = load_dataset(config)
+    if not records:
+        raise ValueError(f"evaluate: the dataset has no images (count = 0) in {ds_dir}")
+    recon_dir = recon_dir if recon_dir is not None else _stage_paths(config)["recon"]
+    manifest_path = os.path.join(recon_dir, "sample.jsonl")
+    if not os.path.isfile(manifest_path):
+        raise FileNotFoundError(f"reconstruction manifest not found: {manifest_path}")
+    recon_rows = read_jsonl(manifest_path)
+    if len(recon_rows) != len(records):
+        raise ValueError(
+            f"{len(recon_rows)} reconstructions for {len(records)} references"
+        )
+
+    recs = _read_stack(recon_dir, [row["reconstruction"] for row in recon_rows])
+    return _write_report(config, report_name,
+                         _score(config, recs, _references(config, records, ds_dir)))
 
 
 # --------------------------------------------------------------------------
@@ -604,49 +603,49 @@ def verify(config: ExperimentConfig, check_filter: str = "") -> list:
 def tune_gamma(config: ExperimentConfig) -> dict:
     """Grid-search gamma for the residual-guided sampler.
 
-    Each candidate re-runs sampling and evaluation into its own
-    subdirectory, previews included; candidates are ranked by KID when
-    enabled, otherwise by PSNR.  All candidates share one operator and
-    consistency closure, so the prior is conditioned and factored once per
-    run, and one read of the measurements, the references and the
-    references' features.  Returns the winning row.
+    Each candidate samples into its own subdirectory, previews included,
+    and gets its own report; candidates are ranked by KID when enabled,
+    otherwise by PSNR.  The inputs are read once and the candidates share
+    one consistency closure.  A candidate is scored from memory, on its
+    estimates rounded through float32 as its tensor files hold them, so
+    its report has the bytes ``evaluate`` writes.  Returns the winning row.
     """
     if not (config.metric_kid or config.metric_psnr):
         raise ValueError("tuning needs at least one of KID or PSNR enabled")
     paths = _stage_paths(config)
     _, records, ds_dir = load_dataset(config)
-    # every candidate must be scorable before the first one samples
+    # every candidate must be scorable, and rankable, before the first one samples
     if not records:
         raise ValueError(f"tune-gamma: the dataset has no images (count = 0) in {ds_dir}")
     if config.metric_kid and config.subset_size > len(records):
         raise ValueError(f"tune-gamma: KID takes subsets of subset_size = {config.subset_size} "
                          f"images, but the dataset has {len(records)}")
+    if config.feature_mode == "external_file" and (config.metric_kid or config.metric_fid):
+        raise ValueError("tune-gamma: with feature_mode = external_file every candidate gets "
+                         "the same KID and FID from the fixed feature table; use feature_mode "
+                         "= raw_pixels or pooled_patches, or set kid = false and fid = false "
+                         "to rank by PSNR")
+    measurements, ys = _measurements(config, records)
     setup = _sampling_setup(config)
-    ys = _measurement_stack(config, _measurement_rows(config, records))
     references = _references(config, records, ds_dir)
     rows = []
     for gamma in config.gamma_grid:
         sampler = replace(config.sampler, variant="inverse_addim", gamma=float(gamma))
         sub = os.path.join(config.output_dir, "tune", f"gamma_{gamma:g}")
-        sample(config, sampler=sampler, recon_dir=sub, setup=setup, ys=ys)
-        aggregate = evaluate(config, recon_dir=sub, report_name=f"tune_gamma_{gamma:g}",
-                             references=references)
-        rows.append(
-            {
-                "fid": aggregate["fid"],
-                "gamma": float(gamma),
-                "kid_x1000": aggregate["kid_x1000"],
-                "psnr": aggregate["psnr"],
-                "ssim": aggregate["ssim"],
-            }
-        )
+        estimates, sample_rows = _reconstruct(config, sampler, setup, ys, measurements)
+        _write_samples(config, sub, sub, estimates, sample_rows)
+        recs = np.stack(estimates, dtype=np.float32).astype(np.float64)
+        del estimates, sample_rows  # not held through scoring, the stage's memory peak
+        aggregate = _write_report(config, f"tune_gamma_{gamma:g}",
+                                  _score(config, recs, references))
+        rows.append({"gamma": float(gamma),
+                     **{key: aggregate[key] for key in ("fid", "kid_x1000", "psnr", "ssim")}})
 
     if config.metric_kid:
         best = min(rows, key=lambda row: row["kid_x1000"])
     else:
         best = max(rows, key=lambda row: row["psnr"])
-    best_row = dict(best)
-    best_row["record"] = "best"
+    best_row = dict(best, record="best")
     os.makedirs(paths["reports"], exist_ok=True)
     write_jsonl(os.path.join(paths["reports"], "tune.jsonl"), rows + [best_row])
     return best_row

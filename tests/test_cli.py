@@ -10,7 +10,7 @@ import pytest
 
 from cminverse import cli, harness, priors
 from cminverse.config import build_operator, load_config
-from cminverse.tensorio import read_jsonl, read_tensor, write_jsonl
+from cminverse.tensorio import read_jsonl, read_tensor, write_jsonl, write_tensor
 
 
 def write_ini(tmp_path, body, name="exp.ini"):
@@ -152,6 +152,34 @@ def test_tune_gamma_that_cannot_score_writes_nothing(tmp_path, capsys):
         assert message in capsys.readouterr().err
         assert not (tmp_path / name / "run" / "tune").exists()
         assert not (tmp_path / name / "run" / "reports").exists()
+
+
+def test_tune_gamma_refuses_a_fixed_feature_table(tmp_path, capsys):
+    # external feature tables do not change with gamma, so KID and FID would
+    # tie every candidate and the first grid entry would win
+    tables = {}
+    for i, which in enumerate(("reconstructions", "references")):
+        tables[which] = tmp_path / f"feats_{which}.cmt"
+        write_tensor(tables[which], np.random.default_rng(i).standard_normal((4, 3)))
+    ini = base_ini(tmp_path)
+    with open(ini) as fh:
+        body = fh.read()
+    with open(ini, "w") as fh:
+        fh.write(body.replace("[metrics]", "[metrics]\nfeature_mode = external_file\n"
+                              f"feature_file_reconstructions = {tables['reconstructions']}\n"
+                              f"feature_file_references = {tables['references']}\n"
+                              "kid = true\nfid = true"))
+    for stage in ("synthesize", "degrade"):
+        assert cli.main(["--config", ini, stage]) == 0
+    capsys.readouterr()
+    for kid, fid in (("true", "true"), ("false", "true"), ("true", "false")):
+        assert cli.main(["--config", _with(ini, kid=kid, fid=fid), "tune-gamma"]) == 2
+        err = capsys.readouterr().err
+        assert "raw_pixels or pooled_patches" in err and "kid = false and fid = false" in err
+        assert not (tmp_path / "run" / "tune").exists()
+    # with both off the candidates are ranked by PSNR
+    assert cli.main(["--config", _with(ini, kid="false", fid="false"), "tune-gamma"]) == 0
+    assert len(list((tmp_path / "run" / "tune").iterdir())) == 2
 
 
 def test_seed_and_output_dir_overrides(tmp_path, capsys):

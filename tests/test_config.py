@@ -282,6 +282,32 @@ def test_non_finite_or_colliding_floats_are_config_errors(tmp_path, body, fragme
         load_config(write_config(tmp_path, "[experiment]\ntask = denoise\n" + body))
 
 
+@pytest.mark.parametrize(
+    "body, fragment",
+    [
+        ("[operator]\nsigam_y = 0.5\n", r"\[operator\] sigam_y: unknown key; \[operator\] takes "
+                                        r"block, kernel_radius, saturation, sigma, sigma_y$"),
+        ("[sampler]\nvarient = ddim\n", r"\[sampler\] varient: unknown key; .*\bvariant\b"),
+        ("seeed = 3\n", r"\[experiment\] seeed: unknown key"),
+        ("[metrics]\nkid_x1000 = false\n", r"\[metrics\] kid_x1000: unknown key"),
+        ("[tune]\ngamma = 1\n", r"\[tune\] gamma: unknown key; \[tune\] takes gamma_grid$"),
+        ("[sampeler]\nvariant = ddim\n", r"\[sampeler\]: unknown section; .*\[sampler\]"),
+        ("[tunes]\n", r"\[tunes\]: unknown section"),
+        ("[DEFAULT]\nsede = 1\n", r"\[DEFAULT\] sede: unknown key"),
+    ],
+    ids=["operator_key", "sampler_key", "experiment_key", "metrics_key", "tune_key",
+         "section", "empty_section", "default_key"],
+)
+def test_misspelt_keys_and_sections_are_config_errors(tmp_path, body, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(write_config(tmp_path, "[experiment]\ntask = denoise\n" + body))
+
+
+def test_default_section_keys_are_read_where_they_are_known(tmp_path):
+    body = "[DEFAULT]\nsigma_y = 0.2\n[experiment]\ntask = denoise\n[operator]\n"
+    assert load_config(write_config(tmp_path, body)).sigma_y == 0.2
+
+
 def test_sampler_rejects_non_finite_floats():
     for key in ("eta", "gamma", "rho", "t_max"):
         for value in (float("nan"), float("inf")):

@@ -555,6 +555,13 @@ def test_tune_gamma_shares_one_closure_without_changing_bytes(tmp_path, monkeypa
         harness.sample(config, sampler=sampler, recon_dir=str(alone))
         tuned = tmp_path / "tune" / f"gamma_{gamma:g}"
         assert tree_bytes(tuned) == tree_bytes(alone)
+        # scored from memory, a candidate's report still has the bytes that
+        # evaluate writes from its tensor files
+        harness.evaluate(config, recon_dir=str(alone), report_name=f"alone_{gamma:g}")
+        for ext in ("jsonl", "txt"):
+            reports = tmp_path / "reports"
+            assert ((reports / f"tune_gamma_{gamma:g}.{ext}").read_bytes()
+                    == (reports / f"alone_{gamma:g}.{ext}").read_bytes())
 
 
 def test_tune_gamma_previews_stay_with_their_candidate(tmp_path):
@@ -586,11 +593,15 @@ def test_tune_gamma_reads_its_inputs_once(tmp_path, monkeypatch):
     harness.degrade(config)
     read, paths = harness.read_tensor, []
     monkeypatch.setattr(harness, "read_tensor", lambda path: paths.append(path) or read(path))
+    read_rows, manifests = harness.read_jsonl, []
+    monkeypatch.setattr(harness, "read_jsonl",
+                        lambda path: manifests.append(os.path.basename(path)) or read_rows(path))
     harness.tune_gamma(config)
-    stage = [os.path.basename(os.path.dirname(path)) for path in paths]
-    assert stage.count("dataset") == 8
-    assert stage.count("degraded") == 8
-    assert stage.count("gamma_0") == stage.count("gamma_1") == 8
+    # the candidates read no tensor file: each is scored from memory
+    stage = sorted(os.path.basename(os.path.dirname(path)) for path in paths)
+    assert stage == ["dataset"] * 8 + ["degraded"] * 8
+    assert manifests.count("dataset.jsonl") == manifests.count("degrade.jsonl") == 1
+    assert "sample.jsonl" not in manifests
 
 
 def test_tune_gamma_falls_back_to_psnr(tmp_path):
