@@ -90,6 +90,20 @@ class ExperimentConfig:
             raise ConfigError(
                 f"dataset source directory does not exist: {self.dataset_source}"
             )
+        for key, value in (("[dataset] length_scale", self.length_scale),
+                           ("[dataset] variance", self.prior_variance),
+                           ("[dataset] mean_level", self.prior_mean_level),
+                           ("[operator] sigma", self.blur_sigma),
+                           ("[operator] sigma_y", self.sigma_y),
+                           ("[operator] saturation", self.saturation)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        if self.generator == "gaussian_prior":
+            for key, value in (("length_scale", self.length_scale),
+                               ("variance", self.prior_variance)):
+                if value <= 0.0:
+                    raise ConfigError(f"[dataset] {key} must be positive for the "
+                                      f"gaussian_prior generator, got {value}")
         if self.count < 0:
             raise ConfigError(f"count must be >= 0, got {self.count}")
         if min(self.channels, self.height, self.width) < 1:
@@ -110,6 +124,9 @@ class ExperimentConfig:
                 )
         if self.task in ("deblur", "nonlinear_deblur") and self.blur_sigma <= 0.0:
             raise ConfigError(f"blur sigma must be positive, got {self.blur_sigma}")
+        if (self.task in ("deblur", "nonlinear_deblur") and self.kernel_radius is not None
+                and self.kernel_radius < 1):
+            raise ConfigError(f"[operator] kernel_radius must be >= 1, got {self.kernel_radius}")
         if self.task == "nonlinear_deblur" and self.saturation <= 0.0:
             raise ConfigError(f"saturation must be positive, got {self.saturation}")
         if self.feature_mode not in FEATURE_MODES:
@@ -224,7 +241,6 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    kernel_radius_raw = _get(parser, "operator", "kernel_radius", "")
     gamma_grid = DEFAULT_GAMMA_GRID
     if parser.has_option("tune", "gamma_grid"):
         grid_raw = parser.get("tune", "gamma_grid")
@@ -264,9 +280,8 @@ def load_config(path: str) -> ExperimentConfig:
         atom_count=_get_int(parser, "dataset", "atom_count", 8),
         block=_get_int(parser, "operator", "block", 2),
         blur_sigma=_get_float(parser, "operator", "sigma", 3.0),
-        kernel_radius=(
-            int(kernel_radius_raw) if str(kernel_radius_raw).strip() else None
-        ),
+        kernel_radius=(_get_int(parser, "operator", "kernel_radius", None)
+                       if _get(parser, "operator", "kernel_radius", "").strip() else None),
         saturation=_get_float(parser, "operator", "saturation", 4.0),
         sigma_y=_get_float(parser, "operator", "sigma_y", 0.05),
         sampler=sampler,

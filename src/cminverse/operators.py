@@ -478,7 +478,12 @@ class InpaintOperator(LinearOperator):
 
 @dataclass(frozen=True)
 class NonlinearOperator:
-    """Deterministic forward map without SVD structure."""
+    """Deterministic forward map without SVD structure.
+
+    ``fn`` maps a (B, n) stack of signals to the (B, m) stack of their
+    measurements, each row by itself, so that ``apply`` calls it once per
+    stack; a single signal goes in as a stack of one.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     description: str
@@ -488,7 +493,7 @@ class NonlinearOperator:
 
     def apply(self, x):
         x2d, single = _as_batch(x, self.n, "apply")
-        y = np.stack([self.fn(row) for row in x2d])
+        y = self.fn(x2d)
         return y[0] if single else y
 
 

@@ -97,12 +97,15 @@ class EigenFactor:
 
 
 def _check_factor(factor: EigenFactor, n: int) -> None:
-    """Raise unless factor has n eigenvalues and square axis blocks that tile n."""
+    """Raise unless factor has n eigenvalues, each finite and >= 0, and
+    square axis blocks that tile n."""
     sides = [q.shape for q in factor.axes]
     if (factor.lam.shape != (n,) or len(sides) not in (1, 2)
             or any(len(q) != 2 or q[0] != q[1] for q in sides)
             or n % math.prod(q[0] for q in sides)):
         raise ValueError("factor does not match the prior's dimension")
+    if not np.all(np.isfinite(factor.lam) & (factor.lam >= 0.0)):
+        raise ValueError("factor eigenvalues must be finite and >= 0")
 
 
 def _eigen_factor(cov: np.ndarray) -> EigenFactor:
@@ -152,13 +155,10 @@ def _axis_parity(size: int) -> np.ndarray:
     return np.hstack([eye[:, :half] + mirror, eye[:, half:size - half], eye[:, :half] - mirror])
 
 
-def _axis_parts(x: np.ndarray, split: bool) -> tuple[np.ndarray, np.ndarray]:
+def _axis_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B_0^T x and B_1^T x for the even and the odd basis B_0, B_1 of the
     image axis that x's first dimension runs over (``_axis_parity``, its
-    columns scaled to unit length); without the split, x itself and an
-    empty odd part."""
-    if not split:
-        return x, x[:0]
+    columns scaled to unit length)."""
     p = _axis_parity(len(x))
     parts = (p * np.sqrt(1.0 / (p * p).sum(axis=0))).T @ x
     even = len(x) - len(x) // 2
@@ -177,27 +177,54 @@ def _triangle(side: int, strict: bool) -> tuple:
     return out
 
 
-def _half(q: np.ndarray, sign: int) -> np.ndarray:
-    """The coordinates of the square images q (..., side, side) in the half
-    that their transpose keeps (sign 1) or negates (sign -1):
-    (u_ab + sign u_ba)/sqrt(2) over a < b, and u_aa on the kept half's
-    diagonal, read row-major over the upper triangle.  Shape (..., count)."""
-    a, b, scale = _triangle(q.shape[-1], sign < 0)
-    return (q[..., a, b] + sign * q[..., b, a]) * scale
-
-
-def _half_add(q: np.ndarray, coords: np.ndarray, sign: int) -> None:
-    """The transpose of ``_half``: add the images of a half's coordinates to
-    the square images q (..., side, side) in place."""
-    a, b, scale = _triangle(q.shape[-1], sign < 0)
-    coords = coords.reshape(q.shape[:-2] + (len(a),)) * scale
-    q[..., a, b] += coords
-    q[..., b, a] += sign * coords
+# How a block is cut from its parity quadrant (``_ParityBlocks.pieces``): the
+# whole quadrant, the half that the transpose keeps (sign +1) or negates
+# (sign -1), or the quadrant transposed.
+_WHOLE, _KEPT, _NEGATED, _TRANSPOSED = 0, 1, -1, 2
 
 
 def _flat(part: np.ndarray, lead: tuple) -> np.ndarray:
     """part with its axes after ``lead`` made one."""
     return part.reshape(lead + (math.prod(part.shape[len(lead):]),))
+
+
+def _piece(images: np.ndarray, how: int) -> np.ndarray:
+    """A block's coordinates, cut by ``how`` from the coordinate images
+    (..., c, a, b) of its quadrant; shape (..., count).  A half of square
+    images u is (u_ab + sign u_ba)/sqrt(2) over a < b, and u_aa on the kept
+    half's diagonal, read row-major over the upper triangle."""
+    lead = images.shape[:-3]
+    if how == _TRANSPOSED:
+        images = images.swapaxes(-1, -2)
+    elif how != _WHOLE:
+        a, b, scale = _triangle(images.shape[-1], how == _NEGATED)
+        images = (images[..., a, b] + how * images[..., b, a]) * scale
+    return _flat(images, lead)
+
+
+def _unpiece(coords: np.ndarray, how: int, shape: tuple) -> np.ndarray:
+    """The transpose of ``_piece``: the quadrant images, of the given shape
+    (..., c, a, b), of a block's coordinates (a view where it can be)."""
+    if how == _WHOLE:
+        return coords.reshape(shape)
+    if how == _TRANSPOSED:
+        return coords.reshape(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+    images = np.zeros(shape)
+    a, b, scale = _triangle(shape[-1], how == _NEGATED)
+    coords = coords.reshape(shape[:-2] + (len(a),)) * scale
+    images[..., a, b] += coords
+    images[..., b, a] += how * coords
+    return images
+
+
+def _both_sides(matrix: np.ndarray, how: int, images: tuple) -> np.ndarray:
+    """P^T M P for the block P cut by ``how`` from a quadrant whose
+    coordinates are the images ``images`` (c, a, b): M's rows are cut, then
+    the rows of the result's transpose."""
+    if how == _WHOLE:
+        return matrix
+    rows = _piece(matrix.reshape((-1,) + images), how)  # M P
+    return _piece(rows.T.reshape((-1,) + images), how)
 
 
 class _ParityBlocks:
@@ -211,18 +238,23 @@ class _ParityBlocks:
     (``_basis_product``), each entry times 1/2 where both axes give a pair,
     sqrt(1/2) where one does and 1 where both give a centre line; as P
     holds only 0 and +-1, an identity row's coordinates are exact on an
-    even grid.  Block k is odd by rows where k & 2 and by columns where
-    k & 1, so the blocks run ee, eo, oe, oo: the four quadrants of the
-    coordinate images, each read row-major.  Coordinate (c, a, b) of a
-    quadrant stands for pixel (c, a, b) and its mirror images, of which it
-    is the first.
+    even grid.  The coordinate images fall into four quadrants, ee, eo, oe
+    and oo: quadrant q is odd by rows where q & 2 and by columns where
+    q & 1, and is read row-major.  Coordinate (c, a, b) of a quadrant
+    stands for pixel (c, a, b) and its mirror images, of which it is the
+    first.  ``axis_parts`` gives a quadrant's factor per image axis
+    (``_axis_parts``).
 
-    With ``square`` the grid is (c, s, s) and is split once more by the
+    Block k is one piece of one quadrant, ``pieces[k] = (quadrant, how)``,
+    cut by ``_piece``; ``split``, ``merge`` and every block of Sigma and A
+    in ``GaussianPrior._parity_split`` go through that one pair of cuts.
+    Without ``square`` each block is a whole quadrant, in order.  With
+    ``square`` the grid is (c, s, s) and is split once more by the
     transpose T of every channel image, which swaps the row and the column
     flip: together they make the symmetry group D4 of the square (Fassler &
     Stiefel, Group Theoretical Methods and Their Applications, 1992).  As
-    P_h is P_w, T transposes each coordinate image.  So ee and oo each split
-    into the half that T keeps and the half that it negates (``_half``), and
+    P_h is P_w, T transposes each coordinate image.  So ee and oo each
+    split into the half that T keeps and the half that it negates, and
     block oe is its quadrant transposed: the coordinates of T applied to
     eo's, in eo's order.  A matrix that commutes with T then has equal
     blocks in eo and oe, and ``shared`` names oe as taking eo's.  The six
@@ -231,47 +263,35 @@ class _ParityBlocks:
     ``split`` is the way in; ``merge`` and ``expand`` are its transpose.
     """
 
+    axis_parts = staticmethod(_axis_parts)
+
     def __init__(self, shape, square: bool = False):
-        self.shape, self.size, self.square = tuple(shape), math.prod(shape), square
+        self.shape, self.size = tuple(shape), math.prod(shape)
         self.axes = tuple(_axis_parity(size) for size in self.shape[1:])
         self.scale = np.sqrt(1.0 / np.outer(*((p * p).sum(axis=0) for p in self.axes)))
         rows, cols = ((slice(0, size - size // 2), slice(size - size // 2, size))
                       for size in self.shape[1:])
-        self.quadrants = [(rows[k >> 1], cols[k & 1]) for k in range(4)]
-        self.quadrant_shapes = [(r.stop - r.start, s.stop - s.start) for r, s in self.quadrants]
-        self.shared = {3: 2} if square else {}
+        self.quadrants = [(rows[q >> 1], cols[q & 1]) for q in range(4)]
+        self.pieces, self.shared = (
+            ([(0, _KEPT), (0, _NEGATED), (1, _WHOLE), (2, _TRANSPOSED), (3, _KEPT),
+              (3, _NEGATED)], {3: 2}) if square else ([(q, _WHOLE) for q in range(4)], {}))
         self.sizes = [part.shape[-1] for part in self.split(np.zeros(self.size))]
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """The blocks' coordinates of the rows of x."""
-        lead = x.shape[:-1]
-        z = _basis_product(x, self.axes, transpose=False).reshape(lead + self.shape)
+        z = _basis_product(x, self.axes, transpose=False).reshape(x.shape[:-1] + self.shape)
         z *= self.scale
-        ee, eo, oe, oo = (z[..., rows, cols] for rows, cols in self.quadrants)
-        if self.square:
-            parts = [_half(ee, 1), _half(ee, -1), eo, oe.swapaxes(-1, -2),
-                     _half(oo, 1), _half(oo, -1)]
-        else:
-            parts = [ee, eo, oe, oo]
-        return [_flat(part, lead) for part in parts]
+        return [_piece(z[(..., *self.quadrants[q])], how) for q, how in self.pieces]
 
     def merge(self, parts: dict) -> np.ndarray:
         """Coordinates back to rows: x = sum_k parts[k] B_k^T over the blocks
         k in ``parts``; a block left out counts as zero."""
         lead = next(iter(parts.values())).shape[:-1]
         z = np.zeros(lead + self.shape)
-        ee, eo, oe, oo = (z[..., rows, cols] for rows, cols in self.quadrants)
-        # each block's place in z, and the half it fills there (0: the whole)
-        if self.square:
-            places = [(ee, 1), (ee, -1), (eo, 0), (oe.swapaxes(-1, -2), 0), (oo, 1), (oo, -1)]
-        else:
-            places = [(ee, 0), (eo, 0), (oe, 0), (oo, 0)]
         for k, part in parts.items():
-            view, sign = places[k]
-            if sign:
-                _half_add(view, part, sign)
-            else:
-                view[...] = part.reshape(view.shape)
+            q, how = self.pieces[k]
+            view = z[(..., *self.quadrants[q])]
+            view += _unpiece(part, how, view.shape)
         z *= self.scale
         return _basis_product(z.reshape(lead + (self.size,)), self.axes, transpose=True)
 
@@ -283,9 +303,10 @@ class _ParityBlocks:
 
 
 class _OneBlock:
-    """One block whose basis is the identity: the unsplit problem."""
+    """One block whose basis is the identity: the unsplit problem, one whole
+    quadrant that is the grid itself."""
 
-    shared = {}
+    shape, shared, pieces = None, {}, [(0, _WHOLE)]
 
     def __init__(self, size: int):
         self.size, self.sizes = size, [size]
@@ -297,6 +318,10 @@ class _OneBlock:
         return parts[0]
 
     expand = merge
+
+    @staticmethod
+    def axis_parts(x: np.ndarray) -> tuple[np.ndarray]:
+        return (x,)
 
 
 def _flip_invariant(m: np.ndarray) -> bool:
@@ -314,12 +339,12 @@ def _selection_split(signal: _ParityBlocks, kept: np.ndarray, picks: list, y: np
     return [part[..., pick] for part, pick in zip(signal.split(full), picks)]
 
 
-def _axis_blocks(m: np.ndarray, flipped: bool) -> tuple[np.ndarray, np.ndarray]:
-    """B'_p^T M B_p of one axis factor M for the even (p = 0) and the odd
-    (p = 1) part, B' the bases of M's row axis and B those of its column
-    axis.  The cross-parity parts are zero when M commutes with the flips."""
-    return tuple(_axis_parts(left.T, flipped)[p].T
-                 for p, left in enumerate(_axis_parts(m, flipped)))
+def _axis_blocks(m: np.ndarray, parts) -> tuple:
+    """B'_p^T M B_p of one axis factor M for each of its parts p by ``parts``
+    (``axis_parts``: the even and the odd part, or M whole), B' the bases
+    of M's row axis and B those of its column axis.  The cross-parity parts
+    are zero when M commutes with the flips."""
+    return tuple(parts(left.T)[p].T for p, left in enumerate(parts(m)))
 
 
 def _kron_entries(grid: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
@@ -350,15 +375,15 @@ def _channel_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _separable_rows(channels: int, left: np.ndarray, right: np.ndarray):
-    """x -> x A^T on the rows of x, for the block A = I_c (x) L (x) R: each row,
-    read as c images X of (L's columns, R's columns), becomes the c images
-    L X R^T.  A is never formed."""
-    size = channels * len(left) * len(right)
+def _separable_rows(channels: int, left: np.ndarray, right: np.ndarray, how: int):
+    """x -> x A^T on the rows of x, for the block A of a quadrant map
+    I_c (x) L (x) R cut by ``how`` (``_piece``) on both sides: each row, put
+    back into c images X of (L's columns, R's columns) (``_unpiece``),
+    becomes the c images L X R^T, cut the same way.  A is never formed."""
 
     def apply(x):
-        images = x.reshape(len(x), channels, left.shape[1], right.shape[1])
-        return (left @ images @ right.T).reshape(len(x), size)
+        images = _unpiece(x, how, (len(x), channels, left.shape[1], right.shape[1]))
+        return _piece(left @ images @ right.T, how)
 
     return apply
 
@@ -376,50 +401,6 @@ def _measurement_stage(cov, a_rows, sigma_y):
     gram[np.diag_indices_from(gram)] += sigma_y * sigma_y
     lam, vecs = np.linalg.eigh(_finite_or_raise(gram, sigma_y))
     return sig_at, lam, np.asfortranarray(vecs)
-
-
-def _transpose_split(shape, measurement_shape, covs: dict, a_rows: dict):
-    """The parity split of a prior and an operator that commute with the
-    transpose of the grid, refined into the six blocks of a square
-    ``_ParityBlocks``: (signal blocks, the measurement's split, Sigma's
-    diagonal blocks, A's blocks as maps on rows, each by block index, and
-    Sigma's largest entry between two halves relative to the largest
-    diagonal entry of its parity blocks).  ``covs`` and ``a_rows`` are the
-    parity blocks.  Block oe is left out, as it takes eo's gain and factor.
-    A half of ee or oo takes Sigma's block by ``_half`` on both sides of the
-    parity block, and A's block through the parity block's map: the half's
-    coordinates put back into square images (``_half_add``), mapped, and
-    taken into the same half on the measurement side."""
-    signal = _ParityBlocks(shape, square=True)
-    measurement = _ParityBlocks(measurement_shape, square=True)
-    c = shape[0]
-    blocks, rows, off = {}, {}, []
-    if 1 in covs:
-        blocks[2], rows[2] = covs[1], a_rows[1]
-    for k, key in ((0, 0), (3, 4)):
-        if k not in covs:
-            continue
-        side, m_side = (basis.quadrant_shapes[k][0] for basis in (signal, measurement))
-        images = covs[k].reshape(-1, c, side, side)
-        for j, sign in enumerate((1, -1)):
-            if not signal.sizes[key + j]:
-                continue
-            # (Sigma_k H_j)^T as images, then H_i^T Sigma_k H_j for each half i
-            cols = _flat(_half(images, sign), (len(images),)).T.reshape(-1, c, side, side)
-            sides = [_flat(_half(cols, s), (len(cols),)) for s in (1, -1)]
-            blocks[key + j] = (sides[j] + sides[j].T) / 2.0
-            off.append(np.abs(sides[1 - j]).max(initial=0.0))
-
-            def half_map(x, parity_map=a_rows[k], side=side, m_side=m_side, sign=sign):
-                images = np.zeros((len(x), c, side, side))
-                _half_add(images, x, sign)
-                y = parity_map(_flat(images, (len(x),)))
-                return _flat(_half(y.reshape(len(x), c, m_side, m_side), sign), (len(x),))
-
-            rows[key + j] = half_map
-    top = max(cov.diagonal().max() for cov in covs.values())
-    return (signal, measurement.split, dict(sorted(blocks.items())), rows,
-            max(off, default=0.0) / top if top > 0.0 else 0.0)
 
 
 def _block_posterior(cov, sig_at, lam, vecs, floor):
@@ -508,46 +489,53 @@ class GaussianPrior:
         return _denoise_cov(self.factor, t)
 
     # --- conditioning on the measurement --------------------------------
-    def _covariance_blocks(self, shape) -> tuple:
-        """Signal blocks, Sigma's diagonal blocks B_k^T Sigma B_k in them by
-        block index k (empty blocks left out), and Sigma's largest off-block
-        entry relative to its largest entry.
+    def _covariance_blocks(self, signal) -> tuple:
+        """Sigma's diagonal blocks B_k^T Sigma B_k in the blocks of
+        ``signal`` (``_ParityBlocks``, or ``_OneBlock`` for pixel
+        coordinates), by block index k, with the empty blocks and those that
+        ``signal.shared`` gives another's left out; and Sigma's largest entry
+        between two quadrants relative to its largest entry.
 
-        ``shape`` is the (c, h, w) grid to split into its parity blocks
-        (``_ParityBlocks``), or None for one block in pixel coordinates.  A
-        factor-form prior (``rbf_prior``) gives each block as
-        (R_h (x) R_w) diag(lam) (R_h (x) R_w)^T with R = B^T Q per image axis
-        (``_axis_parts``), so Sigma is never formed; any other prior's dense
-        covariance is split on both sides: ``split`` of its rows gives
-        Sigma B_l, and as Sigma is symmetric, ``split`` of (Sigma B_k)^T gives
-        B_k^T Sigma B_l.  Sigma is PSD, so its largest entry is on its
-        diagonal.
+        A factor-form prior (``rbf_prior``) on the signal's grid gives a
+        quadrant's block as (R_h (x) R_w) diag(lam) (R_h (x) R_w)^T with
+        R = B^T Q per image axis (``axis_parts``), so Sigma is never formed.
+        Only the quadrants of the blocks returned are built; block k is its
+        piece of its quadrant's block taken on both sides (``_both_sides``),
+        symmetrised once: on a square grid the halves of ee and oo come
+        straight from their quadrants, and oe's is never built.  Any other
+        prior's dense covariance is split on both sides: ``split`` of its
+        rows gives Sigma B_l, and as Sigma is symmetric, ``split`` of
+        (Sigma B_k)^T gives B_k^T Sigma B_l.  Sigma is PSD, so its largest
+        entry is on its diagonal.
         """
-        signal = _ParityBlocks(shape) if shape else _OneBlock(self.n)
         # an axis of length 1 has no odd part
         kept = [k for k, size in enumerate(signal.sizes) if size]
+        built = {k: signal.pieces[k] for k in kept if k not in signal.shared}
         factor = self.__dict__.get("factor")
         axes = factor.axes if factor is not None else ()
         sides = tuple(len(q) for q in axes)
-        if len(axes) == 2 and (shape is None or shape[1:] == sides):
-            # R = B^T Q of each axis for its even and its odd part
-            r_h, r_w = (_axis_parts(q, shape is not None) for q in axes)
-            rs = {k: (r_h[k >> 1], r_w[k & 1]) for k in kept}  # block k is odd by row if k & 2
+        if len(axes) == 2 and (signal.shape is None or signal.shape[1:] == sides):
+            r_h, r_w = (signal.axis_parts(q) for q in axes)
+            # R of quadrant q, which is odd by rows if q & 2
+            rs = [(r_h[q >> 1], r_w[q & 1]) for q in range(len(r_h) * len(r_w))]
             grid = factor.lam.reshape((-1,) + sides)
-            blocks = [_channel_diagonal(_kron_block(grid, rs[k], rs[k])) for k in kept]
-            off = [np.abs(_kron_entries(grid, rs[k], rs[l])).max()
-                   for k in kept for l in kept if k < l]
+            quads = {q: _channel_diagonal(_kron_block(grid, rs[q], rs[q]))
+                     for q in {q for q, _ in built.values()}}
+            blocks = {k: _both_sides(quads[q], how, (len(grid), len(rs[q][0]), len(rs[q][1])))
+                      for k, (q, how) in built.items()}
+            quadrants = sorted({signal.pieces[k][0] for k in kept})
+            off = [np.abs(_kron_entries(grid, rs[q], rs[p])).max()
+                   for q in quadrants for p in quadrants if q < p]
             top = ((axes[0] ** 2) @ grid @ (axes[1] ** 2).T).max()
         else:
             cov = self.covariance
             half = signal.split(cov)
-            parts = [signal.split(half[k].T) for k in kept]
-            blocks = [part[k] for k, part in zip(kept, parts)]
-            off = [np.abs(part[l]).max() for k, part in zip(kept, parts)
-                   for l in kept if l != k]
+            parts = {k: signal.split(half[k].T) for k in built}
+            blocks = {k: part[k] for k, part in parts.items()}
+            off = [np.abs(part[l]).max() for k, part in parts.items() for l in kept if l != k]
             top = cov.diagonal().max()
-        blocks = {k: (block + block.T) / 2.0 for k, block in zip(kept, blocks)}
-        return signal, blocks, max(off, default=0.0) / top if top > 0.0 else 0.0
+        blocks = {k: (block + block.T) / 2.0 for k, block in blocks.items()}
+        return blocks, max(off, default=0.0) / top if top > 0.0 else 0.0
 
     def _transpose_symmetric(self, side: int) -> bool:
         """Sigma = T Sigma T bit for bit, for the transpose T of every
@@ -576,9 +564,19 @@ class GaussianPrior:
         A = I_c (x) M_h (x) M_w (``axis_matrices``), commutes with the flips
         exactly when each axis factor does (``_flip_invariant``), as the
         product is exact.  Its measurement grid then splits into parity
-        blocks too, and block k is I_c (x) M_h^p (x) M_w^q, with
-        M^p = B'_p^T M B_p per axis and p = k >> 1 for the rows, q = k & 1
-        for the columns, applied one axis at a time (``_separable_rows``).
+        blocks too, and quadrant q is I_c (x) M_h^p (x) M_w^r, with
+        M^p = B'_p^T M B_p per axis and p = q >> 1 for the rows, r = q & 1
+        for the columns, applied one axis at a time; block k is its piece of
+        that map on both sides (``_separable_rows``).  A square problem
+        splits into the six blocks of a square ``_ParityBlocks`` when both
+        Sigma and A commute with the grid's transpose bit for bit: a
+        separable operator with M_h equal to M_w, and a per-axis factor of
+        Sigma with Q_h equal to Q_w and a lam grid equal to its transpose
+        (``_transpose_symmetric``).  Sigma's entries between the two halves
+        of ee or oo are then rounding, and block oe, which takes eo's gain
+        and factor, is left out: neither its Sigma block nor its map of A is
+        built.
+
         A selection, A x = x[kept] (``selection``), commutes with the flips
         exactly when its grid of kept pixels equals both of its flips.  A
         block coordinate then sees either kept pixels alone or none, so
@@ -588,44 +586,39 @@ class GaussianPrior:
         (``_selection_split``).  With one block, A's block is kept itself.
         Any other operator (``DenseOperator``) is one block, mapped by
         ``apply``.
-
-        A square problem splits further (``_transpose_split``) when both
-        Sigma and A commute with the grid's transpose bit for bit: a
-        separable operator with M_h equal to M_w, and a per-axis factor of
-        Sigma with Q_h equal to Q_w and a lam grid equal to its transpose
-        (``_transpose_symmetric``), with Sigma's entries between the halves
-        of ee and oo within 1e-12 of its largest.  Block oe is then left
-        out of the blocks: it takes eo's gain and factor.
         """
         axes, kept, shape = operator.axis_matrices(), operator.selection(), operator.signal_shape
-        split = False
+        split = square = False
         if axes is not None:
             split = all(_flip_invariant(m) for m in axes)
+            square = split and np.array_equal(*axes) and self._transpose_symmetric(shape[2])
         elif kept is not None:
             grid = np.zeros(operator.n, dtype=bool)
             grid[kept] = True
             grid = grid.reshape(shape)
             split = np.array_equal(grid, grid[:, ::-1]) and np.array_equal(grid, grid[:, :, ::-1])
         if split:
-            signal, covs, gap = self._covariance_blocks(shape)
+            signal = _ParityBlocks(shape, square)
+            covs, gap = self._covariance_blocks(signal)
             split = gap <= 1e-12
         if not split:
-            signal, covs, _ = self._covariance_blocks(None)
+            signal = _OneBlock(self.n)
+            covs, _ = self._covariance_blocks(signal)
         if axes is not None:
-            h, w = (_axis_blocks(m, split) for m in axes)
-            a_blocks = {k: _separable_rows(shape[0], h[k >> 1], w[k & 1]) for k in covs}
-            if not split:
-                return signal, _OneBlock(operator.m).split, covs, a_blocks
-            if np.array_equal(*axes) and self._transpose_symmetric(shape[2]):
-                *square, gap = _transpose_split(shape, operator.measurement_shape, covs, a_blocks)
-                if gap <= 1e-12:
-                    return tuple(square)
-            return signal, _ParityBlocks(operator.measurement_shape).split, covs, a_blocks
+            h, w = (_axis_blocks(m, signal.axis_parts) for m in axes)
+            measurement = (_ParityBlocks(operator.measurement_shape, square) if split
+                           else _OneBlock(operator.m))
+            pieces = {k: signal.pieces[k] for k in covs}
+            return signal, measurement.split, covs, {
+                k: _separable_rows(shape[0], h[q >> 1], w[q & 1], how)
+                for k, (q, how) in pieces.items()}
         if not split:
             rows = operator.apply if kept is None else partial(np.take, indices=kept, axis=-1)
             return signal, _OneBlock(operator.m).split, covs, {0: rows}
-        # coordinate (c, a, b) of a quadrant stands for pixel (c, a, b)
-        picks = [np.flatnonzero(grid[:, :rows, :cols]) for rows, cols in signal.quadrant_shapes]
+        # a selection's blocks are whole quadrants (it has no transpose split),
+        # and coordinate (c, a, b) of a quadrant stands for pixel (c, a, b)
+        picks = [np.flatnonzero(grid[:, :rows.stop - rows.start, :cols.stop - cols.start])
+                 for rows, cols in signal.quadrants]
         return (signal, partial(_selection_split, signal, kept, picks), covs,
                 {k: partial(np.take, indices=picks[k], axis=-1) for k in covs})
 

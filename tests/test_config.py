@@ -2,6 +2,7 @@ import textwrap
 
 import pytest
 
+from cminverse import cli
 from cminverse.config import (
     ConfigError,
     ExperimentConfig,
@@ -318,3 +319,47 @@ def test_sampler_rejects_non_finite_floats():
 def test_distinct_grid_labels_are_accepted(tmp_path):
     body = "[experiment]\ntask = denoise\n[tune]\ngamma_grid = 0.123456, 0.123457, 0\n"
     assert load_config(write_config(tmp_path, body)).gamma_grid == (0.123456, 0.123457, 0.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", [
+    ("dataset", "length_scale"), ("dataset", "variance"), ("dataset", "mean_level"),
+    ("operator", "sigma"), ("operator", "sigma_y"), ("operator", "saturation"),
+])
+def test_non_finite_prior_and_operator_floats_are_config_errors(tmp_path, section, key, value):
+    # they used to crash degrade (sigma = inf), or to synthesize, measure and
+    # sample non-finite values with exit 0
+    body = f"[experiment]\ntask = nonlinear_deblur\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} must be finite, got {value}$"):
+        load_config(write_config(tmp_path, body))
+
+
+def test_non_finite_blur_sigma_stops_the_cli_before_it_writes(tmp_path):
+    out = tmp_path / "run"
+    ini = write_config(tmp_path, f"[experiment]\ntask = deblur\noutput_dir = {out}\n"
+                                 "[operator]\nsigma = inf\n")
+    assert cli.main(["--config", ini, "synthesize"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, fragment",
+    [
+        ("[dataset]\nlength_scale = 0\n", r"\[dataset\] length_scale must be positive .*got 0.0"),
+        ("[dataset]\nvariance = -0.1\n", r"\[dataset\] variance must be positive .*got -0.1"),
+        ("[operator]\nkernel_radius = 2.5\n", r"^\[operator\] kernel_radius: invalid literal"),
+        ("[operator]\nkernel_radius = 0\n", r"^\[operator\] kernel_radius must be >= 1, got 0$"),
+    ],
+    ids=["length_scale_zero", "variance_negative", "kernel_radius_float", "kernel_radius_zero"],
+)
+def test_prior_scales_and_kernel_radius_are_checked_at_load(tmp_path, body, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(write_config(tmp_path, "[experiment]\ntask = deblur\n" + body))
+
+
+def test_blank_kernel_radius_takes_the_default(tmp_path):
+    body = "[experiment]\ntask = deblur\n[operator]\nkernel_radius =\n"
+    assert load_config(write_config(tmp_path, body)).kernel_radius is None
+    # other generators take no RBF scales, so these are not theirs to check
+    body = "[experiment]\ntask = denoise\n[dataset]\ngenerator = atoms\nvariance = 0\n"
+    assert load_config(write_config(tmp_path, body)).prior_variance == 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,24 @@ def test_nonlinear_blur_saturates_large_values():
     non = make_synthetic_nonlinear_blur(1, 4, 4, sigma=0.8, saturation=2.0)
     y = non.apply(np.full(16, 100.0))
     assert np.all(y <= 0.5 + 1e-12)  # tanh ceiling at 1/saturation
+
+
+@pytest.mark.parametrize("shape", [(1, 16, 16), (3, 12, 20), (1, 32, 32)])
+def test_nonlinear_apply_maps_a_stack_in_one_call(shape):
+    op = make_synthetic_nonlinear_blur(*shape, sigma=1.5, saturation=4.0)
+    calls = []
+
+    def fn(x):
+        calls.append(np.shape(x))
+        return op.fn(x)
+
+    counted = dataclasses.replace(op, fn=fn)
+    x = np.random.default_rng(30).standard_normal((64, op.n))
+    y = counted.apply(x)
+    assert calls == [(64, op.n)] and y.shape == (64, op.m)
+    # each row is what a single-signal apply gives, bit for bit
+    assert all(np.array_equal(row, counted.apply(signal)) for row, signal in zip(y, x))
+    assert calls[1:] == [(1, op.n)] * 64
 
 
 def test_measurement_model_seeded_and_noiseless():

@@ -350,17 +350,56 @@ def test_flip_gap_of_the_rbf_prior_is_rounding():
     # the factor-built RBF covariance passes the 1e-12 gate with room: its
     # largest off-block entry is about 3e-15 of its largest entry here
     for shape in [(1, 8, 8), (3, 6, 10), (1, 32, 32)]:
-        _, _, gap = rbf_prior(shape, length_scale=3.0, variance=0.05)._covariance_blocks(shape)
+        prior = rbf_prior(shape, length_scale=3.0, variance=0.05)
+        _, gap = prior._covariance_blocks(priors._ParityBlocks(shape))
         assert gap <= 1e-13
 
 
-def test_transpose_gap_of_the_rbf_prior_is_rounding():
-    # Sigma's entries between the symmetric and the antisymmetric half of ee
-    # and oo are rounding too: T Sigma T = Sigma holds exactly in the factor
-    for shape in [(1, 8, 8), (3, 7, 7), (1, 32, 32)]:
-        _, covs, _ = rbf_prior(shape, length_scale=3.0, variance=0.05)._covariance_blocks(shape)
-        *_, gap = priors._transpose_split(shape, shape, covs, dict.fromkeys(covs))
-        assert 0.0 < gap <= 1e-13
+@pytest.mark.parametrize("shape", [(1, 8, 8), (3, 7, 7), (1, 32, 32)])
+def test_square_covariance_blocks_match_the_dense_six_block_basis(shape, monkeypatch):
+    # each half of ee and oo comes straight from its quadrant's block, and
+    # oe, which takes eo's gain and factor, gets neither a block of Sigma
+    # nor a map of A
+    op = make_gaussian_blur(*shape, 3.0)
+    prior = rbf_prior(shape, length_scale=3.0, variance=0.05)
+    parts = [priors._axis_parts(q) for q in prior.factor.axes]
+    axis_blocks = priors._axis_blocks(op.axis_matrices()[0], priors._axis_parts)
+    sigma_quadrants, a_quadrants = [], []
+
+    def parity_of(arrays, candidates):
+        return tuple(next(p for p, c in enumerate(cands) if np.array_equal(a, c))
+                     for a, cands in zip(arrays, candidates))
+
+    def kron_block(grid, rows, cols):
+        sigma_quadrants.append(parity_of(rows, parts))
+        return kron_block.real(grid, rows, cols)
+
+    def separable_rows(channels, left, right, how):
+        a_quadrants.append(parity_of((left, right), 2 * [axis_blocks]))
+        return separable_rows.real(channels, left, right, how)
+
+    kron_block.real, separable_rows.real = priors._kron_block, priors._separable_rows
+    monkeypatch.setattr(priors, "_kron_block", kron_block)
+    monkeypatch.setattr(priors, "_separable_rows", separable_rows)
+    signal, _, covs, a_blocks = prior._parity_split(op)
+    assert len(signal.sizes) == 6 and list(covs) == list(a_blocks) == [0, 1, 2, 4, 5]
+    # (row parity, column parity): ee, eo and oo, never oe = (1, 0)
+    assert sorted(sigma_quadrants) == [(0, 0), (0, 1), (1, 1)]
+    assert a_quadrants == [(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)]
+    assert "covariance" not in prior.__dict__
+
+    blocks, gap = prior._covariance_blocks(priors._ParityBlocks(shape, square=True))
+    assert gap <= 1e-13 and list(blocks) == [0, 1, 2, 4, 5]
+    cov = rbf_prior(shape, length_scale=3.0, variance=0.05).covariance
+    bases = signal.split(np.eye(prior.n))  # B_k of ee+, ee-, eo, oe, oo+, oo-
+    for k, basis in enumerate(bases):
+        want = basis.T @ cov @ basis
+        assert np.allclose(blocks[signal.shared.get(k, k)], want, rtol=0.0, atol=1e-13)
+    # Sigma's entries between the two halves of ee and of oo are rounding,
+    # as T Sigma T = Sigma holds exactly in the factor
+    for kept, negated in ((0, 1), (4, 5)):
+        cross = bases[kept].T @ cov @ bases[negated]
+        assert np.abs(cross).max(initial=0.0) <= 1e-13 * cov.max()
 
 
 @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 7, 7), (1, 1, 1), (2, 2, 2)])
@@ -442,7 +481,7 @@ def test_covariance_blocks_match_the_dense_parity_basis(shape):
     factor_form = rbf_prior(shape, 1.5, 0.3)
     dense_form = GaussianPrior(mean=np.zeros(cov.shape[0]), covariance=cov)
     for prior in (factor_form, dense_form):
-        _, blocks, gap = prior._covariance_blocks(shape)
+        blocks, gap = prior._covariance_blocks(priors._ParityBlocks(shape))
         assert gap <= 1e-13
         assert list(blocks) == list(range(len(bases)))
         for k, basis in enumerate(bases):
@@ -1001,3 +1040,16 @@ def test_gaussian_prior_rejects_a_factor_of_another_dimension():
     bad = type(factor)(lam, (np.eye(4), np.eye(4)))
     with pytest.raises(ValueError, match="factor does not match"):
         GaussianPrior(mean=np.zeros(12), factor=bad)
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-300, np.nan, np.inf])
+def test_gaussian_prior_rejects_a_negative_or_non_finite_eigenvalue(value):
+    # a negative lam made sample return NaN, and a NaN lam denoised as 0
+    rbf = rbf_prior((1, 4, 4), length_scale=1.5, variance=0.3)
+    lam = rbf.factor.lam.copy()
+    lam[5] = value
+    with pytest.raises(ValueError, match="eigenvalues must be finite and >= 0"):
+        GaussianPrior(mean=rbf.mean, factor=priors.EigenFactor(lam, rbf.factor.axes))
+    lam[5] = 0.0  # a zero eigenvalue is a direction the prior does not vary in
+    prior = GaussianPrior(mean=rbf.mean, factor=priors.EigenFactor(lam, rbf.factor.axes))
+    assert np.all(np.isfinite(prior.sample(np.random.default_rng(0), size=3)))
