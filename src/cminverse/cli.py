@@ -33,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="experiment INI file")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument(
-        "--workers", type=int, default=None, help="override worker count"
+        "--workers", type=int, default=None,
+        help="override [experiment] workers (validated, >= 1; has no effect)"
     )
     parser.add_argument(
         "--output-dir", default=None, help="override config output directory"

@@ -42,7 +42,7 @@ class ExperimentConfig:
     task: str
     output_dir: str
     seed: int
-    workers: int
+    workers: int  # validated (>= 1) but unused: every stage runs one chunk at a time
     dump_images: bool
 
     dataset_source: str  # "synthetic" or a directory with an existing dataset
@@ -104,6 +104,9 @@ class ExperimentConfig:
                 if value <= 0.0:
                     raise ConfigError(f"[dataset] {key} must be positive for the "
                                       f"gaussian_prior generator, got {value}")
+        if self.generator == "atoms" and self.atom_count < 1:
+            raise ConfigError(f"[dataset] atom_count must be >= 1 for the atoms generator, "
+                              f"got {self.atom_count}")
         if self.count < 0:
             raise ConfigError(f"count must be >= 0, got {self.count}")
         if min(self.channels, self.height, self.width) < 1:

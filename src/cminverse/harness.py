@@ -4,17 +4,14 @@ verify, tune-gamma.
 Every stage reads the manifests of the stage before it, does its work,
 and writes tensors plus a line-delimited manifest of its own.  Sampling
 runs the batched sampler, and evaluation scores PSNR and SSIM, on chunks
-of ``SAMPLE_CHUNK`` images, a size fixed apart from the worker count;
-the chunks, not single images, may fan out over a thread pool, but
-results are written in index order by the calling thread, so the bytes
-on disk do not depend on the worker count.  Per-sample randomness comes from seeds derived as
+of ``SAMPLE_CHUNK`` images, one chunk after another in index order.
+Per-sample randomness comes from seeds derived as
 ``seed + offset + 2 * index`` with disjoint offsets per stage, never
 from a shared generator.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -46,9 +43,9 @@ from .schedules import make_karras_schedule
 # its own stream even when indices collide across stages.
 _DEGRADE_SEED_OFFSET = 1
 _SAMPLE_SEED_OFFSET = 2
-# Images per batched sampler call, and per PSNR or SSIM call.  It is a
-# constant so that every image sees the same batch, and the same BLAS
-# blocking, for any worker count.
+# Images per batched sampler call, and per PSNR or SSIM call.  It bounds
+# the memory of the latents and of SSIM's window maps, and as a constant
+# it fixes the batch, and so the BLAS blocking, that each image sees.
 SAMPLE_CHUNK = 64
 # dataset_meta.jsonl fields of a gaussian_prior dataset, the rbf_prior arguments
 _PRIOR_FIELDS = ("length_scale", "variance", "mean_level")
@@ -98,14 +95,9 @@ def _write_stack(directory, prefix, stack, preview_dir=None) -> list[str]:
     return names
 
 
-def _map_chunks(work, count: int, workers: int):
-    """Run work(lo, hi) on each chunk [lo, hi) of SAMPLE_CHUNK indices, in
-    chunk order.  The pool only computes; writing stays with the caller."""
-    chunks = [(lo, min(lo + SAMPLE_CHUNK, count)) for lo in range(0, count, SAMPLE_CHUNK)]
-    if workers <= 1:
-        return [work(lo, hi) for lo, hi in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda chunk: work(*chunk), chunks))
+def _chunks(count: int) -> list[slice]:
+    """The slices of SAMPLE_CHUNK indices that cover range(count), in order."""
+    return [slice(lo, lo + SAMPLE_CHUNK) for lo in range(0, count, SAMPLE_CHUNK)]
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +116,7 @@ def _piecewise_constant_images(rng, count, shape):
                 continue
             img[:, r0:r1, c0:c1] = rng.uniform(0.0, 1.0)
         images[i] = np.clip(img, 0.0, 1.0)
-    return images.reshape(count, -1)
+    return images.reshape(count, c * h * w)
 
 
 def _blob_atoms(rng, atom_count, shape):
@@ -135,7 +127,7 @@ def _blob_atoms(rng, atom_count, shape):
         img = np.zeros((h, w))
         for _ in range(rng.integers(1, 4)):
             cy, cx = rng.uniform(0, h), rng.uniform(0, w)
-            rad = rng.uniform(1.0, max(h, w) / 3.0)
+            rad = rng.uniform(1.0, max(1.0, max(h, w) / 3.0))
             amp = rng.uniform(0.3, 1.0)
             img += amp * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2 * rad**2))
         atoms[j] = np.clip(img, 0.0, 1.0)[None].repeat(c, axis=0)
@@ -341,41 +333,37 @@ def _reconstruct(config: ExperimentConfig, sampler: SamplerConfig, setup, ys, me
     or residual norm is not finite."""
     operator, consistency, conditioned = setup
     seeds = [config.seed + _SAMPLE_SEED_OFFSET + 2 * i for i in range(len(measurements))]
-
-    def work(lo, hi):
-        y = ys[lo:hi]
+    estimates, rows = [], []
+    for chunk in _chunks(len(measurements)):
+        y = ys[chunk]
         trajectory = run_sampler(consistency, sampler, y=y, operator=operator,
-                                 sigma_y=config.sigma_y, seed=seeds[lo:hi],
-                                 x_teacher=None if teachers is None else teachers[lo:hi])
+                                 sigma_y=config.sigma_y, seed=seeds[chunk],
+                                 x_teacher=None if teachers is None else teachers[chunk])
         resid_norms = np.sqrt(np.stack(
             [row_sq_norms(y - operator.apply(rec.estimate)) for rec in trajectory.records],
             axis=1,
         ))
-        return list(zip(trajectory.estimate, trajectory.degenerate_steps, resid_norms))
-
-    results = [
-        row for chunk in _map_chunks(work, len(measurements), config.workers) for row in chunk
-    ]
-    for i, (estimate, _, resid_norms) in enumerate(results):
-        if not (np.isfinite(estimate).all() and np.isfinite(resid_norms).all()):
-            raise NonFiniteEstimate(f"image {i} ({measurements[i]['measurement']}): non-finite "
-                                    "estimate or residual norm; check t_min, t_max and the prior")
-    rows = [
-        {
-            "conditioned": conditioned,
-            "degenerate_steps": int(degenerate),
-            "gamma": sampler.gamma,
-            "index": i,
-            "measurement": measurements[i]["measurement"],
-            "nfe": sampler.steps,
-            "residual_norms": resid_norms.tolist(),
-            "seed": seeds[i],
-            "steps": sampler.steps,
-            "variant": sampler.variant,
-        }
-        for i, (_, degenerate, resid_norms) in enumerate(results)
-    ]
-    return [row[0] for row in results], rows
+        for i, (estimate, degenerate, norms) in enumerate(
+                zip(trajectory.estimate, trajectory.degenerate_steps, resid_norms),
+                start=chunk.start):
+            if not (np.isfinite(estimate).all() and np.isfinite(norms).all()):
+                raise NonFiniteEstimate(f"image {i} ({measurements[i]['measurement']}): "
+                                        "non-finite estimate or residual norm; check t_min, "
+                                        "t_max and the prior")
+            estimates.append(estimate)
+            rows.append({
+                "conditioned": conditioned,
+                "degenerate_steps": int(degenerate),
+                "gamma": sampler.gamma,
+                "index": i,
+                "measurement": measurements[i]["measurement"],
+                "nfe": sampler.steps,
+                "residual_norms": norms.tolist(),
+                "seed": seeds[i],
+                "steps": sampler.steps,
+                "variant": sampler.variant,
+            })
+    return estimates, rows
 
 
 def _write_samples(config: ExperimentConfig, recon_dir, preview_dir, estimates, rows) -> str:
@@ -401,11 +389,13 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
     paths = _stage_paths(config)
     measurements, ys = _measurements(config, records)
     sampler = sampler if sampler is not None else config.sampler
-    teachers = None
-    if sampler.variant == "addim" and records:
-        teachers = _read_stack(ds_dir, [rec["file"] for rec in records])
-    estimates, rows = _reconstruct(config, sampler, _sampling_setup(config), ys, measurements,
-                                   teachers)
+    estimates, rows = [], []
+    if records:  # an empty piecewise_constant dataset has no prior to load
+        teachers = None
+        if sampler.variant == "addim":
+            teachers = _read_stack(ds_dir, [rec["file"] for rec in records])
+        estimates, rows = _reconstruct(config, sampler, _sampling_setup(config), ys,
+                                       measurements, teachers)
     preview_dir = paths["images"] if recon_dir is None else recon_dir
     recon_dir = recon_dir if recon_dir is not None else paths["recon"]
     return _write_samples(config, recon_dir, preview_dir, estimates, rows)
@@ -463,18 +453,16 @@ def _score(config: ExperimentConfig, recs: np.ndarray, references) -> list[dict]
     refs, feats_ref = references
     recs = recs.reshape(refs.shape)
 
-    def score(lo, hi):
-        """Per-image PSNR and SSIM of one chunk; None for a disabled metric."""
-        return [metric(recs[lo:hi], refs[lo:hi]) if enabled else None
-                for metric, enabled in ((metrics_mod.psnr, config.metric_psnr),
-                                        (metrics_mod.ssim, config.metric_ssim))]
-
-    psnrs, ssims = (
-        np.concatenate(column).tolist() if column[0] is not None else [None] * len(refs)
-        for column in zip(*_map_chunks(score, len(refs), config.workers))
-    )
+    psnrs, ssims = [], []
+    for chunk in _chunks(len(refs)):
+        if config.metric_psnr:
+            psnrs.extend(metrics_mod.psnr(recs[chunk], refs[chunk]).tolist())
+        if config.metric_ssim:
+            ssims.extend(metrics_mod.ssim(recs[chunk], refs[chunk]).tolist())
     per_sample = [
-        {"index": i, "psnr": p, "ssim": s} for i, (p, s) in enumerate(zip(psnrs, ssims))
+        {"index": i, "psnr": psnrs[i] if config.metric_psnr else None,
+         "ssim": ssims[i] if config.metric_ssim else None}
+        for i in range(len(refs))
     ]
 
     aggregate = {
@@ -486,9 +474,9 @@ def _score(config: ExperimentConfig, recs: np.ndarray, references) -> list[dict]
         "ssim": None,
     }
     if config.metric_psnr:
-        aggregate["psnr"] = float(np.mean([row["psnr"] for row in per_sample]))
+        aggregate["psnr"] = float(np.mean(psnrs))
     if config.metric_ssim:
-        aggregate["ssim"] = float(np.mean([row["ssim"] for row in per_sample]))
+        aggregate["ssim"] = float(np.mean(ssims))
     if config.metric_kid or config.metric_fid:
         feats_rec = _features(config, recs, "reconstructions")
         if config.metric_kid:

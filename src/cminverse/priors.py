@@ -35,6 +35,9 @@ from .operators import LinearOperator
 # images in 1.3 s at a peak resident size of about 150 MiB, and 128 x 128
 # would need more than 1 GiB and about 64 times the factorisation work.
 MAX_CONDITIONED_N = 64 * 64
+# A dense covariance may have eigenvalues below 0 by round-off; one below
+# -COVARIANCE_RTOL times its largest is refused as indefinite.
+COVARIANCE_RTOL = 1e-8
 
 
 class ConsistencyFn(Protocol):
@@ -423,8 +426,11 @@ def _block_posterior(cov, sig_at, lam, vecs, floor):
 class GaussianPrior:
     """x ~ N(mean, Sigma); every conditional is available exactly.
 
-    Sigma is given in one form.  A dense symmetric ``covariance`` is
-    factored by one eigh when the factor is first used.  An ``EigenFactor``
+    Sigma is given in one form.  A dense ``covariance`` must be finite,
+    symmetric, and positive semidefinite up to round-off: its smallest
+    eigenvalue may fall below 0 by at most ``COVARIANCE_RTOL`` (1e-8) times
+    its largest, and it is factored by one eigh, with the eigenvalues
+    clamped at 0, when the factor is first used.  An ``EigenFactor``
     (``factor``, as ``rbf_prior`` builds it) is used as given, and
     ``covariance`` is then Q diag(lam) Q^T, formed once when first read.
     Nothing here reads it for a per-axis factor: conditioning on a
@@ -453,9 +459,16 @@ class GaussianPrior:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match dimension {mu.size}"
             )
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance entries must be finite")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        self.covariance = (cov + cov.T) / 2.0
+        cov = (cov + cov.T) / 2.0
+        lam = np.linalg.eigvalsh(cov)
+        if lam.size and lam[0] < -COVARIANCE_RTOL * max(lam[-1], 0.0):
+            raise ValueError(f"covariance is indefinite: eigenvalue {lam[0]:.3g} against "
+                             f"a largest of {lam[-1]:.3g}")
+        self.covariance = cov
 
     @property
     def n(self) -> int:
@@ -682,7 +695,7 @@ class GaussianPrior:
         """Unconditional denoiser in consistency-function form (ignores y).
 
         Every level scales one cached factor of Sigma, so a call costs two
-        matrix products and threads can share the closure.
+        matrix products.
         """
         factor = self.factor
 
@@ -707,7 +720,7 @@ class GaussianPrior:
         level.  A call moves the rows of y - A mean and x_t into the blocks'
         coordinates by one product with each axis's parity matrix
         (``_ParityBlocks``), makes three matrix products per block and moves
-        back, with no solve, cache or lock.
+        back, with no solve or cache.
         """
         cond = self._condition_on_measurement(operator, sigma_y)
 
@@ -723,8 +736,7 @@ class _Conditioned:
     """x | y of a Gaussian prior, held in the blocks of its split: per block
     k, the prior mean's part, the gain K_k and the eigenfactor of
     Sigma_y,k, by block index (a shared block holds its source's arrays).
-    ``split_y`` maps rows of measurements to their blocks' coordinates.
-    Read-only once built, so threads may share it."""
+    ``split_y`` maps rows of measurements to their blocks' coordinates."""
 
     def __init__(self, signal, split_y, mean: np.ndarray, a_mu: np.ndarray,
                  gains: dict, factors: dict):

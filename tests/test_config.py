@@ -156,6 +156,10 @@ def test_missing_file_raises(tmp_path):
         ("[experiment]\ntask = denoise\n[dataset]\ngenerator = fractal\n", "generator"),
         ("[experiment]\ntask = denoise\n[dataset]\nsource = /no/such/dir\n", "dataset source"),
         ("[experiment]\ntask = denoise\n[dataset]\ncount = -1\n", "count"),
+        ("[experiment]\ntask = denoise\n[dataset]\ngenerator = atoms\natom_count = 0\n",
+         r"\[dataset\] atom_count must be >= 1"),
+        ("[experiment]\ntask = denoise\n[dataset]\ngenerator = atoms\natom_count = -2\n",
+         r"\[dataset\] atom_count must be >= 1"),
         ("[experiment]\ntask = denoise\n[dataset]\nheight = 0\n", "positive"),
         ("[experiment]\ntask = denoise\n[operator]\nsigma_y = -0.1\n", "sigma_y"),
         ("[experiment]\ntask = denoise\nworkers = 0\n", "workers"),

@@ -282,7 +282,8 @@ def test_sample_exact_measurement_deblur_is_accurate(tmp_path, blur_sigma):
 
 
 def test_sample_chunks_do_not_depend_on_worker_count(tmp_path, monkeypatch):
-    # one chunk of SAMPLE_CHUNK images plus a short one; the pool maps chunks
+    # one chunk of SAMPLE_CHUNK images plus a short one, sampled in index
+    # order by sample and by every tune-gamma candidate, for any worker count
     run_sampler, batches = harness.run_sampler, []
 
     def counting(*args, **kwargs):
@@ -294,21 +295,38 @@ def test_sample_chunks_do_not_depend_on_worker_count(tmp_path, monkeypatch):
     for workers in (1, 3):
         config = make_config(tmp_path / f"w{workers}", workers=workers, seed=5,
                              task="deblur", height=4, width=4,
-                             count=harness.SAMPLE_CHUNK + 3)
+                             count=harness.SAMPLE_CHUNK + 3, metric_ssim=False,
+                             gamma_grid=(0.5,))
+        batches.clear()
         manifest = read_jsonl(run_pipeline(config))
+        assert batches == [harness.SAMPLE_CHUNK, 3]
         assert [row["index"] for row in manifest] == list(range(config.count))
         assert [row["seed"] for row in manifest] == [
             5 + 2 + 2 * i for i in range(config.count)
         ]
+        batches.clear()
+        harness.tune_gamma(config)
+        assert batches == [harness.SAMPLE_CHUNK, 3]
         trees.append(tree_bytes(config.output_dir))
     assert trees[0] == trees[1]
-    assert sorted(batches) == [3, 3, harness.SAMPLE_CHUNK, harness.SAMPLE_CHUNK]
 
 
-def test_empty_dataset_passes_synthesize_degrade_sample(tmp_path):
-    config = make_config(tmp_path, count=0, workers=3)
+@pytest.mark.parametrize("generator", ["gaussian_prior", "piecewise_constant", "atoms"])
+def test_empty_dataset_passes_synthesize_degrade_sample(tmp_path, generator):
+    config = make_config(tmp_path, count=0, workers=3, generator=generator)
     assert read_jsonl(run_pipeline(config)) == []
     assert read_jsonl(tmp_path / "degraded" / "degrade.jsonl") == []
+
+
+@pytest.mark.parametrize("height, width", [(1, 2), (2, 1)])
+def test_atoms_on_grids_shorter_than_three(tmp_path, height, width):
+    # max(h, w) / 3 < 1 here, so a blob's radius range [1, max(1, max(h, w) / 3)]
+    # is the single value 1
+    config = make_config(tmp_path, generator="atoms", height=height, width=width)
+    assert len(read_jsonl(run_pipeline(config))) == config.count
+    atoms = read_tensor(tmp_path / "dataset" / "atoms.cmt")
+    assert atoms.shape == (config.atom_count, height * width)
+    assert atoms.min() >= 0.0 and atoms.max() <= 1.0
 
 
 def test_sample_gamma_zero_matches_plain_interpolant(tmp_path):

@@ -890,6 +890,23 @@ def test_gaussian_validation_errors():
         prior.denoise(np.zeros(prior.n), -1.0)
 
 
+def test_dense_covariance_must_be_finite_and_positive_semidefinite():
+    for bad in (np.nan, np.inf):
+        cov = np.eye(3)
+        cov[0, 2] = cov[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianPrior(mean=np.zeros(3), covariance=cov)
+    # an eigenvalue below -COVARIANCE_RTOL times the largest is refused
+    for low in (-1.0, -1e-6):
+        with pytest.raises(ValueError, match="indefinite"):
+            GaussianPrior(mean=np.zeros(3), covariance=np.diag([1.0, low, 0.5]))
+    # PSD ones load, also when singular with round-off below 0
+    root = np.random.default_rng(0).standard_normal((64, 4))
+    for cov in (rbf_covariance((1, 8, 8), 1.5, 0.3), rbf_covariance((1, 16, 16), 3.0, 0.05),
+                root @ root.T, np.zeros((3, 3)), np.diag([1.0, -1e-12, 0.5])):
+        GaussianPrior(mean=np.zeros(len(cov)), covariance=cov)
+
+
 # ---------------------------------------------------------------------------
 # empirical prior
 # ---------------------------------------------------------------------------
