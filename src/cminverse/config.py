@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from .metrics import FEATURE_MODES
+from .metrics import FEATURE_MODES, MIN_SSIM_WINDOW
 from .operators import (
     IdentityOperator,
     make_centered_square_inpaint,
@@ -147,6 +147,20 @@ class ExperimentConfig:
             raise ConfigError(f"pool {self.pool} must divide {self.height}x{self.width}")
         if self.subset_size < 2 or self.n_subsets < 1:
             raise ConfigError("subset_size must be >= 2 and n_subsets >= 1")
+        # what evaluate could not score; a dataset read from a directory
+        # brings its own count, which tune-gamma and evaluate check
+        if self.metric_ssim and min(self.height, self.width) < MIN_SSIM_WINDOW:
+            raise ConfigError(
+                f"[metrics] ssim = true needs [dataset] height and width >= {MIN_SSIM_WINDOW}, "
+                f"the smallest SSIM window, got {self.height}x{self.width}")
+        if self.dataset_source == "synthetic" and self.count >= 1:
+            if self.metric_kid and self.subset_size > self.count:
+                raise ConfigError(
+                    f"[metrics] kid = true takes subsets of subset_size = {self.subset_size} "
+                    f"images, more than [dataset] count = {self.count}")
+            if self.metric_fid and self.count < 2:
+                raise ConfigError(f"[metrics] fid = true needs [dataset] count >= 2, "
+                                  f"got {self.count}")
         if not self.gamma_grid:
             raise ConfigError("gamma grid must not be empty")
         labels = {}  # each candidate writes under tune/gamma_{g:g}

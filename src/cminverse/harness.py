@@ -531,7 +531,8 @@ def verify(config: ExperimentConfig, check_filter: str = "") -> list:
     """Run the built-in numerical check suite; returns the reports.
 
     check_filter restricts the suite to checks whose name contains the
-    given substring; excluded checks are never executed.
+    given substring; excluded checks are never executed.  A filter that
+    matches no check raises ValueError before anything is written.
     """
     seed = config.seed
     rng = np.random.default_rng(seed)
@@ -569,11 +570,11 @@ def verify(config: ExperimentConfig, check_filter: str = "") -> list:
         ),
     ]
 
-    reports = [
-        make_report()
-        for name, make_report in suite
-        if not check_filter or check_filter in name
-    ]
+    selected = [make_report for name, make_report in suite if check_filter in name]
+    if not selected:
+        raise ValueError(f"check filter {check_filter!r} matches none of the checks "
+                         + ", ".join(name for name, _ in suite))
+    reports = [make_report() for make_report in selected]
 
     paths = _stage_paths(config)
     os.makedirs(paths["reports"], exist_ok=True)

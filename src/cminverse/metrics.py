@@ -15,6 +15,7 @@ from . import kernels
 from .tensorio import read_tensor
 
 FEATURE_MODES = ("raw_pixels", "pooled_patches", "external_file")
+MIN_SSIM_WINDOW = 7  # the window ssim takes when the smaller image side is under 32
 
 
 def _as_chw(x) -> np.ndarray:
@@ -77,7 +78,7 @@ def ssim(
     a, b = _image_pair(x, reference)
     h, w = a.shape[-2:]
     if window is None:
-        window = 11 if min(h, w) >= 32 else 7
+        window = 11 if min(h, w) >= 32 else MIN_SSIM_WINDOW
     if min(h, w) < window:
         raise ValueError(f"image {h}x{w} is smaller than the {window} window")
     win = gaussian_window(window)

@@ -1,7 +1,8 @@
 """Measurement operators with explicit SVD structure.
 
 Every linear operator here exposes the factorisation A = U S V^T through
-orthonormal factor maps, which is what the spectral-domain sampler needs.
+the orthonormal maps V^T, V and U^T, which is what the spectral-domain
+sampler needs.
 V is always the full n x n right basis (so V V^T x = x); singular values
 are stored descending, zero-padded on demand for indices past min(m, n).
 Signals are flat length-n vectors in (channel, row, column) row-major
@@ -23,11 +24,8 @@ def _as_batch(x, dim: int, what: str):
         single = True
     elif arr.ndim == 2:
         single = False
-    elif arr.ndim == 3:
-        arr = arr.reshape(1, -1)
-        single = True
     else:
-        raise ValueError(f"{what}: expected 1-D, 2-D or (c,h,w) input")
+        raise ValueError(f"{what}: expected a vector or a (batch, dim) stack")
     if arr.shape[1] != dim:
         raise ValueError(f"{what}: expected dimension {dim}, got {arr.shape[1]}")
     return np.ascontiguousarray(arr), single
@@ -40,8 +38,6 @@ class LinearOperator:
     ----------
     n, m : signal and measurement dimensions.
     singular_values : descending, length min(m, n), all >= 0.
-    structure_tag : "downsample", "blur_circular", "inpaint", "identity"
-        or "dense".
     signal_shape : (c, h, w) of the signal domain.
     measurement_shape : (c, h, w) of the measurement when it is an image,
         else None.
@@ -50,8 +46,6 @@ class LinearOperator:
     ``axis_matrices`` and ``selection``, both None unless a subclass states
     them; an operator with neither conditions through ``apply`` alone.
     """
-
-    structure_tag = "dense"
 
     def __init__(self, n, m, singular_values, signal_shape, measurement_shape=None):
         s = np.ascontiguousarray(singular_values, dtype=np.float64)
@@ -77,38 +71,15 @@ class LinearOperator:
     def _ut(self, y2d):
         raise NotImplementedError
 
-    def _u(self, ys2d):
-        raise NotImplementedError
-
     def _direct(self, x2d):
         """Direct application, independent of the factored path."""
         raise NotImplementedError
 
     def apply(self, x):
-        """A x for a vector, a (c, h, w) image, or a (B, n) stack."""
+        """A x for a vector or a (B, n) stack."""
         x2d, single = _as_batch(x, self.n, "apply")
         y = self._direct(x2d)
         return y[0] if single else y
-
-    def apply_factored(self, x):
-        """U S V^T x; a second route used to cross-check apply()."""
-        x2d, single = _as_batch(x, self.n, "apply_factored")
-        k = self.singular_values.size
-        xs = self._vt(x2d)
-        ym = np.zeros((x2d.shape[0], self.m))
-        ym[:, :k] = xs[:, :k] * self.singular_values
-        y = self._u(ym)
-        return y[0] if single else y
-
-    def adjoint(self, y):
-        """A^T y = V S U^T y."""
-        y2d, single = _as_batch(y, self.m, "adjoint")
-        k = self.singular_values.size
-        ys = self._ut(y2d)
-        xs = np.zeros((y2d.shape[0], self.n))
-        xs[:, :k] = ys[:, :k] * self.singular_values
-        x = self._v(xs)
-        return x[0] if single else x
 
     def to_spectral(self, x):
         """V^T x: signal coordinates in the operator's right singular basis."""
@@ -164,8 +135,6 @@ class LinearOperator:
 
 
 class IdentityOperator(LinearOperator):
-    structure_tag = "identity"
-
     def __init__(self, channels, height, width):
         n = channels * height * width
         shape = (channels, height, width)
@@ -174,7 +143,7 @@ class IdentityOperator(LinearOperator):
     def _vt(self, x2d):
         return x2d.copy()
 
-    _v = _ut = _u = _direct = _vt
+    _v = _ut = _direct = _vt
 
     def axis_matrices(self):
         _, h, w = self.signal_shape
@@ -183,8 +152,6 @@ class IdentityOperator(LinearOperator):
 
 class DenseOperator(LinearOperator):
     """Arbitrary small dense matrix, factored by a full SVD."""
-
-    structure_tag = "dense"
 
     def __init__(self, matrix, signal_shape=None):
         a = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -211,9 +178,6 @@ class DenseOperator(LinearOperator):
     def _ut(self, y2d):
         return y2d @ self._u_full
 
-    def _u(self, ys2d):
-        return ys2d @ self._u_full.T
-
 
 def _householder_mean_basis(k: int) -> np.ndarray:
     """Symmetric orthogonal k x k basis whose first column is 1/sqrt(k)."""
@@ -226,8 +190,6 @@ def _householder_mean_basis(k: int) -> np.ndarray:
 
 class BlockDownsampleOperator(LinearOperator):
     """Block-average pooling; every singular value equals 1/block."""
-
-    structure_tag = "downsample"
 
     def __init__(self, channels, height, width, block):
         if block < 1:
@@ -288,8 +250,6 @@ class BlockDownsampleOperator(LinearOperator):
 
     def _ut(self, y2d):
         return y2d.copy()
-
-    _u = _ut
 
 
 def _real_dft_basis(length: int) -> np.ndarray:
@@ -352,14 +312,10 @@ class CircularBlurOperator(LinearOperator):
     Q_h X Q_w^T with the real DFT bases Q_h, Q_w.
     """
 
-    structure_tag = "blur_circular"
-
     def __init__(self, channels, height, width, sigma, kernel_radius=None):
         if kernel_radius is None:
             kernel_radius = max(1, math.ceil(3.0 * sigma))
         kernel = gaussian_kernel(sigma, kernel_radius)
-        self.sigma = float(sigma)
-        self.kernel_radius = int(kernel_radius)
         self.kernel = kernel
         self.channels, self.height, self.width = channels, height, width
         n = channels * height * width
@@ -369,7 +325,7 @@ class CircularBlurOperator(LinearOperator):
         self._wrapped_h = _wrap_kernel(kernel, height)
         self._wrapped_w = _wrap_kernel(kernel, width)
         # built by index, not from the DFT factors, so apply() stays an
-        # independent check on apply_factored()
+        # independent check on the spectral maps
         self._ch = _circulant(self._wrapped_h)
         self._cw = _circulant(self._wrapped_w)
         lam_h = _basis_eigenvalues(np.fft.fft(self._wrapped_h).real)
@@ -407,9 +363,6 @@ class CircularBlurOperator(LinearOperator):
     def _ut(self, y2d):
         return self._vt(y2d) * self._sgn_full
 
-    def _u(self, ys2d):
-        return self._v(ys2d * self._sgn_full)
-
 
 def centered_square_mask(height: int, width: int) -> np.ndarray:
     """Observation mask hiding a centered square of about half the side length.
@@ -433,8 +386,6 @@ class InpaintOperator(LinearOperator):
     splits by the grid's flips when the mask equals both of its flips, as
     the centred square does on every grid.
     """
-
-    structure_tag = "inpaint"
 
     def __init__(self, channels, height, width, mask):
         mask = np.asarray(mask, dtype=bool)
@@ -473,8 +424,6 @@ class InpaintOperator(LinearOperator):
     def _ut(self, y2d):
         return y2d.copy()
 
-    _u = _ut
-
 
 @dataclass(frozen=True)
 class NonlinearOperator:
@@ -486,7 +435,6 @@ class NonlinearOperator:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    description: str
     n: int
     m: int
     signal_shape: tuple[int, int, int]
@@ -558,7 +506,6 @@ def make_synthetic_nonlinear_blur(
     n = channels * height * width
     return NonlinearOperator(
         fn=fn,
-        description=f"tanh-saturated circular blur (sigma={sigma}, saturation={saturation})",
         n=n,
         m=n,
         signal_shape=(channels, height, width),

@@ -437,8 +437,8 @@ class GaussianPrior:
     measurement builds Sigma's blocks from the factor.
 
     Conditioning on a measurement (``measurement_consistency``,
-    ``posterior``, ``joint_denoise_cov``) takes a ``LinearOperator``; wrap
-    a bare matrix in ``DenseOperator``.
+    ``posterior``) takes a ``LinearOperator``; wrap a bare matrix in
+    ``DenseOperator``.
     """
 
     def __init__(self, mean, covariance: np.ndarray | None = None,
@@ -671,14 +671,6 @@ class GaussianPrior:
             if source in gains:
                 gains[k], factors[k] = gains[source], factors[source]
         return _Conditioned(signal, split_y, self.mean, a_mu, gains, factors)
-
-    def joint_denoise_cov(self, t: float, operator: LinearOperator, sigma_y: float) -> np.ndarray:
-        """Var[x | x_t, y] = t^2 Sigma_y (Sigma_y + t^2 I)^-1, free of x_t and y;
-        dense n x n, built from its blocks."""
-        t = _check_t(t)
-        cond = self._condition_on_measurement(operator, sigma_y)
-        return cond.signal.expand({k: _denoise_cov(factor, t)
-                                   for k, factor in cond.factors.items()})
 
     def posterior(self, operator: LinearOperator, y: np.ndarray, sigma_y: float):
         """Mean and covariance of x | y under y = A x + sigma_y * noise; the

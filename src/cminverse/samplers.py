@@ -227,9 +227,6 @@ class Trajectory:
     nfe: int
     degenerate_steps: int | np.ndarray
 
-    def levels(self) -> list[float]:
-        return [rec.t for rec in self.records]
-
 
 def _require(condition: bool, message: str):
     if not condition:

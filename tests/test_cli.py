@@ -81,6 +81,14 @@ def test_full_pipeline_exit_codes_and_output(tmp_path, capsys):
     assert "best gamma" in capsys.readouterr().out
 
 
+def test_verify_filter_that_matches_no_check_exits_2(tmp_path, capsys):
+    ini = base_ini(tmp_path)
+    assert cli.main(["--config", ini, "verify", "--filter", "residul"]) == 2
+    err = capsys.readouterr().err
+    assert "'residul' matches none of the checks dropped_variance, " in err
+    assert not (tmp_path / "run" / "reports").exists()
+
+
 def test_evaluate_rejects_empty_dataset(tmp_path, capsys):
     ini = base_ini(tmp_path)
     with open(ini) as fh:
@@ -139,16 +147,19 @@ def test_evaluate_counts_the_images_of_an_existing_dataset(tmp_path, capsys):
 
 
 def test_tune_gamma_that_cannot_score_writes_nothing(tmp_path, capsys):
-    # KID over subsets of 8 with 4 images, or a dataset with no images:
-    # refused before the first candidate samples, so no tune/ tree is left
-    for name, fields, message in (("kid", {"subset_size": 8}, "subset_size = 8"),
-                                  ("empty", {"count": 0}, "dataset has no images")):
+    # KID over subsets of 8 with 4 images (refused when the config loads), or
+    # a dataset with no images (refused when tune-gamma starts): refused before
+    # the first candidate samples, so no tune/ tree is left
+    stages = ["synthesize", "degrade", "tune-gamma"]
+    for name, fields, refused_at, message in (
+            ("kid", {"subset_size": 8}, "synthesize", "subset_size = 8"),
+            ("empty", {"count": 0}, "tune-gamma", "dataset has no images")):
         (tmp_path / name).mkdir()
         ini = _with(base_ini(tmp_path / name), **fields)
-        for stage in ("synthesize", "degrade"):
+        for stage in stages[:stages.index(refused_at)]:
             assert cli.main(["--config", ini, stage]) == 0
         capsys.readouterr()
-        assert cli.main(["--config", ini, "tune-gamma"]) == 2
+        assert cli.main(["--config", ini, refused_at]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / name / "run" / "tune").exists()
         assert not (tmp_path / name / "run" / "reports").exists()
@@ -244,6 +255,9 @@ def test_spectral_sampler_on_nonlinear_task_is_exit_3(tmp_path, capsys):
         steps = 2
         t_min = 0.01
         t_max = 5
+
+        [metrics]
+        kid = false
         """,
     )
     assert cli.main(["--config", ini, "synthesize"]) == 0
@@ -284,6 +298,8 @@ def _run_to_sample(tmp_path, body):
         steps = 2
         t_min = 1e-200
         t_max = 5
+        [metrics]
+        kid = false
         """,
     ],
     ids=["atoms_tiny_t_min"],
@@ -320,6 +336,8 @@ def test_zero_noise_strong_blur_at_tiny_t_min_is_finite(tmp_path):
         steps = 2
         t_min = 1e-200
         t_max = 5
+        [metrics]
+        kid = false
         """)
     assert code == 0
     assert all(np.all(np.isfinite(x)) for x in _reconstructions(config))
@@ -342,6 +360,9 @@ def test_zero_noise_strong_blur_at_tiny_t_min_is_finite(tmp_path):
         steps = 2
         t_min = 0.01
         t_max = 1e200
+        [metrics]
+        ssim = false
+        kid = false
         """,
         # measurement-conditioned denoiser at t_max = 1e300
         """
@@ -358,6 +379,8 @@ def test_zero_noise_strong_blur_at_tiny_t_min_is_finite(tmp_path):
         steps = 2
         t_min = 0.01
         t_max = 1e300
+        [metrics]
+        kid = false
         """,
     ],
     ids=["gaussian_ddrm_huge_t_max", "gaussian_cm_baseline_t_max_1e300"],

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import textwrap
 
 import pytest
@@ -184,6 +186,41 @@ def test_invalid_fields_raise_config_errors(tmp_path, body, fragment):
         load_config(write_config(tmp_path, body))
 
 
+@pytest.mark.parametrize(
+    "dataset, metrics, message",
+    [
+        ("height = 6", "", r"ssim = true needs \[dataset\] height and width >= 7, the "
+         r"smallest SSIM window, got 6x16$"),
+        ("width = 1", "kid = false\nfid = false", r"ssim = true .* got 16x1$"),
+        ("count = 4", "subset_size = 5", r"kid = true takes subsets of subset_size = 5 "
+         r"images, more than \[dataset\] count = 4$"),
+        ("count = 1", "kid = false", r"fid = true needs \[dataset\] count >= 2, got 1$"),
+    ],
+    ids=["ssim_height_6", "ssim_width_1", "kid_subset_above_count", "fid_one_image"],
+)
+def test_metrics_that_evaluate_cannot_score_are_refused_at_load(tmp_path, dataset, metrics,
+                                                                 message):
+    body = f"[experiment]\ntask = denoise\n[dataset]\n{dataset}\n[metrics]\n{metrics}\n"
+    with pytest.raises(ConfigError, match=r"^\[metrics\] " + message):
+        load_config(write_config(tmp_path, body))
+    # the same grid and count load with that metric off
+    metric = message.split(" ", 1)[0]
+    load_config(write_config(tmp_path, body + f"{metric} = false\n"))
+
+
+@pytest.mark.parametrize("dataset, metrics", [
+    ("height = 7\nwidth = 7", ""),  # the smallest SSIM window fits
+    ("count = 5", "subset_size = 5"),
+    ("count = 2", "subset_size = 2"),  # FID's two images
+    ("count = 0", "subset_size = 8"),  # an empty dataset fails at evaluate instead
+    ("source = {dir}\ncount = 1", "subset_size = 8"),  # its images are counted later
+])
+def test_metrics_at_their_limits_load(tmp_path, dataset, metrics):
+    body = (f"[experiment]\ntask = denoise\n[dataset]\n{dataset.format(dir=tmp_path)}\n"
+            f"[metrics]\n{metrics}\n")
+    load_config(write_config(tmp_path, body))
+
+
 def test_external_features_must_exist(tmp_path):
     feats = tmp_path / "feats.cmt"
     feats.write_bytes(b"placeholder")
@@ -367,3 +404,19 @@ def test_blank_kernel_radius_takes_the_default(tmp_path):
     # other generators take no RBF scales, so these are not theirs to check
     body = "[experiment]\ntask = denoise\n[dataset]\ngenerator = atoms\nvariance = 0\n"
     assert load_config(write_config(tmp_path, body)).prior_variance == 0.0
+
+
+def test_every_benchmark_config_loads(tmp_path, monkeypatch):
+    # run.py pins the BLAS thread variables when it is imported; restore them after
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "run.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(run)
+    assert run.WORKLOADS
+    for name, spec in run.WORKLOADS.items():
+        ini = tmp_path / f"{name}.ini"
+        run.write_config(ini, spec, seed=7, output_dir=tmp_path / name)
+        config = load_config(str(ini))
+        assert (config.seed, config.output_dir) == (7, str(tmp_path / name))

@@ -79,6 +79,9 @@ height = {h}
 width = {w}
 length_scale = 3.0
 variance = 0.05
+
+[metrics]
+kid = false
 """
 
 
@@ -144,7 +147,7 @@ def test_synthesize_gaussian_matches_declared_moments(tmp_path):
 def test_load_prior_is_the_prior_that_drew_the_images(tmp_path):
     shape, variance = (3, 6, 5), 0.3
     config = make_config(tmp_path, channels=3, height=6, width=5, count=5,
-                         prior_variance=variance, prior_mean_level=0.4)
+                         prior_variance=variance, prior_mean_level=0.4, metric_ssim=False)
     ds_dir = harness.synthesize(config)
     meta = read_jsonl(os.path.join(ds_dir, "dataset_meta.jsonl"))[0]
     assert (meta["length_scale"], meta["variance"], meta["mean_level"]) == (2.0, 0.3, 0.4)
@@ -186,7 +189,7 @@ def test_synthesize_piecewise_and_atoms(tmp_path):
 
 
 def test_dump_images_writes_previews(tmp_path):
-    config = make_config(tmp_path, count=2, dump_images=True)
+    config = make_config(tmp_path, count=2, dump_images=True, metric_kid=False)
     harness.synthesize(config)
     assert os.path.isfile(tmp_path / "images" / "img_00000.pgm")
     harness.degrade(config)
@@ -322,7 +325,8 @@ def test_empty_dataset_passes_synthesize_degrade_sample(tmp_path, generator):
 def test_atoms_on_grids_shorter_than_three(tmp_path, height, width):
     # max(h, w) / 3 < 1 here, so a blob's radius range [1, max(1, max(h, w) / 3)]
     # is the single value 1
-    config = make_config(tmp_path, generator="atoms", height=height, width=width)
+    config = make_config(tmp_path, generator="atoms", height=height, width=width,
+                         metric_ssim=False)
     assert len(read_jsonl(run_pipeline(config))) == config.count
     atoms = read_tensor(tmp_path / "dataset" / "atoms.cmt")
     assert atoms.shape == (config.atom_count, height * width)
@@ -523,7 +527,11 @@ def test_verify_filter_runs_only_matching_checks(tmp_path):
     assert [r.check_name for r in reports] == ["dropped_variance"]
     rows = read_jsonl(tmp_path / "reports" / "verify.jsonl")
     assert len(rows) == 1
-    assert harness.verify(config, check_filter="no_such_check") == []
+    (tmp_path / "reports" / "verify.jsonl").unlink()
+    with pytest.raises(ValueError, match="matches none of the checks dropped_variance, "
+                       "residual_decomposition_bound, variance_compensation$"):
+        harness.verify(config, check_filter="no_such_check")
+    assert not (tmp_path / "reports" / "verify.jsonl").exists()
 
 
 @pytest.mark.parametrize("seed", [102, 143])

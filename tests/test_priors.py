@@ -66,6 +66,12 @@ def _conditional_oracle(mean, cov, obs_mat, obs_noise_cov, obs_value):
     return cond_mean, cond_cov
 
 
+def closure_cov(fn, x_t, y, t):
+    """Var[x | x_t, y] = t^2 G_t of a conditioned closure, which is affine in
+    x_t with slope G_t: its response to a probe of t^2 along each axis."""
+    return fn(x_t + t * t * np.eye(x_t.size), y, t) - fn(x_t, y, t)
+
+
 def test_joint_denoise_matches_brute_force_conditioning():
     rng = np.random.default_rng(1)
     prior = small_prior(1)
@@ -85,9 +91,9 @@ def test_joint_denoise_matches_brute_force_conditioning():
         prior.mean, prior.covariance, obs_mat, noise_cov, np.concatenate([x_t, y])
     )
 
-    assert np.allclose(prior.measurement_consistency(op, sigma_y)(x_t, y, t), oracle_mean,
-                       atol=1e-8)
-    assert np.allclose(prior.joint_denoise_cov(t, op, sigma_y), oracle_cov, atol=1e-8)
+    fn = prior.measurement_consistency(op, sigma_y)
+    assert np.allclose(fn(x_t, y, t), oracle_mean, atol=1e-8)
+    assert np.allclose(closure_cov(fn, x_t, y, t), oracle_cov, atol=1e-8)
 
 
 def test_posterior_matches_brute_force_conditioning():
@@ -164,7 +170,7 @@ def _joint_oracle(prior, a, sigma_y, x_t, y, t):
 
 
 def _check_against_oracles(prior, op, sigma_y, atol, levels=(DEFAULT_T_MIN, 1.0, DEFAULT_T_MAX)):
-    """Closure mean, joint_denoise_cov and posterior against brute-force
+    """Closure mean and covariance, and posterior, against brute-force
     conditioning."""
     rng = np.random.default_rng(20)
     a = operator_matrix(op)
@@ -175,7 +181,7 @@ def _check_against_oracles(prior, op, sigma_y, atol, levels=(DEFAULT_T_MIN, 1.0,
         x_t = x + t * rng.standard_normal(prior.n)
         oracle_mean, oracle_cov = _joint_oracle(prior, a, sigma_y, x_t, y, t)
         assert np.allclose(fn(x_t, y, t), oracle_mean, rtol=0.0, atol=atol)
-        assert np.allclose(prior.joint_denoise_cov(t, op, sigma_y), oracle_cov, rtol=0.0, atol=atol)
+        assert np.allclose(closure_cov(fn, x_t, y, t), oracle_cov, rtol=0.0, atol=atol)
     oracle_mean, oracle_cov = _conditional_oracle(
         prior.mean, prior.covariance, a, sigma_y**2 * np.eye(op.m), y)
     mean, cov = prior.posterior(op, y, sigma_y)
@@ -864,8 +870,9 @@ def test_eigen_gains_match_explicit_solves(t):
 
     _, cov_y = _conditional_oracle(prior.mean, prior.covariance, a,
                                    sigma_y * sigma_y * np.eye(op.m), np.zeros(op.m))
-    assert np.allclose(prior.joint_denoise_cov(t, op, sigma_y), t2 * gain(cov_y),
-                       rtol=0.0, atol=1e-10)
+    fn = prior.measurement_consistency(op, sigma_y)
+    y = a @ x_t[0] + sigma_y * rng.standard_normal(op.m)
+    assert np.allclose(closure_cov(fn, x_t[0], y, t), t2 * gain(cov_y), rtol=0.0, atol=1e-10)
 
 
 def test_non_finite_conditioning_names_sigma_y():

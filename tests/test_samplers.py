@@ -184,7 +184,7 @@ def test_records_are_ordered_by_decreasing_level():
     prior = make_prior()
     config = SamplerConfig(variant="cm_baseline", steps=6, t_min=0.01, t_max=10.0)
     trajectory = sample(prior.consistency(), config, n=prior.n, seed=4)
-    levels = trajectory.levels()
+    levels = [rec.t for rec in trajectory.records]
     assert levels == sorted(levels, reverse=True)
     sched = make_karras_schedule(6, 0.01, 10.0)
     assert levels == [float(t) for t in sched.levels]
