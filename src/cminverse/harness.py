@@ -22,7 +22,7 @@ from .operators import LinearOperator, MeasurementModel
 from .priors import MAX_CONDITIONED_N, EmpiricalPrior, GaussianPrior, rbf_prior
 # Not called here: perfbench/spans.py traces harness.rbf_covariance by name.
 from .priors import rbf_covariance  # noqa: F401
-from .samplers import SamplerConfig, row_sq_norms, sample as run_sampler
+from .samplers import SamplerConfig, sample as run_sampler
 from .tensorio import (
     dump_image,
     read_jsonl,
@@ -185,13 +185,17 @@ def synthesize(config: ExperimentConfig) -> str:
 
 
 def load_dataset(config: ExperimentConfig):
-    """Return (meta, records, dataset_dir) for the configured dataset."""
+    """Return (records, dataset_dir) for the configured dataset; every
+    record names its tensor file under ``file``."""
     ds_dir = _dataset_dir(config)
     manifest = os.path.join(ds_dir, "dataset.jsonl")
     if not os.path.isfile(manifest):
         raise FileNotFoundError(f"dataset manifest not found: {manifest}")
-    meta_rows = read_jsonl(os.path.join(ds_dir, "dataset_meta.jsonl"))
-    return meta_rows[0], read_jsonl(manifest), ds_dir
+    records = read_jsonl(manifest)
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or "file" not in rec:
+            raise ValueError(f"{manifest}: row {i} names no tensor file under 'file': {rec!r}")
+    return records, ds_dir
 
 
 def load_prior(config: ExperimentConfig):
@@ -203,7 +207,10 @@ def load_prior(config: ExperimentConfig):
     """
     ds_dir = _dataset_dir(config)
     meta_path = os.path.join(ds_dir, "dataset_meta.jsonl")
-    meta = read_jsonl(meta_path)[0]
+    meta_rows = read_jsonl(meta_path)
+    if not meta_rows or not isinstance(meta_rows[0], dict) or "generator" not in meta_rows[0]:
+        raise ValueError(f"{meta_path} records no generator; its first row must name one")
+    meta = meta_rows[0]
     if meta["generator"] == "gaussian_prior":
         missing = [name for name in _PRIOR_FIELDS if name not in meta]
         if missing:
@@ -216,7 +223,7 @@ def load_prior(config: ExperimentConfig):
     if meta["generator"] == "atoms":
         atoms = read_tensor(os.path.join(ds_dir, meta["atoms"]))
         return EmpiricalPrior(atoms.reshape(atoms.shape[0], -1))
-    _, records, _ = load_dataset(config)
+    records, _ = load_dataset(config)
     return EmpiricalPrior(_read_stack(ds_dir, [rec["file"] for rec in records]))
 
 
@@ -238,7 +245,7 @@ def _operator_summary(config: ExperimentConfig, operator) -> dict:
 
 def degrade(config: ExperimentConfig) -> str:
     """Measure every dataset image; returns the manifest path."""
-    _, records, ds_dir = load_dataset(config)
+    records, ds_dir = load_dataset(config)
     paths = _stage_paths(config)
     operator = build_operator(config)
     model = MeasurementModel(operator=operator, sigma_y=config.sigma_y)
@@ -335,16 +342,12 @@ def _reconstruct(config: ExperimentConfig, sampler: SamplerConfig, setup, ys, me
     seeds = [config.seed + _SAMPLE_SEED_OFFSET + 2 * i for i in range(len(measurements))]
     estimates, rows = [], []
     for chunk in _chunks(len(measurements)):
-        y = ys[chunk]
-        trajectory = run_sampler(consistency, sampler, y=y, operator=operator,
+        trajectory = run_sampler(consistency, sampler, y=ys[chunk], operator=operator,
                                  sigma_y=config.sigma_y, seed=seeds[chunk],
                                  x_teacher=None if teachers is None else teachers[chunk])
-        resid_norms = np.sqrt(np.stack(
-            [row_sq_norms(y - operator.apply(rec.estimate)) for rec in trajectory.records],
-            axis=1,
-        ))
         for i, (estimate, degenerate, norms) in enumerate(
-                zip(trajectory.estimate, trajectory.degenerate_steps, resid_norms),
+                zip(trajectory.estimate, trajectory.degenerate_steps,
+                    trajectory.residual_norms),
                 start=chunk.start):
             if not (np.isfinite(estimate).all() and np.isfinite(norms).all()):
                 raise NonFiniteEstimate(f"image {i} ({measurements[i]['measurement']}): "
@@ -385,7 +388,7 @@ def sample(config: ExperimentConfig, sampler: SamplerConfig | None = None,
     NonFiniteEstimate, before writing anything, when an estimate or
     residual norm is not finite.
     """
-    _, records, ds_dir = load_dataset(config)
+    records, ds_dir = load_dataset(config)
     paths = _stage_paths(config)
     measurements, ys = _measurements(config, records)
     sampler = sampler if sampler is not None else config.sampler
@@ -505,7 +508,7 @@ def _write_report(config: ExperimentConfig, report_name: str, rows: list[dict]) 
 def evaluate(config: ExperimentConfig, recon_dir: str | None = None,
              report_name: str = "evaluate") -> dict:
     """Score reconstructions against the dataset; returns the aggregate row."""
-    _, records, ds_dir = load_dataset(config)
+    records, ds_dir = load_dataset(config)
     if not records:
         raise ValueError(f"evaluate: the dataset has no images (count = 0) in {ds_dir}")
     recon_dir = recon_dir if recon_dir is not None else _stage_paths(config)["recon"]
@@ -602,7 +605,7 @@ def tune_gamma(config: ExperimentConfig) -> dict:
     if not (config.metric_kid or config.metric_psnr):
         raise ValueError("tuning needs at least one of KID or PSNR enabled")
     paths = _stage_paths(config)
-    _, records, ds_dir = load_dataset(config)
+    records, ds_dir = load_dataset(config)
     # every candidate must be scorable, and rankable, before the first one samples
     if not records:
         raise ValueError(f"tune-gamma: the dataset has no images (count = 0) in {ds_dir}")

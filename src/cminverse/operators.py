@@ -316,7 +316,6 @@ class CircularBlurOperator(LinearOperator):
         if kernel_radius is None:
             kernel_radius = max(1, math.ceil(3.0 * sigma))
         kernel = gaussian_kernel(sigma, kernel_radius)
-        self.kernel = kernel
         self.channels, self.height, self.width = channels, height, width
         n = channels * height * width
 
@@ -393,7 +392,6 @@ class InpaintOperator(LinearOperator):
             raise ValueError(f"mask shape {mask.shape} != ({height}, {width})")
         if not mask.any():
             raise ValueError("inpainting mask keeps no pixels")
-        self.mask = mask
         hw = height * width
         kept = np.flatnonzero(mask.ravel())
         dropped = np.flatnonzero(~mask.ravel())

@@ -429,12 +429,12 @@ class GaussianPrior:
     Sigma is given in one form.  A dense ``covariance`` must be finite,
     symmetric, and positive semidefinite up to round-off: its smallest
     eigenvalue may fall below 0 by at most ``COVARIANCE_RTOL`` (1e-8) times
-    its largest, and it is factored by one eigh, with the eigenvalues
-    clamped at 0, when the factor is first used.  An ``EigenFactor``
-    (``factor``, as ``rbf_prior`` builds it) is used as given, and
-    ``covariance`` is then Q diag(lam) Q^T, formed once when first read.
-    Nothing here reads it for a per-axis factor: conditioning on a
-    measurement builds Sigma's blocks from the factor.
+    its largest, and it is factored by one eigh at construction, with the
+    eigenvalues clamped at 0.  An ``EigenFactor`` (``factor``, as
+    ``rbf_prior`` builds it) is used as given.  Either way ``factor`` is
+    the prior's only form, and ``covariance`` is Q diag(lam) Q^T, formed
+    once when first read.  Nothing here reads it for a per-axis factor:
+    conditioning on a measurement builds Sigma's blocks from the factor.
 
     Conditioning on a measurement (``measurement_consistency``,
     ``posterior``) takes a ``LinearOperator``; wrap a bare matrix in
@@ -463,12 +463,11 @@ class GaussianPrior:
             raise ValueError("covariance entries must be finite")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        cov = (cov + cov.T) / 2.0
-        lam = np.linalg.eigvalsh(cov)
+        lam, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
         if lam.size and lam[0] < -COVARIANCE_RTOL * max(lam[-1], 0.0):
             raise ValueError(f"covariance is indefinite: eigenvalue {lam[0]:.3g} against "
                              f"a largest of {lam[-1]:.3g}")
-        self.covariance = cov
+        self.factor = EigenFactor(np.maximum(lam, 0.0), (vecs,))
 
     @property
     def n(self) -> int:
@@ -476,15 +475,8 @@ class GaussianPrior:
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """Dense Sigma of a factor-form prior: Q diag(lam) Q^T, built on first read."""
+        """Dense Sigma = Q diag(lam) Q^T, built on first read."""
         return self.factor.matrix(self.factor.lam)
-
-    @cached_property
-    def factor(self) -> EigenFactor:
-        """Eigenfactor of a dense covariance, by one eigh on first use; shared by
-        sample, denoise, denoise_cov and consistency().  Conditioned runs never
-        need it."""
-        return _eigen_factor(self.covariance)
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """mean + (z * sqrt(lam)) Q^T with z ~ N(0, I): shape (n,) or (size, n)."""
@@ -524,14 +516,13 @@ class GaussianPrior:
         # an axis of length 1 has no odd part
         kept = [k for k, size in enumerate(signal.sizes) if size]
         built = {k: signal.pieces[k] for k in kept if k not in signal.shared}
-        factor = self.__dict__.get("factor")
-        axes = factor.axes if factor is not None else ()
+        axes = self.factor.axes
         sides = tuple(len(q) for q in axes)
         if len(axes) == 2 and (signal.shape is None or signal.shape[1:] == sides):
             r_h, r_w = (signal.axis_parts(q) for q in axes)
             # R of quadrant q, which is odd by rows if q & 2
             rs = [(r_h[q >> 1], r_w[q & 1]) for q in range(len(r_h) * len(r_w))]
-            grid = factor.lam.reshape((-1,) + sides)
+            grid = self.factor.lam.reshape((-1,) + sides)
             quads = {q: _channel_diagonal(_kron_block(grid, rs[q], rs[q]))
                      for q in {q for q, _ in built.values()}}
             blocks = {k: _both_sides(quads[q], how, (len(grid), len(rs[q][0]), len(rs[q][1])))
@@ -555,7 +546,7 @@ class GaussianPrior:
         (side, side) channel image: a per-axis factor whose Q_h equals Q_w,
         with side pixels per axis, and a lam grid equal to its transpose.
         A dense covariance is not checked."""
-        axes = getattr(self.__dict__.get("factor"), "axes", ())
+        axes = self.factor.axes
         if len(axes) != 2 or len(axes[0]) != side or not np.array_equal(*axes):
             return False
         grid = self.factor.lam.reshape(-1, side, side)

@@ -12,6 +12,9 @@ The loop carries a (B, n) latent, one row per seed, and every step acts
 on each row alone: noise norms, residual norms and the variance surplus
 are per row.  An int seed runs one (n,) trajectory; B seeds run B rows
 at once.  The step functions accept a vector or a (B, n) stack alike.
+Given a measurement and its operator, the loop forms the residual
+y - A(x_hat) once per consistency evaluation: ``inverse_addim`` is guided
+by it, and every variant reports its norms as the run's health numbers.
 
 Variants
 --------
@@ -25,7 +28,7 @@ ddrm          spectral-domain three-case update (linear operators only).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,23 +211,18 @@ def ddrm_step(
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    t: float
-    latent: np.ndarray
-    estimate: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Everything a sampling run produced, records in decreasing t.
+    """Everything a sampling run produced.
 
     Arrays are (n,) for a single seed and (B, n) for one seed per row;
     ``degenerate_steps`` is then an int or a length-B integer array.
+    ``residual_norms`` holds ||y - A(x_hat)|| after each consistency
+    evaluation, in decreasing t: (steps,) or (B, steps), and None when
+    the run had no measurement or no operator.
     """
 
     estimate: np.ndarray
-    records: tuple[StepRecord, ...] = field(repr=False)
-    nfe: int
+    residual_norms: np.ndarray | None
     degenerate_steps: int | np.ndarray
 
 
@@ -250,10 +248,11 @@ def sample(
     ``seed`` is an int, giving (n,) arrays, or a sequence of B ints,
     giving (B, n) arrays; ``y`` and ``x_teacher`` are one vector for all
     rows or one row per seed.  The consistency function is called exactly
-    ``config.steps`` times, on the whole latent.  Row i starts at
-    t_max * z with z from its own ``default_rng(seed_i)``, which the
-    stochastic variants keep drawing from in loop order, so a row equals
-    its single-seed run and equal seeds give bit-identical runs.  An
+    ``config.steps`` times, on the whole latent, and with ``y`` and an
+    operator each estimate takes one ``operator.apply`` for its residual.
+    Row i starts at t_max * z with z from its own ``default_rng(seed_i)``,
+    which the stochastic variants keep drawing from in loop order, so a row
+    equals its single-seed run and equal seeds give bit-identical runs.  An
     explicit schedule must have at least ``config.steps`` levels.
     """
     if schedule is None:
@@ -296,13 +295,18 @@ def sample(
         return a[0] if single else a
 
     x = levels[0] * draw()
-    records = []
     degenerate = np.zeros(len(rngs), dtype=int)
+    norms = [] if y is not None and operator is not None else None
 
-    for i in range(config.steps - 1):
-        t, s = levels[i], levels[i + 1]
+    for i in range(config.steps):
+        t = levels[i]
         x_hat = np.asarray(consistency(x, y, t), dtype=np.float64)
-        records.append(StepRecord(t=t, latent=unbatch(x), estimate=unbatch(x_hat)))
+        if norms is not None:
+            resid = np.asarray(y) - operator.apply(x_hat)
+            norms.append(np.sqrt(row_sq_norms(resid)))
+        if i == config.steps - 1:
+            break
+        s = levels[i + 1]
         if variant in ("addim", "inverse_addim"):
             degenerate += row_sq_norms(x - x_hat) == 0.0
         if variant == "cm_baseline":
@@ -312,19 +316,13 @@ def sample(
         elif variant == "addim":
             x = addim_step(x, x_hat, x_teacher, t, s, config.t_min, config.eta)
         elif variant == "inverse_addim":
-            x = inverse_addim_step(
-                x, x_hat, y, operator, t, s, config.t_min, config.gamma
-            )
+            x = _guided_step(x, x_hat, resid, t, s, config.t_min, config.gamma)
         else:  # ddrm
             x = _ddrm_move(x, x_hat, spectral_y, operator, t, s, sigma_y, draw(),
                            config.ddrm_eta, config.ddrm_eta_b)
 
-    t_last = levels[config.steps - 1]
-    x_hat = np.asarray(consistency(x, y, t_last), dtype=np.float64)
-    records.append(StepRecord(t=t_last, latent=unbatch(x), estimate=unbatch(x_hat)))
     return Trajectory(
         estimate=unbatch(x_hat),
-        records=tuple(records),
-        nfe=config.steps,
+        residual_norms=None if norms is None else unbatch(np.stack(norms, axis=-1)),
         degenerate_steps=int(degenerate[0]) if single else degenerate,
     )

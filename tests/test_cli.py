@@ -505,6 +505,45 @@ def test_sample_needs_the_prior_fields_in_the_dataset_meta(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run" / "recon")
 
 
+def _source_ini(tmp_path):
+    """A config whose dataset is a synthesized directory of 4 images at
+    8 x 8, given as its ``source``; returns the config and that directory."""
+    (tmp_path / "made").mkdir()
+    assert cli.main(["--config", base_ini(tmp_path / "made"), "synthesize"]) == 0
+    dataset = tmp_path / "made" / "run" / "dataset"
+    ini = base_ini(tmp_path)
+    with open(ini) as fh:
+        body = fh.read()
+    with open(ini, "w") as fh:
+        fh.write(body.replace("[dataset]", f"[dataset]\nsource = {dataset}"))
+    return ini, dataset
+
+
+def test_dataset_meta_without_a_generator_is_exit_2(tmp_path, capsys):
+    ini, dataset = _source_ini(tmp_path)
+    for rows in ([], [{"count": 4, "height": 8}], ["gaussian_prior"]):
+        write_jsonl(str(dataset / "dataset_meta.jsonl"), rows)
+        assert cli.main(["--config", ini, "degrade"]) == 0  # degrade reads no meta
+        capsys.readouterr()
+        assert cli.main(["--config", ini, "sample"]) == 2
+        err = capsys.readouterr().err
+        assert "dataset_meta.jsonl" in err and "generator" in err
+    assert not os.path.exists(tmp_path / "run" / "recon")
+
+
+def test_dataset_row_without_a_file_is_exit_2(tmp_path, capsys):
+    ini, dataset = _source_ini(tmp_path)
+    rows = read_jsonl(str(dataset / "dataset.jsonl"))
+    for row in ({"index": 2, "tensor": rows[2]["file"]}, [rows[2]["file"]], 2):
+        write_jsonl(str(dataset / "dataset.jsonl"), rows[:2] + [row] + rows[3:])
+        capsys.readouterr()
+        for stage in ("degrade", "sample", "evaluate", "tune-gamma"):
+            assert cli.main(["--config", ini, stage]) == 2
+            err = capsys.readouterr().err
+            assert "dataset.jsonl" in err and "row 2" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_failed_check_is_exit_1(tmp_path, capsys, monkeypatch):
     from cminverse.verification import VerificationReport
 

@@ -2,6 +2,7 @@ import importlib.util
 import pathlib
 import textwrap
 
+import numpy as np
 import pytest
 
 from cminverse import cli
@@ -281,7 +282,8 @@ def test_build_operator_parameters_flow_through(tmp_path):
         kernel_radius = 1
     """
     op2 = build_operator(load_config(write_config(tmp_path, body2, "b.ini")))
-    assert op2.kernel.shape == (3,)  # radius 1 -> separable 3-tap kernel
+    # radius 1 -> separable 3-tap kernel: every row of the circulant has 3 taps
+    assert [np.count_nonzero(row) for row in op2.axis_matrices()[0]] == [3] * op2.height
 
 
 def test_direct_construction_validates_too():

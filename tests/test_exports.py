@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -5,12 +6,39 @@ import sys
 import cminverse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Names a module imports without using them, each kept for the reason given.
+KEPT_IMPORTS = {
+    ("harness", "rbf_covariance"): "perfbench/spans.py patches harness.rbf_covariance by name",
+}
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in cminverse.__all__ if not hasattr(cminverse, name)]
     assert missing == []
     assert len(set(cminverse.__all__)) == len(cminverse.__all__)
+
+
+def _unused_imports(path):
+    """Names that the module at path imports and never reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if alias.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = os.path.join(ROOT, "src", "cminverse")
+    unused = [
+        f"{filename[:-3]}.{name}"
+        for filename in sorted(os.listdir(package))
+        if filename.endswith(".py") and filename != "__init__.py"
+        for name in _unused_imports(os.path.join(package, filename))
+        if (filename[:-3], name) not in KEPT_IMPORTS
+    ]
+    assert unused == []
 
 
 def test_benchmark_hooks_resolve():

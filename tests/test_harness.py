@@ -268,6 +268,32 @@ def test_sample_manifest_and_outputs(tmp_path):
         assert np.isfinite(recon).all()
 
 
+def test_inverse_addim_applies_the_operator_once_per_step(tmp_path, monkeypatch):
+    # the residual that guides each step is the one written to sample.jsonl,
+    # so one chunk applies the operator once per consistency call
+    config = make_config(tmp_path, task="deblur",
+                         sampler=SamplerConfig(variant="inverse_addim", steps=4, gamma=0.5,
+                                               t_min=0.01, t_max=5.0))
+    harness.synthesize(config)
+    harness.degrade(config)
+    shapes, run_sampler = [], harness.run_sampler
+
+    def counting_sampler(consistency, sampler, *, operator, **kwargs):
+        apply = operator.apply
+
+        def counting_apply(x):
+            shapes.append(np.shape(x))
+            return apply(x)
+
+        monkeypatch.setattr(operator, "apply", counting_apply)
+        return run_sampler(consistency, sampler, operator=operator, **kwargs)
+
+    monkeypatch.setattr(harness, "run_sampler", counting_sampler)
+    rows = read_jsonl(harness.sample(config))
+    assert shapes == [(config.count, 64)] * 4
+    assert all(len(row["residual_norms"]) == 4 for row in rows)
+
+
 @pytest.mark.parametrize("blur_sigma", [1.5, 3.0])
 def test_sample_exact_measurement_deblur_is_accurate(tmp_path, blur_sigma):
     # sigma_y = 0 makes A Sigma A^T numerically singular under a strong

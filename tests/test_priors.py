@@ -343,13 +343,17 @@ def test_inexact_split_conditions_as_one_block(make_prior, make_op, monkeypatch)
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
-def _flip_invariant_mask(mask):
-    return np.array_equal(mask, mask[::-1]) and np.array_equal(mask, mask[:, ::-1])
+def _flip_invariant_mask(op):
+    """Whether the grid of pixels that ``op.selection()`` keeps equals both of its flips."""
+    grid = np.zeros(op.n, dtype=bool)
+    grid[op.selection()] = True
+    grid = grid.reshape(op.signal_shape)
+    return np.array_equal(grid, grid[:, ::-1]) and np.array_equal(grid, grid[:, :, ::-1])
 
 
 def test_inexact_masks_are_not_flip_invariant():
     for case in _OFF_CENTRE_MASKS.values():
-        assert not _flip_invariant_mask(_off_centre_inpaint(*case).mask)
+        assert not _flip_invariant_mask(_off_centre_inpaint(*case))
 
 
 def test_flip_gap_of_the_rbf_prior_is_rounding():
@@ -505,12 +509,22 @@ def test_factor_form_conditioning_never_forms_the_covariance():
 
 
 def test_one_eigendecomposition_per_covariance(monkeypatch):
-    shapes = _eigh_shapes(monkeypatch)
+    shapes, eigvalsh, spectra = _eigh_shapes(monkeypatch), np.linalg.eigvalsh, []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        spectra.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(priors.np.linalg, "eigvalsh", counting_eigvalsh)
     op = make_downsample(1, 4, 4, 2)  # m = 4, n = 16
 
-    # a conditioned closure: the m x m y-stage plus one n x n factor of
-    # Sigma_y, and never a factor of Sigma itself
+    # a dense Sigma is checked and factored by one eigh at construction
     prior = small_prior(11, n=16)
+    assert shapes == [(16, 16)] and spectra == []
+
+    # a conditioned closure: the m x m y-stage plus one n x n factor of
+    # Sigma_y, and never another factor of Sigma
+    shapes.clear()
     cond = prior.measurement_consistency(op, 0.05)
     assert shapes == [(4, 4), (16, 16)]
 
@@ -524,14 +538,14 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
     cond_rbf = rbf.measurement_consistency(blur, 0.05)
     assert shapes == [(10, 10), (6, 6), (16, 16), (10, 10), (6, 6)] * 2
 
-    # one factor of Sigma per prior, shared by every unconditional use
+    # the construction's factor of Sigma, shared by every unconditional use
     shapes.clear()
     prior.sample(np.random.default_rng(0), size=2)
     unc = prior.consistency()
     prior.denoise(np.zeros(prior.n), 0.5)
     prior.denoise_cov(0.5)
     prior.consistency()
-    assert shapes == [(16, 16)]
+    assert shapes == [] and spectra == []
 
     # threads sharing the closures factor nothing and agree bit for bit
     shapes.clear()
@@ -757,7 +771,7 @@ def test_one_block_inpaint_build_peaks_below_six_dense_matrices():
     # block turns into Sigma_y's in place, and the gain reuses the root's
     # array (4.6 n x n here)
     op = _off_centre_inpaint((1, 24, 24), slice(7, 15), slice(8, 16))
-    assert not _flip_invariant_mask(op.mask)
+    assert not _flip_invariant_mask(op)
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
     tracemalloc.start()
     try:

@@ -12,6 +12,7 @@ from cminverse.operators import (
 )
 from cminverse.priors import EmpiricalPrior, GaussianPrior
 from cminverse.samplers import (
+    VARIANTS,
     SamplerConfig,
     UnsupportedCombination,
     addim_step,
@@ -128,16 +129,20 @@ def test_step_down_to_t_min_is_exact_estimate():
     assert np.array_equal(ddim_step(x_t, x_hat, 2.0, 0.5, 0.5), x_hat)
 
 
-class CountingConsistency:
-    """Wraps a consistency fn and records every (t, call) it sees."""
+class RecordingConsistency:
+    """Wraps a consistency fn and records every call: its level, latent and
+    estimate, as the sampler passed and received them."""
 
     def __init__(self, fn):
         self.fn = fn
-        self.calls = []
+        self.levels, self.latents, self.estimates = [], [], []
 
     def __call__(self, x_t, y, t):
-        self.calls.append(float(t))
-        return self.fn(x_t, y, t)
+        x_hat = self.fn(x_t, y, t)
+        self.levels.append(float(t))
+        self.latents.append(np.array(x_t))
+        self.estimates.append(np.array(x_hat, dtype=np.float64))
+        return x_hat
 
 
 def make_prior(n=6, seed=3):
@@ -149,11 +154,11 @@ def make_prior(n=6, seed=3):
 def test_evaluation_count_equals_steps():
     prior = make_prior()
     for steps in (1, 2, 5):
-        counting = CountingConsistency(prior.consistency())
+        recording = RecordingConsistency(prior.consistency())
         config = SamplerConfig(variant="ddim", steps=steps, t_min=0.01, t_max=10.0)
-        trajectory = sample(counting, config, n=prior.n, seed=0)
-        assert len(counting.calls) == steps == trajectory.nfe
-        assert len(trajectory.records) == steps
+        trajectory = sample(recording, config, n=prior.n, seed=0)
+        assert len(recording.levels) == steps
+        assert np.array_equal(trajectory.estimate, recording.estimates[-1][0])
 
 
 def test_single_step_all_variants_coincide():
@@ -165,8 +170,9 @@ def test_single_step_all_variants_coincide():
     outs = []
     for variant in ("cm_baseline", "ddim", "addim", "inverse_addim", "ddrm"):
         config = SamplerConfig(variant=variant, steps=1, t_min=0.01, t_max=10.0)
+        recording = RecordingConsistency(prior.consistency())
         trajectory = sample(
-            prior.consistency(),
+            recording,
             config,
             y=y,
             operator=op,
@@ -174,17 +180,18 @@ def test_single_step_all_variants_coincide():
             x_teacher=np.zeros(prior.n),
             seed=11,
         )
-        assert trajectory.records[0].t == 10.0
+        assert recording.levels == [10.0]
         outs.append(trajectory.estimate)
     for est in outs[1:]:
         assert np.array_equal(est, outs[0])
 
 
-def test_records_are_ordered_by_decreasing_level():
+def test_calls_are_ordered_by_decreasing_level():
     prior = make_prior()
     config = SamplerConfig(variant="cm_baseline", steps=6, t_min=0.01, t_max=10.0)
-    trajectory = sample(prior.consistency(), config, n=prior.n, seed=4)
-    levels = [rec.t for rec in trajectory.records]
+    recording = RecordingConsistency(prior.consistency())
+    sample(recording, config, n=prior.n, seed=4)
+    levels = recording.levels
     assert levels == sorted(levels, reverse=True)
     sched = make_karras_schedule(6, 0.01, 10.0)
     assert levels == [float(t) for t in sched.levels]
@@ -281,12 +288,12 @@ def test_config_validation():
 
 def test_ddim_trajectory_with_exact_denoiser_converges():
     # the final estimate must be the denoiser applied at the floor level
-    # to the latent stored in the last record
+    # to the latent of the last consistency call
     prior = make_prior(n=4, seed=10)
-    fn = prior.consistency()
+    recording = RecordingConsistency(prior.consistency())
     config = SamplerConfig(variant="ddim", steps=12, t_min=0.005, t_max=30.0)
-    trajectory = sample(fn, config, n=4, seed=12)
-    final_latent = trajectory.records[-1].latent
+    trajectory = sample(recording, config, n=4, seed=12)
+    final_latent = recording.latents[-1][0]
     assert np.allclose(
         trajectory.estimate, prior.denoise(final_latent, 0.005), atol=1e-10
     )
@@ -337,17 +344,21 @@ def test_batched_rows_match_single_seed_runs(variant, prior_kind, nonlinear):
     config = SamplerConfig(variant=variant, steps=4, gamma=0.8, eta=0.6,
                            t_min=0.01, t_max=10.0)
     kw = dict(operator=op, sigma_y=0.05)
-    batch = sample(fn, config, y=ys, x_teacher=teachers, seed=seeds, **kw)
+    batch_calls = RecordingConsistency(fn)
+    batch = sample(batch_calls, config, y=ys, x_teacher=teachers, seed=seeds, **kw)
     assert batch.estimate.shape == (len(seeds), 16)
     assert batch.degenerate_steps.shape == (len(seeds),)
+    assert len(batch_calls.levels) == config.steps
     for k, seed in enumerate(seeds):
-        alone = sample(fn, config, y=ys[k], x_teacher=teachers[k], seed=seed, **kw)
+        alone_calls = RecordingConsistency(fn)
+        alone = sample(alone_calls, config, y=ys[k], x_teacher=teachers[k], seed=seed, **kw)
         assert alone.estimate.shape == (16,)
         assert np.max(np.abs(batch.estimate[k] - alone.estimate)) <= 1e-12
-        for rec_b, rec_a in zip(batch.records, alone.records):
-            assert rec_b.t == rec_a.t
-            assert np.max(np.abs(rec_b.latent[k] - rec_a.latent)) <= 1e-12
-            assert np.max(np.abs(rec_b.estimate[k] - rec_a.estimate)) <= 1e-12
+        assert batch_calls.levels == alone_calls.levels
+        for latent_b, latent_a in zip(batch_calls.latents, alone_calls.latents):
+            assert np.max(np.abs(latent_b[k] - latent_a[0])) <= 1e-12
+        for estimate_b, estimate_a in zip(batch_calls.estimates, alone_calls.estimates):
+            assert np.max(np.abs(estimate_b[k] - estimate_a[0])) <= 1e-12
         assert batch.degenerate_steps[k] == alone.degenerate_steps
 
 
@@ -372,3 +383,49 @@ def test_degenerate_steps_are_counted_per_row():
     config = SamplerConfig(variant="addim", steps=3, t_min=0.01, t_max=10.0)
     trajectory = sample(lambda x, y, t: x, config, x_teacher=np.zeros(4), seed=[1, 2])
     assert trajectory.degenerate_steps.tolist() == [2, 2]
+
+
+# -- residual norms ---------------------------------------------------------
+
+def _residual_norms(y, op, estimates):
+    """||y - A(x_hat)|| of each row of each recorded (B, n) estimate, as
+    (B, steps), each row summed by np.dot."""
+    resids = [np.broadcast_to(y, (len(x_hat), op.m)) - op.apply(x_hat) for x_hat in estimates]
+    return np.array([[math.sqrt(np.dot(r[b], r[b])) for r in resids]
+                     for b in range(len(estimates[0]))])
+
+
+@pytest.mark.parametrize("variant,nonlinear", [
+    (variant, nonlinear) for nonlinear in (False, True) for variant in VARIANTS
+    if not (nonlinear and variant == "ddrm")  # the spectral sampler needs a linear operator
+])
+def test_residual_norms_are_those_of_the_returned_estimates(variant, nonlinear):
+    _, op, fn = _parity_setup("gaussian", nonlinear)
+    rng = np.random.default_rng(24)
+    seeds = [3, 5, 8]
+    ys = op.apply(rng.standard_normal((len(seeds), 16))) + 0.05 * rng.standard_normal(
+        (len(seeds), op.m))
+    teachers = rng.standard_normal((len(seeds), 16))
+    config = SamplerConfig(variant=variant, steps=4, gamma=0.8, eta=0.6,
+                           t_min=0.01, t_max=10.0)
+    kw = dict(operator=op, sigma_y=0.05)
+    for y, teacher, seed in ((ys, teachers, seeds), (ys[1], teachers[1], seeds[1])):
+        recording = RecordingConsistency(fn)
+        trajectory = sample(recording, config, y=y, x_teacher=teacher, seed=seed, **kw)
+        expected = _residual_norms(y, op, recording.estimates)
+        if np.ndim(seed) == 0:
+            expected = expected[0]
+        assert trajectory.residual_norms.shape == expected.shape
+        assert np.array_equal(trajectory.residual_norms, expected)
+
+
+def test_residual_norms_need_a_measurement_and_an_operator():
+    prior = make_prior()
+    op = IdentityOperator(1, 1, prior.n)
+    config = SamplerConfig(variant="ddim", steps=3, t_min=0.01, t_max=10.0)
+    fn = prior.consistency()
+    assert sample(fn, config, n=prior.n, seed=[1, 2]).residual_norms is None
+    assert sample(fn, config, operator=op, seed=1).residual_norms is None
+    assert sample(fn, config, y=np.zeros(prior.n), n=prior.n, seed=1).residual_norms is None
+    assert sample(fn, config, y=np.zeros(prior.n), operator=op,
+                  seed=[1, 2]).residual_norms.shape == (2, 3)
