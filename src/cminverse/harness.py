@@ -17,7 +17,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import metrics as metrics_mod
-from .config import ExperimentConfig, build_operator
+from .config import GENERATORS, ExperimentConfig, build_operator
 from .operators import LinearOperator, MeasurementModel
 from .priors import MAX_CONDITIONED_N, EmpiricalPrior, GaussianPrior, rbf_prior
 # Not called here: perfbench/spans.py traces harness.rbf_covariance by name.
@@ -49,6 +49,9 @@ _SAMPLE_SEED_OFFSET = 2
 SAMPLE_CHUNK = 64
 # dataset_meta.jsonl fields of a gaussian_prior dataset, the rbf_prior arguments
 _PRIOR_FIELDS = ("length_scale", "variance", "mean_level")
+# the meta fields that load_prior reads, by generator
+_META_FIELDS = {"gaussian_prior": ("channels", "height", "width") + _PRIOR_FIELDS,
+                "atoms": ("atoms",)}
 
 
 class NonFiniteEstimate(FloatingPointError):
@@ -193,7 +196,7 @@ def load_dataset(config: ExperimentConfig):
         raise FileNotFoundError(f"dataset manifest not found: {manifest}")
     records = read_jsonl(manifest)
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or "file" not in rec:
+        if not isinstance(rec, dict) or not isinstance(rec.get("file"), str):
             raise ValueError(f"{manifest}: row {i} names no tensor file under 'file': {rec!r}")
     return records, ds_dir
 
@@ -203,7 +206,9 @@ def load_prior(config: ExperimentConfig):
 
     A ``gaussian_prior`` dataset is rebuilt with ``rbf_prior`` from the
     parameters in its meta: the same float64 prior that drew its images.
-    Only a prior over the dataset's own images reads its manifest.
+    Only a prior over the dataset's own images reads its manifest.  A meta
+    naming an unknown generator, or lacking a field its generator reads,
+    raises ValueError.
     """
     ds_dir = _dataset_dir(config)
     meta_path = os.path.join(ds_dir, "dataset_meta.jsonl")
@@ -211,16 +216,18 @@ def load_prior(config: ExperimentConfig):
     if not meta_rows or not isinstance(meta_rows[0], dict) or "generator" not in meta_rows[0]:
         raise ValueError(f"{meta_path} records no generator; its first row must name one")
     meta = meta_rows[0]
-    if meta["generator"] == "gaussian_prior":
-        missing = [name for name in _PRIOR_FIELDS if name not in meta]
-        if missing:
-            raise ValueError(
-                f"{meta_path} lacks the prior fields "
-                f"{', '.join(missing)}; re-run synthesize to record them"
-            )
+    generator = meta["generator"]
+    if generator not in GENERATORS:
+        raise ValueError(f"{meta_path} names the unknown generator {generator!r}; "
+                         f"expected one of {', '.join(GENERATORS)}")
+    missing = [name for name in _META_FIELDS.get(generator, ()) if name not in meta]
+    if missing:
+        raise ValueError(f"{meta_path} lacks the {generator} fields "
+                         f"{', '.join(missing)}; re-run synthesize to record them")
+    if generator == "gaussian_prior":
         shape = (meta["channels"], meta["height"], meta["width"])
         return rbf_prior(shape, meta["length_scale"], meta["variance"], meta["mean_level"])
-    if meta["generator"] == "atoms":
+    if generator == "atoms":
         atoms = read_tensor(os.path.join(ds_dir, meta["atoms"]))
         return EmpiricalPrior(atoms.reshape(atoms.shape[0], -1))
     records, _ = load_dataset(config)

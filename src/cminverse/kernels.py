@@ -17,7 +17,6 @@ def ddrm_update(
     x_bar_next,
     x_bar_theta,
     y_bar,
-    y_valid,
     s_padded,
     sigma_t,
     sigma_next,
@@ -37,7 +36,8 @@ def ddrm_update(
 
     ``noise`` supplies the standard-normal draws, so the caller owns the
     random stream.  The coefficient arrays are (n,) vectors or (B, n)
-    stacks; ``y_valid`` and ``s_padded`` are (n,) and broadcast over rows.
+    stacks; ``s_padded`` is (n,) and broadcasts over rows.  A coordinate is
+    measured where s_i > 0, and ``y_bar`` is read nowhere else.
     """
     x_bar_theta = np.asarray(x_bar_theta, dtype=np.float64)
     y_bar = np.asarray(y_bar, dtype=np.float64)
@@ -46,8 +46,6 @@ def ddrm_update(
     zero = s == 0.0
     nsr = np.divide(sigma_y, s, out=np.full_like(s, np.inf), where=~zero)
     case3 = ~zero & (sigma_t >= nsr)
-    if np.any(~zero & ~np.asarray(y_valid, dtype=bool)):
-        raise ValueError("spectral measurement required at an invalid index")
 
     pull = np.sqrt(max(1.0 - eta * eta, 0.0)) * sigma_t
     # The pulled cases share one form; the measurement-dominated case

@@ -51,8 +51,8 @@ class LinearOperator:
         s = np.ascontiguousarray(singular_values, dtype=np.float64)
         if s.size != min(m, n):
             raise ValueError(f"need {min(m, n)} singular values, got {s.size}")
-        if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
-            raise ValueError("singular values must be non-negative and descending")
+        if not np.all(np.isfinite(s)) or np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
+            raise ValueError("singular values must be finite, non-negative and descending")
         self.n = int(n)
         self.m = int(m)
         self.singular_values = s

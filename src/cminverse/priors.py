@@ -778,10 +778,6 @@ class EmpiricalPrior:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "log_weights", np.log(w))
 
-    @property
-    def n(self) -> int:
-        return self.atoms.shape[1]
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         idx = rng.choice(self.atoms.shape[0], size=size, p=self.weights)
         return self.atoms[idx]

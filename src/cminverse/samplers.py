@@ -51,6 +51,10 @@ class UnsupportedCombination(ValueError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """A sampler variant and its parameters.  ``t_min``, ``t_max`` and
+    ``rho`` only build the default ``schedule()``: an explicit schedule's
+    ``t_min`` is the run's floor."""
+
     variant: str
     steps: int
     eta: float = 1.0
@@ -182,12 +186,11 @@ def _require_linear(operator):
         )
 
 
-def _ddrm_move(x_t, x_hat, spectral_y, operator, t, s, sigma_y, noise, eta, eta_b):
-    """The spectral update given ``measurement_to_spectral(y)``."""
-    y_bar, valid = spectral_y
+def _ddrm_move(x_t, x_hat, y_bar, s_padded, operator, t, s, sigma_y, noise, eta, eta_b):
+    """The spectral update given y_bar and the padded singular values."""
     xs = kernels.ddrm_update(
-        operator.to_spectral(x_t), operator.to_spectral(x_hat), y_bar, valid,
-        operator.padded_singular_values(), s, t, sigma_y, eta, eta_b, noise,
+        operator.to_spectral(x_t), operator.to_spectral(x_hat), y_bar,
+        s_padded, s, t, sigma_y, eta, eta_b, noise,
     )
     return operator.from_spectral(xs)
 
@@ -206,7 +209,8 @@ def ddrm_step(
 ):
     """One spectral-domain update from level t down to level s."""
     _require_linear(operator)
-    return _ddrm_move(x_t, x_hat, operator.measurement_to_spectral(y), operator,
+    return _ddrm_move(x_t, x_hat, operator.measurement_to_spectral(y)[0],
+                      operator.padded_singular_values(), operator,
                       t, s, sigma_y, noise, eta, eta_b)
 
 
@@ -253,7 +257,8 @@ def sample(
     Row i starts at t_max * z with z from its own ``default_rng(seed_i)``,
     which the stochastic variants keep drawing from in loop order, so a row
     equals its single-seed run and equal seeds give bit-identical runs.  An
-    explicit schedule must have at least ``config.steps`` levels.
+    explicit schedule must have at least ``config.steps`` levels, and its
+    ``t_min``, not the config's, is the floor of every re-noise rule.
     """
     if schedule is None:
         schedule = config.schedule()
@@ -261,7 +266,7 @@ def sample(
         len(schedule) >= config.steps,
         f"schedule has {len(schedule)} levels but {config.steps} steps were requested",
     )
-    levels = schedule.levels
+    levels, t_min = schedule.levels, schedule.t_min
 
     if operator is not None and n is None:
         n = operator.n
@@ -286,7 +291,8 @@ def sample(
     if variant == "ddrm":
         _require(y is not None and operator is not None, "ddrm needs y and an operator")
         _require_linear(operator)
-        spectral_y = operator.measurement_to_spectral(y)
+        y_bar = operator.measurement_to_spectral(y)[0]
+        s_padded = operator.padded_singular_values()
 
     def draw():
         return np.stack([rng.standard_normal(n) for rng in rngs])
@@ -310,15 +316,15 @@ def sample(
         if variant in ("addim", "inverse_addim"):
             degenerate += row_sq_norms(x - x_hat) == 0.0
         if variant == "cm_baseline":
-            x = x_hat + _noise_scale(s, config.t_min) * draw()
+            x = x_hat + _noise_scale(s, t_min) * draw()
         elif variant == "ddim":
-            x = ddim_step(x, x_hat, t, s, config.t_min)
+            x = ddim_step(x, x_hat, t, s, t_min)
         elif variant == "addim":
-            x = addim_step(x, x_hat, x_teacher, t, s, config.t_min, config.eta)
+            x = addim_step(x, x_hat, x_teacher, t, s, t_min, config.eta)
         elif variant == "inverse_addim":
-            x = _guided_step(x, x_hat, resid, t, s, config.t_min, config.gamma)
+            x = _guided_step(x, x_hat, resid, t, s, t_min, config.gamma)
         else:  # ddrm
-            x = _ddrm_move(x, x_hat, spectral_y, operator, t, s, sigma_y, draw(),
+            x = _ddrm_move(x, x_hat, y_bar, s_padded, operator, t, s, sigma_y, draw(),
                            config.ddrm_eta, config.ddrm_eta_b)
 
     return Trajectory(

@@ -1,4 +1,4 @@
-"""Binary tensor files, manifests, and 8-bit image dumps.
+"""Binary tensor files, manifests, and 8-bit image previews.
 
 Tensor format (little-endian throughout):
 
@@ -10,6 +10,8 @@ Tensor format (little-endian throughout):
 Manifests and reports are line-delimited JSON with sorted keys, so equal
 runs produce byte-identical files.  All writers go through a temp file
 plus atomic rename; a crash never leaves a half-written artifact behind.
+A preview (``dump_image``) is binary PGM for one channel and PPM for
+three; one encoder writes both, and only the header differs.
 """
 
 import json
@@ -103,40 +105,15 @@ def read_jsonl(path: str) -> list:
     return records
 
 
-def _to_bytes_01(values: np.ndarray) -> np.ndarray:
-    clipped = np.clip(values, 0.0, 1.0)
-    return np.round(clipped * 255.0).astype(np.uint8)
-
-
-def write_pgm(path: str, image):
-    """8-bit binary PGM of a (h, w) array, values clamped to [0, 1]."""
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[0] == 1:
-        arr = arr[0]
-    if arr.ndim != 2:
-        raise ValueError(f"PGM needs a 2-D image, got shape {arr.shape}")
-    h, w = arr.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write_bytes(path, header + _to_bytes_01(arr).tobytes())
-
-
-def write_ppm(path: str, image):
-    """8-bit binary PPM of a (3, h, w) array, values clamped to [0, 1]."""
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise ValueError(f"PPM needs a (3, h, w) image, got shape {arr.shape}")
-    _, h, w = arr.shape
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    interleaved = np.moveaxis(_to_bytes_01(arr), 0, -1)
-    _atomic_write_bytes(path, header + interleaved.tobytes())
-
-
 def dump_image(path: str, image):
-    """Write PGM for 1-channel images, PPM for 3-channel ones."""
+    """8-bit binary preview of a (h, w), (1, h, w) or (3, h, w) array, values
+    clamped to [0, 1]: PGM (P5) for one channel, PPM (P6) for three."""
     arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 2 or (arr.ndim == 3 and arr.shape[0] == 1):
-        write_pgm(path, arr)
-    elif arr.ndim == 3 and arr.shape[0] == 3:
-        write_ppm(path, arr)
-    else:
+    if arr.ndim == 2:
+        arr = arr[None]
+    if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise ValueError(f"cannot dump image of shape {arr.shape}")
+    c, h, w = arr.shape
+    header = f"{'P5' if c == 1 else 'P6'}\n{w} {h}\n255\n".encode("ascii")
+    pixels = np.round(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+    _atomic_write_bytes(path, header + np.moveaxis(pixels, 0, -1).tobytes())

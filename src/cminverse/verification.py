@@ -189,13 +189,7 @@ def variance_compensation_check(
 
     ratios: dict[float, float] = {}
     for gamma in grid:
-        config = SamplerConfig(
-            variant="inverse_addim",
-            steps=steps,
-            gamma=gamma,
-            t_min=schedule.t_min,
-            t_max=schedule.t_max,
-        )
+        config = SamplerConfig(variant="inverse_addim", steps=steps, gamma=gamma)
         seeds = range(seed + 1, seed + 1 + n_runs)
         finals = sample(consistency, config, y=y, operator=op, seed=seeds,
                         schedule=schedule).estimate

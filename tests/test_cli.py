@@ -505,11 +505,17 @@ def test_sample_needs_the_prior_fields_in_the_dataset_meta(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run" / "recon")
 
 
-def _source_ini(tmp_path):
-    """A config whose dataset is a synthesized directory of 4 images at
-    8 x 8, given as its ``source``; returns the config and that directory."""
+def _source_ini(tmp_path, generator="gaussian_prior"):
+    """A config whose dataset is a directory of 4 images at 8 x 8 that
+    ``generator`` synthesized, given as its ``source``; returns the config
+    and that directory."""
     (tmp_path / "made").mkdir()
-    assert cli.main(["--config", base_ini(tmp_path / "made"), "synthesize"]) == 0
+    made = base_ini(tmp_path / "made")
+    with open(made) as fh:
+        body = fh.read()
+    with open(made, "w") as fh:
+        fh.write(body.replace("[dataset]", f"[dataset]\ngenerator = {generator}"))
+    assert cli.main(["--config", made, "synthesize"]) == 0
     dataset = tmp_path / "made" / "run" / "dataset"
     ini = base_ini(tmp_path)
     with open(ini) as fh:
@@ -531,10 +537,40 @@ def test_dataset_meta_without_a_generator_is_exit_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run" / "recon")
 
 
+def test_dataset_meta_with_an_unknown_generator_is_exit_2(tmp_path, capsys):
+    # an unknown generator must not fall through to a prior over the
+    # dataset's own images
+    ini, dataset = _source_ini(tmp_path)
+    meta = read_jsonl(str(dataset / "dataset_meta.jsonl"))[0]
+    write_jsonl(str(dataset / "dataset_meta.jsonl"), [dict(meta, generator="foo")])
+    assert cli.main(["--config", ini, "degrade"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", ini, "sample"]) == 2
+    err = capsys.readouterr().err
+    assert "dataset_meta.jsonl" in err and "'foo'" in err
+    assert not os.path.exists(tmp_path / "run" / "recon")
+
+
+@pytest.mark.parametrize("generator,field", [("gaussian_prior", "height"), ("atoms", "atoms")])
+def test_dataset_meta_without_a_field_its_generator_reads_is_exit_2(tmp_path, capsys,
+                                                                     generator, field):
+    ini, dataset = _source_ini(tmp_path, generator)
+    meta = read_jsonl(str(dataset / "dataset_meta.jsonl"))[0]
+    del meta[field]
+    write_jsonl(str(dataset / "dataset_meta.jsonl"), [meta])
+    assert cli.main(["--config", ini, "degrade"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", ini, "sample"]) == 2
+    err = capsys.readouterr().err
+    assert "dataset_meta.jsonl" in err and field in err
+    assert not os.path.exists(tmp_path / "run" / "recon")
+
+
 def test_dataset_row_without_a_file_is_exit_2(tmp_path, capsys):
     ini, dataset = _source_ini(tmp_path)
     rows = read_jsonl(str(dataset / "dataset.jsonl"))
-    for row in ({"index": 2, "tensor": rows[2]["file"]}, [rows[2]["file"]], 2):
+    for row in ({"index": 2, "tensor": rows[2]["file"]}, [rows[2]["file"]], 2,
+                {"index": 2, "file": 3}):
         write_jsonl(str(dataset / "dataset.jsonl"), rows[:2] + [row] + rows[3:])
         capsys.readouterr()
         for stage in ("degrade", "sample", "evaluate", "tune-gamma"):

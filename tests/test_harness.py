@@ -374,6 +374,27 @@ def test_sample_gamma_zero_matches_plain_interpolant(tmp_path):
                            shallow=False)
 
 
+def test_sample_addim_reads_the_dataset_images_as_teachers(tmp_path):
+    config = make_config(tmp_path, task="deblur")
+    harness.synthesize(config)
+    harness.degrade(config)
+
+    def recon_bytes(variant, eta, name):
+        sampler = SamplerConfig(variant=variant, steps=3, eta=eta, t_min=0.01, t_max=5.0)
+        harness.sample(config, sampler=sampler, recon_dir=str(tmp_path / name))
+        return [(tmp_path / name / f"recon_{i:05d}.cmt").read_bytes()
+                for i in range(config.count)]
+
+    # eta = 0 borrows no variance from the teacher, leaving the plain interpolant
+    assert recon_bytes("addim", 0.0, "r_zero") == recon_bytes("ddim", 1.0, "r_ddim")
+    before = recon_bytes("addim", 1.0, "r_before")
+    dataset = tmp_path / "dataset"
+    for rec in read_jsonl(str(dataset / "dataset.jsonl")):
+        write_tensor(str(dataset / rec["file"]), np.zeros((1, 8, 8)))
+    after = recon_bytes("addim", 1.0, "r_after")
+    assert all(a != b for a, b in zip(before, after))
+
+
 def test_sample_conditioning_policy(tmp_path):
     # ddrm conditions through its own update, so it gets the plain denoiser
     config = make_config(tmp_path)

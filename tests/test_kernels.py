@@ -10,13 +10,11 @@ from cminverse.metrics import gaussian_window
 def _random_ddrm_inputs(seed, n=12):
     rng = np.random.default_rng(seed)
     s = np.concatenate([rng.uniform(0.3, 2.0, size=n - 3), np.zeros(3)])
-    valid = s > 0.0
-    y_bar = np.where(valid, rng.standard_normal(n), 0.0)
+    y_bar = np.where(s > 0.0, rng.standard_normal(n), 0.0)
     return dict(
         x_bar_next=rng.standard_normal(n),
         x_bar_theta=rng.standard_normal(n),
         y_bar=y_bar,
-        y_valid=valid,
         s_padded=s,
         sigma_t=0.4,
         sigma_next=1.1,
@@ -34,11 +32,10 @@ def test_ddrm_three_cases_hand_values():
     x_next = np.array([0.3, -0.2, 0.5])
     x_theta = np.array([0.1, 0.4, -0.3])
     y_bar = np.array([1.0, -1.0, 0.0])
-    valid = np.array([True, True, False])
     s = np.array([2.0, 0.5, 0.0])
     noise = np.array([1.0, -1.0, 2.0])
     out = kernels.ddrm_update(
-        x_next, x_theta, y_bar, valid, s, 0.2, 1.0, 0.2, 0.85, 1.0, noise
+        x_next, x_theta, y_bar, s, 0.2, 1.0, 0.2, 0.85, 1.0, noise
     )
     pull = math.sqrt(1.0 - 0.85**2) * 0.2
     # index 0: sigma_t >= nsr -> mean y_bar, var sigma_t^2 - nsr^2
@@ -51,20 +48,12 @@ def test_ddrm_three_cases_hand_values():
     assert out[2] == pytest.approx(mean2 + 0.85 * 0.2 * 2.0, rel=1e-12)
 
 
-def test_ddrm_rejects_invalid_measured_coordinate():
-    kw = _random_ddrm_inputs(3)
-    kw["y_valid"] = np.zeros_like(kw["y_valid"])  # all invalid but s > 0
-    with pytest.raises(ValueError):
-        kernels.ddrm_update(**kw)
-
-
 def test_ddrm_case3_variance_edge():
     # At sigma_t = sigma_y / s with eta_b = 1 the case-3 variance is
     # exactly zero (allowed); eta_b > 1 drives it negative (rejected).
     kw = _random_ddrm_inputs(4, n=4)
     kw.update(
         s_padded=np.ones(4),
-        y_valid=np.ones(4, dtype=bool),
         y_bar=np.ones(4),
         sigma_y=0.5,
         sigma_t=0.5,

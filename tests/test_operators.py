@@ -9,6 +9,7 @@ from cminverse.operators import (
     DenseOperator,
     IdentityOperator,
     InpaintOperator,
+    LinearOperator,
     MeasurementModel,
     centered_square_mask,
     gaussian_kernel,
@@ -311,6 +312,16 @@ def test_dimension_and_parameter_errors():
     op = IdentityOperator(1, 2, 2)
     with pytest.raises(ValueError):
         op.apply(np.zeros(5))
+
+
+def test_non_finite_singular_values_are_refused():
+    # the spectral sampler takes a coordinate as measured where s_i > 0, and
+    # a NaN singular value would quietly read as unmeasured
+    for s in ([np.inf, 1.0, 0.5], [2.0, np.nan, 0.5], [2.0, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            LinearOperator(3, 3, s, (1, 1, 3))
+    with pytest.raises(ValueError, match="finite"):
+        CircularBlurOperator(1, 8, 8, sigma=np.nan, kernel_radius=3)
 
 
 @pytest.mark.parametrize("op", [IdentityOperator(1, 2, 2), make_downsample(2, 4, 4, 2),

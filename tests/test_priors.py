@@ -251,6 +251,9 @@ _PARITY_CASES = {
     # a 3 x 3 measurement: its oo block is one symmetric coordinate
     "downsample_3x6x6": (lambda: make_downsample(3, 6, 6, 2),
                          [(18, 9), (9, 3), (27, 6), (18, 3), (9, 0)]),
+    # block 5 scales only the row factor, so a square grid's factors differ
+    # and it keeps the four flip blocks
+    "downsample_1x10x10_b5": (lambda: make_downsample(1, 10, 10, 5), [(25, 1)] * 4),
     # 2 x 2 pixels have no antisymmetric half, and a 1 x 1 measurement has
     # neither an odd part nor such a half: two blocks see no measurement
     "downsample_1x2x2": (lambda: make_downsample(1, 2, 2, 2), [(1, 1), (1, 0), (1, 0)]),
@@ -631,6 +634,9 @@ _SEPARABLE_CASES = {
     "downsample_1x6x9_b3": lambda: make_downsample(1, 6, 9, 3),
     "downsample_3x6x12_b3": lambda: make_downsample(3, 6, 12, 3),
     "downsample_1x8x8_b4": lambda: make_downsample(1, 8, 8, 4),
+    # (1/5)^2 does not round to 1/25: the row factor takes all of 1/b^2
+    "downsample_1x10x10_b5": lambda: make_downsample(1, 10, 10, 5),
+    "downsample_3x5x10_b5": lambda: make_downsample(3, 5, 10, 5),
     "shifted_blur_1x7x9": lambda: _shifted_blur((1, 7, 9), 1.2),
 }
 

@@ -273,6 +273,25 @@ def test_short_custom_schedule_is_rejected():
         sample(prior.consistency(), config, n=prior.n, seed=0, schedule=sched)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_explicit_schedule_sets_the_floor(variant):
+    # the config's t_min and t_max only build the default schedule: with an
+    # explicit one, a default config gives the estimate of a matching config
+    prior, op, fn = _parity_setup("gaussian", False)
+    rng = np.random.default_rng(3)
+    y = op.apply(rng.standard_normal(16)) + 0.05 * rng.standard_normal(op.m)
+    kw = dict(y=y, operator=op, sigma_y=0.05, x_teacher=rng.standard_normal(16), seed=1)
+    sched = make_karras_schedule(3, t_min=0.01, t_max=10.0)
+    default = sample(fn, SamplerConfig(variant=variant, steps=3), schedule=sched, **kw)
+    matched = sample(fn, SamplerConfig(variant=variant, steps=3, t_min=0.01, t_max=10.0),
+                     schedule=sched, **kw)
+    assert np.array_equal(default.estimate, matched.estimate)
+    # a floor below the config's default t_min = 0.002 runs too
+    low = make_karras_schedule(3, t_min=1e-4, t_max=10.0)
+    estimate = sample(fn, SamplerConfig(variant=variant, steps=3), schedule=low, **kw).estimate
+    assert np.isfinite(estimate).all()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(variant="nope", steps=2)

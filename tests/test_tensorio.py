@@ -11,8 +11,6 @@ from cminverse.tensorio import (
     read_tensor,
     tensor_bytes,
     write_jsonl,
-    write_pgm,
-    write_ppm,
     write_tensor,
 )
 
@@ -82,7 +80,7 @@ def test_empty_manifest_is_empty_file(tmp_path):
 
 def test_pgm_header_and_clamping(tmp_path):
     path = os.path.join(tmp_path, "i.pgm")
-    write_pgm(path, np.array([[0.0, 0.5], [2.0, -1.0]]))
+    dump_image(path, np.array([[0.0, 0.5], [2.0, -1.0]]))
     blob = open(path, "rb").read()
     assert blob.startswith(b"P5\n2 2\n255\n")
     assert list(blob[-4:]) == [0, 128, 255, 0]
@@ -93,7 +91,7 @@ def test_ppm_interleaves_channels(tmp_path):
     img = np.zeros((3, 1, 2))
     img[0, 0, 0] = 1.0  # red in pixel 0
     img[2, 0, 1] = 1.0  # blue in pixel 1
-    write_ppm(path, img)
+    dump_image(path, img)
     blob = open(path, "rb").read()
     assert blob.startswith(b"P6\n2 1\n255\n")
     assert list(blob[-6:]) == [255, 0, 0, 0, 0, 255]
