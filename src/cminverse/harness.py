@@ -207,8 +207,11 @@ def load_prior(config: ExperimentConfig):
     A ``gaussian_prior`` dataset is rebuilt with ``rbf_prior`` from the
     parameters in its meta: the same float64 prior that drew its images.
     Only a prior over the dataset's own images reads its manifest.  A meta
-    naming an unknown generator, or lacking a field its generator reads,
-    raises ValueError.
+    naming an unknown generator, lacking a field its generator reads, or
+    recording one that disagrees with the config (a grid side or channel
+    count that is not the config's int) or is not of its kind (a prior
+    parameter that is not a finite number, an atoms file name that is not
+    a string) raises ValueError naming the field.
     """
     ds_dir = _dataset_dir(config)
     meta_path = os.path.join(ds_dir, "dataset_meta.jsonl")
@@ -224,6 +227,18 @@ def load_prior(config: ExperimentConfig):
     if missing:
         raise ValueError(f"{meta_path} lacks the {generator} fields "
                          f"{', '.join(missing)}; re-run synthesize to record them")
+    # type(), not isinstance: a bool is an int to isinstance, and True == 1
+    for name in _META_FIELDS.get(generator, ()):
+        value = meta[name]
+        if name == "atoms":
+            ok, want = isinstance(value, str), "the atoms tensor's file name"
+        elif name in _PRIOR_FIELDS:
+            ok, want = type(value) in (int, float) and math.isfinite(value), "a finite number"
+        else:
+            expected = getattr(config, name)
+            ok, want = type(value) is int and value == expected, f"the config's {expected}"
+        if not ok:
+            raise ValueError(f"{meta_path} records {name} = {value!r}; expected {want}")
     if generator == "gaussian_prior":
         shape = (meta["channels"], meta["height"], meta["width"])
         return rbf_prior(shape, meta["length_scale"], meta["variance"], meta["mean_level"])

@@ -30,7 +30,7 @@ from .operators import LinearOperator
 # commutes with the transpose and n^2 / 2 otherwise; its build peaks at
 # about 0.7 n x n float64 arrays for a square blur or centred-square
 # inpainting (1.0 on other grids, and about 5 for a problem that conditions
-# as one block, such as an off-centre mask), and the per-block
+# through the identity split, such as an off-centre mask), and the per-block
 # eigendecompositions grow as n^3: a 64 x 64 deblur (n = 4096) sampled 8
 # images in 1.3 s at a peak resident size of about 150 MiB, and 128 x 128
 # would need more than 1 GiB and about 64 times the factorisation work.
@@ -263,17 +263,22 @@ class _ParityBlocks:
     blocks in eo and oe, and ``shared`` names oe as taking eo's.  The six
     blocks run ee+, ee-, eo, oe, oo+, oo-.
 
+    With ``identity`` each axis basis is the identity, all even, with a
+    scale of 1: the identity split, which states the unsplit problem as
+    block ee, the whole grid, beside three empty blocks.  Its coordinates
+    are the pixels, bit for bit but for the sign of a zero.
+
     ``split`` is the way in; ``merge`` and ``expand`` are its transpose.
     """
 
-    axis_parts = staticmethod(_axis_parts)
-
-    def __init__(self, shape, square: bool = False):
+    def __init__(self, shape, square: bool = False, identity: bool = False):
         self.shape, self.size = tuple(shape), math.prod(shape)
-        self.axes = tuple(_axis_parity(size) for size in self.shape[1:])
+        sides = self.shape[1:]
+        self.axes = tuple(np.eye(size) if identity else _axis_parity(size) for size in sides)
         self.scale = np.sqrt(1.0 / np.outer(*((p * p).sum(axis=0) for p in self.axes)))
-        rows, cols = ((slice(0, size - size // 2), slice(size - size // 2, size))
-                      for size in self.shape[1:])
+        self.axis_parts = (lambda x: (x, x[:0])) if identity else _axis_parts
+        evens = [size if identity else size - size // 2 for size in sides]
+        rows, cols = ((slice(0, even), slice(even, size)) for even, size in zip(evens, sides))
         self.quadrants = [(rows[q >> 1], cols[q & 1]) for q in range(4)]
         self.pieces, self.shared = (
             ([(0, _KEPT), (0, _NEGATED), (1, _WHOLE), (2, _TRANSPOSED), (3, _KEPT),
@@ -305,28 +310,6 @@ class _ParityBlocks:
         return self.merge({k: rows.T for k, rows in half.items()})
 
 
-class _OneBlock:
-    """One block whose basis is the identity: the unsplit problem, one whole
-    quadrant that is the grid itself."""
-
-    shape, shared, pieces = None, {}, [(0, _WHOLE)]
-
-    def __init__(self, size: int):
-        self.size, self.sizes = size, [size]
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        return [x]
-
-    def merge(self, parts: dict) -> np.ndarray:
-        return parts[0]
-
-    expand = merge
-
-    @staticmethod
-    def axis_parts(x: np.ndarray) -> tuple[np.ndarray]:
-        return (x,)
-
-
 def _flip_invariant(m: np.ndarray) -> bool:
     """F' M == M F bit for bit, for the flips F of M's columns and F' of its
     rows (each axis reversed): the flip check of one axis factor."""
@@ -344,9 +327,9 @@ def _selection_split(signal: _ParityBlocks, kept: np.ndarray, picks: list, y: np
 
 def _axis_blocks(m: np.ndarray, parts) -> tuple:
     """B'_p^T M B_p of one axis factor M for each of its parts p by ``parts``
-    (``axis_parts``: the even and the odd part, or M whole), B' the bases
-    of M's row axis and B those of its column axis.  The cross-parity parts
-    are zero when M commutes with the flips."""
+    (``axis_parts``: the even and the odd part, or M whole and nothing), B'
+    the bases of M's row axis and B those of its column axis.  The
+    cross-parity parts are zero when M commutes with the flips."""
     return tuple(parts(left.T)[p].T for p, left in enumerate(parts(m)))
 
 
@@ -495,11 +478,11 @@ class GaussianPrior:
 
     # --- conditioning on the measurement --------------------------------
     def _covariance_blocks(self, signal) -> tuple:
-        """Sigma's diagonal blocks B_k^T Sigma B_k in the blocks of
-        ``signal`` (``_ParityBlocks``, or ``_OneBlock`` for pixel
-        coordinates), by block index k, with the empty blocks and those that
-        ``signal.shared`` gives another's left out; and Sigma's largest entry
-        between two quadrants relative to its largest entry.
+        """Sigma's diagonal blocks B_k^T Sigma B_k in the blocks of ``signal``
+        (``_ParityBlocks``, of the parity or the identity split), by block
+        index k, with the empty blocks and those that ``signal.shared`` gives
+        another's left out; and Sigma's largest entry between two quadrants
+        relative to its largest entry.
 
         A factor-form prior (``rbf_prior``) on the signal's grid gives a
         quadrant's block as (R_h (x) R_w) diag(lam) (R_h (x) R_w)^T with
@@ -518,7 +501,7 @@ class GaussianPrior:
         built = {k: signal.pieces[k] for k in kept if k not in signal.shared}
         axes = self.factor.axes
         sides = tuple(len(q) for q in axes)
-        if len(axes) == 2 and (signal.shape is None or signal.shape[1:] == sides):
+        if len(axes) == 2 and signal.shape[1:] == sides:
             r_h, r_w = (signal.axis_parts(q) for q in axes)
             # R of quadrant q, which is odd by rows if q & 2
             rs = [(r_h[q >> 1], r_w[q & 1]) for q in range(len(r_h) * len(r_w))]
@@ -562,13 +545,15 @@ class GaussianPrior:
         the split is exact: A commutes with both flips bit for bit, and
         Sigma to rounding (1e-12 of its largest entry), so that dropping its
         off-block entries is a rounding-level projection like its
-        symmetrisation.  Otherwise one block in pixel coordinates.
+        symmetrisation.  Otherwise the identity split, on a per-axis
+        factor's own grid (Sigma's block then comes from the factor), else
+        on n channels of one pixel; each route below serves either split.
 
         A is never materialised.  A separable operator,
         A = I_c (x) M_h (x) M_w (``axis_matrices``), commutes with the flips
         exactly when each axis factor does (``_flip_invariant``), as the
-        product is exact.  Its measurement grid then splits into parity
-        blocks too, and quadrant q is I_c (x) M_h^p (x) M_w^r, with
+        product is exact.  Its measurement grid is then split as the signal
+        grid is, and quadrant q is I_c (x) M_h^p (x) M_w^r, with
         M^p = B'_p^T M B_p per axis and p = q >> 1 for the rows, r = q & 1
         for the columns, applied one axis at a time; block k is its piece of
         that map on both sides (``_separable_rows``).  A square problem
@@ -587,9 +572,9 @@ class GaussianPrior:
         block k of A is a selection too, of the coordinates ``picks[k]``
         whose pixels are kept; the measurement's block coordinates are the
         signal's of y zero-filled at kept, at those coordinates
-        (``_selection_split``).  With one block, A's block is kept itself.
-        Any other operator (``DenseOperator``) is one block, mapped by
-        ``apply``.
+        (``_selection_split``).  Any other operator (``DenseOperator``)
+        takes the identity split, y as m channels of one pixel and A's block
+        mapped by ``apply``.
         """
         axes, kept, shape = operator.axis_matrices(), operator.selection(), operator.signal_shape
         split = square = False
@@ -606,25 +591,25 @@ class GaussianPrior:
             covs, gap = self._covariance_blocks(signal)
             split = gap <= 1e-12
         if not split:
-            signal = _OneBlock(self.n)
+            sides = tuple(map(len, self.factor.axes)) if len(self.factor.axes) == 2 else (1, 1)
+            signal = _ParityBlocks((self.n // math.prod(sides),) + sides, identity=True)
             covs, _ = self._covariance_blocks(signal)
-        if axes is not None:
-            h, w = (_axis_blocks(m, signal.axis_parts) for m in axes)
-            measurement = (_ParityBlocks(operator.measurement_shape, square) if split
-                           else _OneBlock(operator.m))
-            pieces = {k: signal.pieces[k] for k in covs}
-            return signal, measurement.split, covs, {
-                k: _separable_rows(shape[0], h[q >> 1], w[q & 1], how)
-                for k, (q, how) in pieces.items()}
-        if not split:
-            rows = operator.apply if kept is None else partial(np.take, indices=kept, axis=-1)
-            return signal, _OneBlock(operator.m).split, covs, {0: rows}
-        # a selection's blocks are whole quadrants (it has no transpose split),
-        # and coordinate (c, a, b) of a quadrant stands for pixel (c, a, b)
-        picks = [np.flatnonzero(grid[:, :rows.stop - rows.start, :cols.stop - cols.start])
-                 for rows, cols in signal.quadrants]
-        return (signal, partial(_selection_split, signal, kept, picks), covs,
-                {k: partial(np.take, indices=picks[k], axis=-1) for k in covs})
+        if kept is not None and axes is None:
+            # a selection's blocks are whole quadrants (it has no transpose split),
+            # and coordinate (c, a, b) of a quadrant stands for pixel (c, a, b)
+            image = grid.reshape(signal.shape)
+            picks = [np.flatnonzero(image[:, :rows.stop - rows.start, :cols.stop - cols.start])
+                     for rows, cols in signal.quadrants]
+            return (signal, partial(_selection_split, signal, kept, picks), covs,
+                    {k: partial(np.take, indices=picks[k], axis=-1) for k in covs})
+        measurement = _ParityBlocks(operator.measurement_shape or (operator.m, 1, 1),
+                                    square and split, identity=not split)
+        if axes is None:
+            return signal, measurement.split, covs, {0: operator.apply}
+        h, w = (_axis_blocks(m, signal.axis_parts) for m in axes)
+        return signal, measurement.split, covs, {
+            k: _separable_rows(shape[0], h[q >> 1], w[q & 1], how)
+            for k, (q, how) in enumerate(signal.pieces) if k in covs}
 
     def _condition_on_measurement(self, operator: LinearOperator, sigma_y: float) -> "_Conditioned":
         """x | y for y = A x + sigma_y * noise, block by block.
@@ -633,7 +618,8 @@ class GaussianPrior:
         Sigma_y = Sigma - K_y A Sigma depend on neither t nor y; the
         posterior mean is mean + K_y (y - A mean).  Sigma and A are split
         into the diagonal blocks of ``_parity_split``: four parity blocks of
-        about n/4 for a flip-invariant prior and operator, else one block.
+        about n/4 for a flip-invariant prior and operator, else the identity
+        split's one block.
         Each block takes one eigendecomposition of its part of
         A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.  A square
         problem that commutes with the transpose splits ee and oo into
@@ -697,13 +683,12 @@ class GaussianPrior:
         eight eigendecompositions of about n/4 x n/4 for a flip-invariant
         prior and operator; on a square grid that also commutes with the
         transpose, two of about n/4 for eo, which oe shares, and eight of
-        about n/8 for the halves of ee and oo; else one of m x m and one of
-        n x n), so
-        G_t = Q_k diag(lam_k/(lam_k+t^2)) Q_k^T in every block at every
-        level.  A call moves the rows of y - A mean and x_t into the blocks'
-        coordinates by one product with each axis's parity matrix
-        (``_ParityBlocks``), makes three matrix products per block and moves
-        back, with no solve or cache.
+        about n/8 for the halves of ee and oo; else, by the identity split,
+        one of m x m and one of n x n), so G_t = Q_k diag(lam_k/(lam_k+t^2))
+        Q_k^T in every block at every level.  A call moves the rows of
+        y - A mean and x_t into the blocks' coordinates by one product with
+        each axis's basis, parity or identity (``_ParityBlocks``), makes three
+        matrix products per block and moves back, with no solve or cache.
         """
         cond = self._condition_on_measurement(operator, sigma_y)
 

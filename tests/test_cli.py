@@ -566,6 +566,27 @@ def test_dataset_meta_without_a_field_its_generator_reads_is_exit_2(tmp_path, ca
     assert not os.path.exists(tmp_path / "run" / "recon")
 
 
+@pytest.mark.parametrize("generator,fields", [
+    # the same n as the 8 x 8 dataset, so the prior alone would not fail
+    ("gaussian_prior", {"height": 4, "width": 16}),
+    ("gaussian_prior", {"channels": True}),
+    ("gaussian_prior", {"length_scale": "x"}),
+    ("gaussian_prior", {"variance": float("nan")}),
+    ("atoms", {"atoms": 3}),
+], ids=["grid_4x16", "channels_bool", "length_scale_str", "variance_nan", "atoms_int"])
+def test_dataset_meta_that_disagrees_with_the_config_is_exit_2(tmp_path, capsys,
+                                                                generator, fields):
+    ini, dataset = _source_ini(tmp_path, generator)
+    meta = read_jsonl(str(dataset / "dataset_meta.jsonl"))[0]
+    write_jsonl(str(dataset / "dataset_meta.jsonl"), [dict(meta, **fields)])
+    assert cli.main(["--config", ini, "degrade"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", ini, "sample"]) == 2
+    err = capsys.readouterr().err
+    assert "dataset_meta.jsonl" in err and next(iter(fields)) in err
+    assert not os.path.exists(tmp_path / "run" / "recon")
+
+
 def test_dataset_row_without_a_file_is_exit_2(tmp_path, capsys):
     ini, dataset = _source_ini(tmp_path)
     rows = read_jsonl(str(dataset / "dataset.jsonl"))

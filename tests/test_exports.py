@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,35 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _private_definitions_never_read(package):
+    """module.name of every private module-level function and class in the
+    package's modules that no statement outside its own definition reads,
+    by name, as an attribute or through an import."""
+    trees = {}
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                trees[filename[:-3]] = ast.parse(fh.read())
+    statements = [node for tree in trees.values() for node in tree.body]
+    reads = {}  # name -> the top-level statements that read it
+    for statement in statements:
+        for node in ast.walk(statement):
+            names = ([node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            for name in names:
+                reads.setdefault(name, set()).add(id(statement))
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+            and not node.name.endswith("__") and not reads.get(node.name, set()) - {id(node)}]
+
+
+def test_every_private_definition_is_read():
+    # a helper that a deletion leaves behind with no caller fails here
+    assert _private_definitions_never_read(os.path.join(ROOT, "src", "cminverse")) == []
+
+
 def test_benchmark_hooks_resolve():
     # perfbench/spans.py patches the program's entry points by name; run its
     # instrument() as perfbench/child.py does, so that a dropped or renamed
@@ -60,28 +90,28 @@ def test_benchmark_hooks_resolve():
     assert proc.stdout.strip()
 
 
-def test_benchmark_trace_sees_every_factorisation(tmp_path):
-    # perfbench/spans.py times the gain builds by swapping priors' numpy for
-    # a proxy whose linalg routines open spans; an eigh reached another way
-    # (say, imported by name) would run untimed.  Count every eigh at its
-    # source and compare with the spans of a 16 x 16 blur closure's build,
-    # ten on the square's D4 route
+def _traced_build(tmp_path, setup):
+    """The eigh shapes counted at their source, and the number of perfbench
+    priors.linalg spans, of one closure build under an RBF prior for the
+    operator ``op`` that the source lines ``setup`` bind."""
     script = (
+        "import json\n"
         "import sys\n"
         f"sys.path.insert(0, {os.path.join(ROOT, 'perfbench')!r})\n"
         "import numpy\n"
         "calls = []\n"
         "eigh = numpy.linalg.eigh\n"
-        "def counting_eigh(*args, **kwargs):\n"
-        "    calls.append(1)\n"
-        "    return eigh(*args, **kwargs)\n"
+        "def counting_eigh(a, *args, **kwargs):\n"
+        "    calls.append(list(a.shape))\n"
+        "    return eigh(a, *args, **kwargs)\n"
         "numpy.linalg.eigh = counting_eigh\n"
         "import spans\n"
         "tracer = spans.Tracer()\n"
         "spans.instrument(tracer)\n"
-        "from cminverse.operators import make_gaussian_blur\n"
+        "import numpy as np\n"
+        "from cminverse.operators import InpaintOperator, make_gaussian_blur\n"
         "from cminverse.priors import rbf_prior\n"
-        "op = make_gaussian_blur(1, 16, 16, 1.5)\n"
+        f"{setup}\n"
         "prior = rbf_prior(op.signal_shape, 3.0, 0.05, 0.5)\n"
         "before = len(calls)\n"
         "build = tracer.begin('build')\n"
@@ -90,10 +120,29 @@ def test_benchmark_trace_sees_every_factorisation(tmp_path):
         f"tracer.write({str(tmp_path / 'spans.jsonl')!r})\n"
         f"spans_ = spans.read_spans({str(tmp_path / 'spans.jsonl')!r})\n"
         "linalg = [s for s in spans_ if s[spans.NAME] == 'priors.linalg' and s[spans.START] >= build[spans.START]]\n"
-        "print(len(calls) - before, len(linalg))\n"
+        "print(json.dumps([calls[before:], len(linalg)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["10", "10"]
+    return json.loads(proc.stdout)
+
+
+def test_benchmark_trace_sees_every_factorisation(tmp_path):
+    # perfbench/spans.py times the gain builds by swapping priors' numpy for
+    # a proxy whose linalg routines open spans; an eigh reached another way
+    # (say, imported by name) would run untimed.  Count every eigh at its
+    # source and compare with the spans of a 16 x 16 blur closure's build,
+    # ten on the square's D4 route
+    shapes, spans = _traced_build(tmp_path, "op = make_gaussian_blur(1, 16, 16, 1.5)")
+    assert len(shapes) == spans == 10
+
+
+def test_benchmark_trace_sees_the_identity_split_factorisations(tmp_path):
+    # a 16 x 16 mask off the centre lines conditions through the identity
+    # split: one gram of the 226 kept pixels and one Sigma_y of all 256
+    shapes, spans = _traced_build(tmp_path, "mask = np.ones((16, 16), bool)\n"
+                                            "mask[3:8, 4:10] = False\n"
+                                            "op = InpaintOperator(1, 16, 16, mask)")
+    assert shapes == [[226, 226], [256, 256]] and spans == len(shapes)

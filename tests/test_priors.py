@@ -481,10 +481,15 @@ def test_parity_blocks_match_the_dense_parity_basis(shape):
     # on an even grid an identity row ends at exact coordinates: +-1/2 each
     if not (shape[1] % 2 or shape[2] % 2):
         assert all(np.array_equal(np.abs(part), (part != 0) * 0.5) for part in blocks.split(np.eye(n)))
-    # the unsplit problem's one block is the identity, bit for bit
-    one = priors._OneBlock(n)
-    assert one.sizes == [n] and np.array_equal(one.split(x)[0], x)
-    assert np.array_equal(one.merge({0: x}), x)
+    # the identity split states the unsplit problem: its block ee is the
+    # grid itself, bit for bit but for the sign of a zero, and eo, oe and oo
+    # are empty
+    whole = priors._ParityBlocks(shape, identity=True)
+    assert whole.sizes == [n, 0, 0, 0]
+    assert np.array_equal(whole.split(x)[0], x)
+    assert np.array_equal(whole.merge({0: x}), x)
+    full = rng.standard_normal((n, n))
+    assert np.array_equal(whole.expand({0: full}), full)
 
 
 @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 6, 10), (1, 7, 9)])
