@@ -51,7 +51,11 @@ SAMPLE_CHUNK = 64
 _PRIOR_FIELDS = ("length_scale", "variance", "mean_level")
 # the meta fields that load_prior reads, by generator
 _META_FIELDS = {"gaussian_prior": ("channels", "height", "width") + _PRIOR_FIELDS,
-                "atoms": ("atoms",)}
+                "atoms": ("atoms",),
+                "piecewise_constant": ("channels", "height", "width", "seed", "count")}
+# The held-out stream of a piecewise_constant prior: default_rng([seed, it])
+# draws the prior's images apart from the dataset's default_rng(seed).
+_HELD_OUT_STREAM = 1
 
 
 class NonFiniteEstimate(FloatingPointError):
@@ -206,12 +210,16 @@ def load_prior(config: ExperimentConfig):
 
     A ``gaussian_prior`` dataset is rebuilt with ``rbf_prior`` from the
     parameters in its meta: the same float64 prior that drew its images.
-    Only a prior over the dataset's own images reads its manifest.  A meta
-    naming an unknown generator, lacking a field its generator reads, or
-    recording one that disagrees with the config (a grid side or channel
-    count that is not the config's int) or is not of its kind (a prior
-    parameter that is not a finite number, an atoms file name that is not
-    a string) raises ValueError naming the field.
+    An ``atoms`` prior is the atoms file that drew the images.  A
+    ``piecewise_constant`` prior is ``count`` images of the same generator,
+    drawn from a held-out stream of the meta's ``seed`` (``_HELD_OUT_STREAM``),
+    so no image of the dataset is one of its atoms.  A meta naming an
+    unknown generator, lacking a field its generator reads, or recording
+    one that disagrees with the config (a grid side or channel count that
+    is not the config's int) or is not of its kind (a prior parameter that
+    is not a finite number, an atoms file name that is not a string, a
+    seed that is not an int >= 0 or a count that is not an int >= 1)
+    raises ValueError naming the field.
     """
     ds_dir = _dataset_dir(config)
     meta_path = os.path.join(ds_dir, "dataset_meta.jsonl")
@@ -234,6 +242,9 @@ def load_prior(config: ExperimentConfig):
             ok, want = isinstance(value, str), "the atoms tensor's file name"
         elif name in _PRIOR_FIELDS:
             ok, want = type(value) in (int, float) and math.isfinite(value), "a finite number"
+        elif name in ("seed", "count"):
+            least = 1 if name == "count" else 0
+            ok, want = type(value) is int and value >= least, f"an int >= {least}"
         else:
             expected = getattr(config, name)
             ok, want = type(value) is int and value == expected, f"the config's {expected}"
@@ -245,8 +256,9 @@ def load_prior(config: ExperimentConfig):
     if generator == "atoms":
         atoms = read_tensor(os.path.join(ds_dir, meta["atoms"]))
         return EmpiricalPrior(atoms.reshape(atoms.shape[0], -1))
-    records, _ = load_dataset(config)
-    return EmpiricalPrior(_read_stack(ds_dir, [rec["file"] for rec in records]))
+    rng = np.random.default_rng([meta["seed"], _HELD_OUT_STREAM])
+    shape = (meta["channels"], meta["height"], meta["width"])
+    return EmpiricalPrior(_piecewise_constant_images(rng, meta["count"], shape))
 
 
 # --------------------------------------------------------------------------
@@ -463,19 +475,21 @@ def _format_table(rows: list[dict]) -> str:
 
 
 def _references(config: ExperimentConfig, records, ds_dir):
-    """The (N, c, h, w) reference stack and, with KID or FID on, its features."""
+    """The (N, c, h, w) reference stack, its features with KID or FID on,
+    and their ``frechet_fit`` with FID on; each is None when not needed."""
     shape = (-1, config.channels, config.height, config.width)
     refs = _read_stack(ds_dir, [rec["file"] for rec in records]).reshape(shape)
     if not (config.metric_kid or config.metric_fid):
-        return refs, None
-    return refs, _features(config, refs, "references")
+        return refs, None, None
+    feats = _features(config, refs, "references")
+    return refs, feats, metrics_mod.frechet_fit(feats) if config.metric_fid else None
 
 
 def _score(config: ExperimentConfig, recs: np.ndarray, references) -> list[dict]:
     """Score N reconstructions, in rows of n values or as an (N, c, h, w)
     stack, against a ``_references`` result; returns the report rows, one
     per image and then the aggregate."""
-    refs, feats_ref = references
+    refs, feats_ref, fit_ref = references
     recs = recs.reshape(refs.shape)
 
     psnrs, ssims = [], []
@@ -513,7 +527,8 @@ def _score(config: ExperimentConfig, recs: np.ndarray, references) -> list[dict]
                 seed=config.seed,
             )
         if config.metric_fid:
-            aggregate["fid"] = metrics_mod.frechet_from_features(feats_rec, feats_ref)
+            aggregate["fid"] = metrics_mod.frechet_from_fits(metrics_mod.frechet_fit(feats_rec),
+                                                             fit_ref)
     return per_sample + [aggregate]
 
 

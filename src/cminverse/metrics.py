@@ -134,15 +134,18 @@ def gaussian_fit(features) -> tuple[np.ndarray, np.ndarray]:
     return mu, cov
 
 
-def _mean_and_r(features):
-    """Mean, R factor of the centered stack, and N - 1 (cov = R^T R / (N - 1))."""
+def frechet_fit(features):
+    """The fit of one (count, d) feature stack that ``frechet_from_fits``
+    takes: its mean, the R factor of the centered stack, and N - 1
+    (cov = R^T R / (N - 1))."""
     feats = _feature_stack(features)
     mu = feats.mean(axis=0)
     return mu, np.linalg.qr(feats - mu, mode="r"), feats.shape[0] - 1
 
 
-def frechet_from_features(features_x, features_y) -> float:
-    """Fréchet distance between the Gaussian fits of two (count, d) stacks.
+def frechet_from_fits(fit_x, fit_y) -> float:
+    """Fréchet distance between the Gaussian fits of two stacks, each given
+    by ``frechet_fit``.
 
     With cov_i = R_i^T R_i / (N_i - 1), trace((cov1 cov2)^(1/2)) is the sum
     of singular values of R1 R2^T / sqrt((N1 - 1)(N2 - 1)).  R_i has
@@ -150,8 +153,7 @@ def frechet_from_features(features_x, features_y) -> float:
     for any N and d: no round-off eigenvalue of a rank-deficient
     covariance enters a square root.
     """
-    mu1, r1, dof1 = _mean_and_r(features_x)
-    mu2, r2, dof2 = _mean_and_r(features_y)
+    (mu1, r1, dof1), (mu2, r2, dof2) = fit_x, fit_y
     if mu1.size != mu2.size:
         raise ValueError("moment dimensions disagree")
     diff = mu1 - mu2
@@ -163,6 +165,12 @@ def frechet_from_features(features_x, features_y) -> float:
         - 2.0 * cross / math.sqrt(dof1 * dof2)
     )
     return max(value, 0.0)
+
+
+def frechet_from_features(features_x, features_y) -> float:
+    """Fréchet distance between the Gaussian fits of two (count, d) stacks
+    (``frechet_from_fits``)."""
+    return frechet_from_fits(frechet_fit(features_x), frechet_fit(features_y))
 
 
 def polynomial_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,9 +31,11 @@ from .operators import LinearOperator
 # about 0.7 n x n float64 arrays for a square blur or centred-square
 # inpainting (1.0 on other grids, and about 5 for a problem that conditions
 # through the identity split, such as an off-centre mask), and the per-block
-# eigendecompositions grow as n^3: a 64 x 64 deblur (n = 4096) sampled 8
-# images in 1.3 s at a peak resident size of about 150 MiB, and 128 x 128
-# would need more than 1 GiB and about 64 times the factorisation work.
+# factorisations grow as n^3: a 64 x 64 deblur (n = 4096, sigma_y = 0.05)
+# ran the CLI sample stage of 8 images in 0.95-0.99 s at a peak resident
+# size of about 131 MiB (1.2-1.4 s with every gram factored by eigh), and
+# 128 x 128 would need more than 1 GiB and about 64 times the
+# factorisation work.
 MAX_CONDITIONED_N = 64 * 64
 # A dense covariance may have eigenvalues below 0 by round-off; one below
 # -COVARIANCE_RTOL times its largest is refused as indefinite.
@@ -374,19 +376,66 @@ def _separable_rows(channels: int, left: np.ndarray, right: np.ndarray, how: int
     return apply
 
 
-def _measurement_stage(cov, a_rows, sigma_y):
-    """Sigma A^T and the eigendecomposition of A Sigma A^T + sigma_y^2 I for one
-    block, with ``a_rows`` the map x -> x A^T.  Sigma is symmetric, so
-    Sigma A^T is A applied to its rows, and A Sigma A^T is A applied to the
-    rows of (Sigma A^T)^T, transposed.  The eigenvectors come in column-major
-    order, the order that a column selection gives, so ``_block_posterior``
-    selects nothing when it keeps every direction, and its products round
-    alike either way."""
+def _measurement_gram(cov, a_rows, sigma_y):
+    """Sigma A^T and A Sigma A^T + sigma_y^2 I for one block, with ``a_rows``
+    the map x -> x A^T.  Sigma is symmetric, so Sigma A^T is A applied to its
+    rows, and A Sigma A^T is A applied to the rows of (Sigma A^T)^T,
+    transposed."""
     sig_at = a_rows(cov)
     gram = a_rows(sig_at.T).T
     gram[np.diag_indices_from(gram)] += sigma_y * sigma_y
-    lam, vecs = np.linalg.eigh(_finite_or_raise(gram, sigma_y))
-    return sig_at, lam, np.asfortranarray(vecs)
+    return sig_at, _finite_or_raise(gram, sigma_y)
+
+
+def _measurement_eigh(gram):
+    """The eigendecomposition of a block's gram.  The eigenvectors come in
+    column-major order, the order that a column selection gives, so
+    ``_block_posterior`` selects nothing when it keeps every direction,
+    and its products round alike either way."""
+    lam, vecs = np.linalg.eigh(gram)
+    return lam, np.asfortranarray(vecs)
+
+
+# Blocks of at most this many rows are inverted by one np.linalg.inv in
+# ``_lower_inverse``; numpy has no triangular solve.
+_TRIANGLE_LEAF = 48
+
+
+def _lower_inverse(low):
+    """L^-1 of a lower-triangular L, by halves: the inverse of
+    [[L_11, 0], [L_21, L_22]] is [[L_11^-1, 0], [-L_22^-1 L_21 L_11^-1, L_22^-1]],
+    so the work is two half-size inverses and two products."""
+    size = len(low)
+    if size <= _TRIANGLE_LEAF:
+        return np.linalg.inv(low)
+    half = size // 2
+    out = np.zeros_like(low)
+    top = out[:half, :half] = _lower_inverse(low[:half, :half])
+    bottom = out[half:, half:] = _lower_inverse(low[half:, half:])
+    out[half:, :half] = -(bottom @ (low[half:, :half] @ top))
+    return out
+
+
+def _cholesky_factors(grams):
+    """The lower Cholesky factor L of each gram, L L^T = gram, or None when
+    one gram is not positive definite at working precision."""
+    try:
+        return [np.linalg.cholesky(gram) for gram in grams]
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cholesky_posterior(cov, sig_at, low):
+    """Gain and Sigma_y of one block from its gram's Cholesky factor L:
+    root = Sigma A^T L^-T, Sigma_y = Sigma - root root^T and K = root L^-1.
+    The block of Sigma, ``cov``, is overwritten with Sigma_y's."""
+    inverse = _lower_inverse(low)
+    del low  # the caller holds no other reference
+    root = sig_at @ inverse.T
+    cov -= root @ root.T
+    cov += cov.T
+    cov *= 0.5
+    return root @ inverse, cov
 
 
 def _block_posterior(cov, sig_at, lam, vecs, floor):
@@ -620,27 +669,47 @@ class GaussianPrior:
         into the diagonal blocks of ``_parity_split``: four parity blocks of
         about n/4 for a flip-invariant prior and operator, else the identity
         split's one block.
-        Each block takes one eigendecomposition of its part of
-        A Sigma A^T + sigma_y^2 I and one of its part of Sigma_y.  A square
-        problem that commutes with the transpose splits ee and oo into
-        halves of about n/8 and factors eo alone: block oe is the same
+        Each block factors its part of A Sigma A^T + sigma_y^2 I, its gram,
+        once, and takes one eigendecomposition of its part of Sigma_y.  A
+        square problem that commutes with the transpose splits ee and oo
+        into halves of about n/8 and factors eo alone: block oe is the same
         problem with its coordinate images transposed, so it holds eo's
         gain and factor, not copies (``signal.shared``).
-        Measurement directions whose variance lies below working precision
-        (relative to the largest over all blocks) carry no information and
+        Measurement directions whose variance lies below working precision,
+        m eps times the largest over all blocks, carry no information and
         are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
-        numerically singular (a strong blur).  K_y and Sigma_y's eigenfactor
-        stay per block; no n x n array outlives the call.
+        numerically singular (a strong blur).  Every eigenvalue of a gram is
+        at least sigma_y^2, and none exceeds the largest absolute row sum
+        over the grams.  So when sigma_y^2 is above m eps times that sum,
+        nothing can be dropped, and each gram is factored as L L^T by
+        Cholesky (``_cholesky_posterior``); otherwise, or when a gram has
+        no Cholesky factor at working precision, each gram takes one
+        eigendecomposition and the drop rule (``_block_posterior``).  K_y
+        and Sigma_y's eigenfactor stay per block; no n x n array outlives
+        the call.
         """
         signal, split_y, covs, a_blocks = self._parity_split(operator)
         kept = list(covs)
         # each block of A is released once its y-stage is built
-        stages = [_measurement_stage(covs[k], a_blocks.pop(k), sigma_y) for k in kept]
+        stages = [_measurement_gram(covs[k], a_blocks.pop(k), sigma_y) for k in kept]
+        sig_ats, grams = [sig_at for sig_at, _ in stages], [gram for _, gram in stages]
+        del stages
         a_mu = operator.apply(self.mean)
-        top = max((lam[-1] for _, lam, _ in stages if lam.size), default=0.0)
-        floor = top * a_mu.size * np.finfo(np.float64).eps
-        # one block at a time, each y-stage released before Sigma_y is factored
-        parts = [_block_posterior(covs.pop(k), *stages.pop(0), floor) for k in kept]
+        precision = a_mu.size * np.finfo(np.float64).eps
+        # a symmetric matrix's largest eigenvalue is at most its largest
+        # absolute row sum, and every eigenvalue of a gram is sigma_y^2 or more
+        bound = max((np.abs(gram).sum(axis=1).max(initial=0.0) for gram in grams), default=0.0)
+        lows = _cholesky_factors(grams) if sigma_y * sigma_y > bound * precision else None
+        if lows is not None:
+            del grams
+            # one block at a time, each factor released once its block is built
+            parts = [_cholesky_posterior(covs.pop(k), sig_ats.pop(0), lows.pop(0)) for k in kept]
+        else:
+            stages = [_measurement_eigh(grams.pop(0)) for _ in kept]
+            top = max((lam[-1] for lam, _ in stages if lam.size), default=0.0)
+            # one block at a time, each y-stage released before Sigma_y is factored
+            parts = [_block_posterior(covs.pop(k), sig_ats.pop(0), *stages.pop(0),
+                                      top * precision) for k in kept]
         gains = {k: _finite_or_raise(gain, sigma_y) for k, (gain, _) in zip(kept, parts)}
         factors = {k: _eigen_factor(_finite_or_raise(cov_y, sigma_y))
                    for k, (_, cov_y) in zip(kept, parts)}
@@ -680,12 +749,15 @@ class GaussianPrior:
         denoising under that prior: mean_y + G_t (x_t - mean_y) with
         G_t = Sigma_y (Sigma_y + t^2 I)^-1.  The closure conditions on y
         and factors Sigma_y once, block by block (``_condition_on_measurement``:
-        eight eigendecompositions of about n/4 x n/4 for a flip-invariant
-        prior and operator; on a square grid that also commutes with the
-        transpose, two of about n/4 for eo, which oe shares, and eight of
-        about n/8 for the halves of ee and oo; else, by the identity split,
-        one of m x m and one of n x n), so G_t = Q_k diag(lam_k/(lam_k+t^2))
-        Q_k^T in every block at every level.  A call moves the rows of
+        per block one factor of its measurement gram, by Cholesky where
+        sigma_y clears the drop floor and else by eigendecomposition, and
+        one eigendecomposition of its Sigma_y; four blocks of about n/4 for
+        a flip-invariant prior and operator; on a square grid that also
+        commutes with the transpose, one of about n/4 for eo, which oe
+        shares, and four of about n/8 for the halves of ee and oo; else, by
+        the identity split, one block with an m x m gram and an n x n
+        Sigma_y), so G_t = Q_k diag(lam_k/(lam_k+t^2)) Q_k^T in every block
+        at every level.  A call moves the rows of
         y - A mean and x_t into the blocks' coordinates by one product with
         each axis's basis, parity or identity (``_ParityBlocks``), makes three
         matrix products per block and moves back, with no solve or cache.

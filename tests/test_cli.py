@@ -551,7 +551,9 @@ def test_dataset_meta_with_an_unknown_generator_is_exit_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run" / "recon")
 
 
-@pytest.mark.parametrize("generator,field", [("gaussian_prior", "height"), ("atoms", "atoms")])
+@pytest.mark.parametrize("generator,field", [("gaussian_prior", "height"), ("atoms", "atoms"),
+                                             ("piecewise_constant", "seed"),
+                                             ("piecewise_constant", "count")])
 def test_dataset_meta_without_a_field_its_generator_reads_is_exit_2(tmp_path, capsys,
                                                                      generator, field):
     ini, dataset = _source_ini(tmp_path, generator)
@@ -573,7 +575,11 @@ def test_dataset_meta_without_a_field_its_generator_reads_is_exit_2(tmp_path, ca
     ("gaussian_prior", {"length_scale": "x"}),
     ("gaussian_prior", {"variance": float("nan")}),
     ("atoms", {"atoms": 3}),
-], ids=["grid_4x16", "channels_bool", "length_scale_str", "variance_nan", "atoms_int"])
+    ("piecewise_constant", {"width": 4}),
+    ("piecewise_constant", {"seed": -1}),
+    ("piecewise_constant", {"count": 2.0}),
+], ids=["grid_4x16", "channels_bool", "length_scale_str", "variance_nan", "atoms_int",
+        "piecewise_width_4", "piecewise_seed_negative", "piecewise_count_float"])
 def test_dataset_meta_that_disagrees_with_the_config_is_exit_2(tmp_path, capsys,
                                                                 generator, fields):
     ini, dataset = _source_ini(tmp_path, generator)

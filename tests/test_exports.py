@@ -91,20 +91,24 @@ def test_benchmark_hooks_resolve():
 
 
 def _traced_build(tmp_path, setup):
-    """The eigh shapes counted at their source, and the number of perfbench
-    priors.linalg spans, of one closure build under an RBF prior for the
-    operator ``op`` that the source lines ``setup`` bind."""
+    """The factorisations counted at their source, as [routine, shape] for
+    each eigh, cholesky and inv, and the number of perfbench priors.linalg
+    spans, of one closure build under an RBF prior for the operator ``op``
+    that the source lines ``setup`` bind."""
     script = (
         "import json\n"
         "import sys\n"
         f"sys.path.insert(0, {os.path.join(ROOT, 'perfbench')!r})\n"
         "import numpy\n"
         "calls = []\n"
-        "eigh = numpy.linalg.eigh\n"
-        "def counting_eigh(a, *args, **kwargs):\n"
-        "    calls.append(list(a.shape))\n"
-        "    return eigh(a, *args, **kwargs)\n"
-        "numpy.linalg.eigh = counting_eigh\n"
+        "def counting(name):\n"
+        "    real = getattr(numpy.linalg, name)\n"
+        "    def call(a, *args, **kwargs):\n"
+        "        calls.append([name, list(a.shape)])\n"
+        "        return real(a, *args, **kwargs)\n"
+        "    return call\n"
+        "for name in ('eigh', 'cholesky', 'inv'):\n"
+        "    setattr(numpy.linalg, name, counting(name))\n"
         "import spans\n"
         "tracer = spans.Tracer()\n"
         "spans.instrument(tracer)\n"
@@ -131,18 +135,27 @@ def _traced_build(tmp_path, setup):
 
 def test_benchmark_trace_sees_every_factorisation(tmp_path):
     # perfbench/spans.py times the gain builds by swapping priors' numpy for
-    # a proxy whose linalg routines open spans; an eigh reached another way
-    # (say, imported by name) would run untimed.  Count every eigh at its
-    # source and compare with the spans of a 16 x 16 blur closure's build,
-    # ten on the square's D4 route
-    shapes, spans = _traced_build(tmp_path, "op = make_gaussian_blur(1, 16, 16, 1.5)")
-    assert len(shapes) == spans == 10
+    # a proxy whose linalg routines open spans; a factorisation reached
+    # another way (say, imported by name) would run untimed.  Count every
+    # one at its source and compare with the spans of a 16 x 16 blur
+    # closure's build on the square's D4 route: per block a Cholesky factor
+    # of the gram, then its inverse's leaves (two for eo's 64 x 64), then an
+    # eigh of Sigma_y
+    calls, spans = _traced_build(tmp_path, "op = make_gaussian_blur(1, 16, 16, 1.5)")
+    sides = (36, 28, 64, 36, 28)
+    leaves = [[side, side] for side in (36, 28, 32, 32, 36, 28)]
+    assert calls == ([["cholesky", [m, m]] for m in sides] + [["inv", leaf] for leaf in leaves]
+                     + [["eigh", [n, n]] for n in sides])
+    assert spans == len(calls) == 16
 
 
 def test_benchmark_trace_sees_the_identity_split_factorisations(tmp_path):
     # a 16 x 16 mask off the centre lines conditions through the identity
-    # split: one gram of the 226 kept pixels and one Sigma_y of all 256
-    shapes, spans = _traced_build(tmp_path, "mask = np.ones((16, 16), bool)\n"
-                                            "mask[3:8, 4:10] = False\n"
-                                            "op = InpaintOperator(1, 16, 16, mask)")
-    assert shapes == [[226, 226], [256, 256]] and spans == len(shapes)
+    # split: one gram of the 226 kept pixels, its Cholesky factor inverted
+    # in eight leaves, and one Sigma_y of all 256
+    calls, spans = _traced_build(tmp_path, "mask = np.ones((16, 16), bool)\n"
+                                           "mask[3:8, 4:10] = False\n"
+                                           "op = InpaintOperator(1, 16, 16, mask)")
+    leaves = [["inv", [side, side]] for side in (28, 28, 28, 29) * 2]
+    assert calls == [["cholesky", [226, 226]]] + leaves + [["eigh", [256, 256]]]
+    assert spans == len(calls)

@@ -188,6 +188,21 @@ def test_synthesize_piecewise_and_atoms(tmp_path):
         assert any(np.array_equal(img.ravel(), atom) for atom in atoms)
 
 
+def test_piecewise_constant_prior_is_held_out_from_the_dataset(tmp_path):
+    # the prior's images come from the generator on a stream apart from the
+    # dataset's, so the ground truth is never one of its atoms
+    config = make_config(tmp_path, generator="piecewise_constant", count=16)
+    ds_dir = harness.synthesize(config)
+    images = [read_tensor(os.path.join(ds_dir, f"img_{i:05d}.cmt")).ravel() for i in range(16)]
+    prior = harness.load_prior(config)
+    atoms = prior.atoms.astype(np.float32)
+    assert atoms.shape == (16, 64) and atoms.min() >= 0.0 and atoms.max() <= 1.0
+    assert not any(np.array_equal(img, atom) for img in images for atom in atoms)
+    # the meta's seed fixes the prior, whatever seed the run takes
+    again = harness.load_prior(config.with_overrides(seed=7))
+    assert np.array_equal(again.atoms, prior.atoms)
+
+
 def test_dump_images_writes_previews(tmp_path):
     config = make_config(tmp_path, count=2, dump_images=True, metric_kid=False)
     harness.synthesize(config)

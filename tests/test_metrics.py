@@ -7,7 +7,9 @@ from cminverse.metrics import (
     feature_extract,
     frechet_distance,
     frechet_distance_with_clamp,
+    frechet_fit,
     frechet_from_features,
+    frechet_from_fits,
     gaussian_fit,
     gaussian_window,
     kid,
@@ -204,6 +206,17 @@ def test_frechet_from_features_self_distance_and_symmetry():
         frechet_from_features(x[:1], y)
     with pytest.raises(ValueError, match="moment dimensions disagree"):
         frechet_from_features(x, y[:, :5])
+
+
+def test_frechet_from_a_cached_fit_is_the_features_distance_bit_for_bit():
+    # tune-gamma fits the references once and scores every candidate
+    # against that fit
+    rng = np.random.default_rng(31)
+    refs = rng.random((320, 256))
+    fit = frechet_fit(refs)
+    for _ in range(3):
+        recs = refs + 0.05 * rng.standard_normal(refs.shape)
+        assert frechet_from_fits(frechet_fit(recs), fit) == frechet_from_features(recs, refs)
 
 
 def test_polynomial_kernel_unit_vector():

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import sys
 import threading
 import tracemalloc
@@ -203,17 +204,46 @@ def test_measurement_conditioning_matches_joint_oracle(make_op, sigma_y, t):
     _check_against_oracles(small_prior(10, n=16), make_op(), sigma_y, atol=1e-8, levels=(t,))
 
 
-def _eigh_shapes(monkeypatch):
-    """Record the shape of every eigh that priors makes, from any thread."""
-    eigh, lock, shapes = np.linalg.eigh, threading.Lock(), []
+def _factorisations(monkeypatch):
+    """Record every factorisation that priors makes, from any thread, as
+    (routine, shape): each eigh, each cholesky and each inv, the leaves of
+    a triangular inverse."""
+    lock, calls = threading.Lock(), []
 
-    def counting_eigh(a, *args, **kwargs):
-        with lock:
-            shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(priors.np.linalg, "eigh", counting_eigh)
-    return shapes
+        def call(a, *args, **kwargs):
+            with lock:
+                calls.append((name, a.shape))
+            return real(a, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "cholesky", "inv"):
+        monkeypatch.setattr(priors.np.linalg, name, counting(name))
+    return calls
+
+
+def _leaf_sides(m):
+    """The sides of the leaves that an m x m triangular inverse is cut into:
+    halves, the first rounded down, until at most 48."""
+    return [m] if m <= 48 else _leaf_sides(m // 2) + _leaf_sides(m - m // 2)
+
+
+def _cholesky_route(sizes):
+    """The factorisations of a build over blocks of (signal, measurement)
+    sizes whose measurement noise clears the drop floor: a cholesky of each
+    block's gram, then the inverse leaves of each factor, then one eigh of
+    each block's Sigma_y."""
+    leaves = [("inv", (s, s)) for _, m in sizes for s in _leaf_sides(m)]
+    return [("cholesky", (m, m)) for _, m in sizes] + leaves + [("eigh", (n, n)) for n, _ in sizes]
+
+
+def _eigh_route(sizes):
+    """The factorisations of a build whose drop rule may act: an eigh of
+    each block's gram, then one of each block's Sigma_y."""
+    return [("eigh", (m, m)) for _, m in sizes] + [("eigh", (n, n)) for n, _ in sizes]
 
 
 def _unequal_axes_blur(shape, sigma, sigma_w):
@@ -289,10 +319,10 @@ def test_parity_conditioning_matches_oracles(case, monkeypatch):
     make_op, sizes = _PARITY_CASES[case]
     op = make_op()
     prior = rbf_prior(op.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
-    shapes = _eigh_shapes(monkeypatch)
+    calls = _factorisations(monkeypatch)
     prior.measurement_consistency(op, 0.05)
-    # one gram and one Sigma_y factor per non-empty block, grams first
-    assert shapes == [(m, m) for _, m in sizes] + [(n, n) for n, _ in sizes]
+    # one factor of the gram and one of Sigma_y per non-empty block, grams first
+    assert calls == _cholesky_route(sizes)
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
@@ -315,6 +345,82 @@ def test_parity_conditioning_is_exact_without_measurement_noise():
     fn = prior.measurement_consistency(op, 0.0)
     for t in (1e-200, DEFAULT_T_MIN, 1.0, DEFAULT_T_MAX):
         assert np.all(np.isfinite(fn(x + min(t, 1.0) * rng.standard_normal(prior.n), a @ x, t)))
+
+
+def _cholesky_threshold(prior, op):
+    """The sigma_y^2 at which a build turns from the eigh route to the
+    Cholesky one: sigma_y^2 > bound m eps, with bound the largest absolute
+    row sum over the blocks' grams, which is b + sigma_y^2 for the largest,
+    b, at sigma_y = 0; so the turn is at b m eps / (1 - m eps)."""
+    _, _, covs, a_blocks = prior._parity_split(op)
+    grams = [priors._measurement_gram(covs[k], a_blocks[k], 0.0)[1] for k in covs]
+    b = max(np.abs(gram).sum(axis=1).max(initial=0.0) for gram in grams)
+    precision = op.m * np.finfo(np.float64).eps
+    return b * precision / (1.0 - precision)
+
+
+@pytest.mark.parametrize("side, route", [(1.0 + 1e-6, "cholesky"), (1.0 - 1e-6, "eigh")],
+                         ids=["above", "below"])
+def test_measurement_noise_at_the_drop_floor_picks_the_route(side, route, monkeypatch):
+    # the drop rule removes nothing while sigma_y^2 exceeds m eps times a
+    # bound on the largest gram eigenvalue, and the gram is then factored
+    # by Cholesky; at or below it the eigh route runs, and either way the
+    # closure matches the dense oracles
+    prior, op = small_prior(10, n=16), IdentityOperator(1, 4, 4)
+    sigma_y = math.sqrt(side * _cholesky_threshold(prior, op))
+    calls = _factorisations(monkeypatch)
+    prior.measurement_consistency(op, sigma_y)
+    routes = {"cholesky": _cholesky_route, "eigh": _eigh_route}
+    assert calls == routes[route]([(16, 16)])
+    _check_against_oracles(prior, op, sigma_y, atol=1e-8)
+
+
+def test_measurement_noise_free_strong_blur_takes_the_eigh_route(monkeypatch):
+    op = make_gaussian_blur(1, 8, 8, 3.0)
+    prior = rbf_prior(op.signal_shape, length_scale=2.0, variance=0.05, mean_level=0.5)
+    calls = _factorisations(monkeypatch)
+    prior.measurement_consistency(op, 0.0)
+    assert calls == _eigh_route(_PARITY_CASES["blur_1x8x8"][1])
+
+
+def _eigh_route_closure(prior, op, sigma_y, monkeypatch):
+    """The closure that the eigh route builds whatever sigma_y is: the one a
+    build falls back to when a gram has no Cholesky factor."""
+    with monkeypatch.context() as patch:
+        patch.setattr(priors, "_cholesky_factors", lambda grams: None)
+        return prior.measurement_consistency(op, sigma_y)
+
+
+@pytest.mark.parametrize("side", [32, 48, 64])
+def test_cholesky_route_matches_the_eigh_route(side, monkeypatch):
+    op = make_gaussian_blur(1, side, side, 3.0)
+    prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
+    fn = prior.measurement_consistency(op, 0.05)
+    want = _eigh_route_closure(prior, op, 0.05, monkeypatch)
+    rng = np.random.default_rng(29)
+    x = prior.sample(rng)
+    y = op.apply(x) + 0.05 * rng.standard_normal(op.m)
+    for t in (1e-3, 1.0, 80.0):
+        x_t = x + t * rng.standard_normal((2, op.n))
+        assert np.allclose(fn(x_t, y, t), want(x_t, y, t), rtol=0.0, atol=1e-9)
+
+
+def test_gram_without_a_cholesky_factor_falls_back_to_eigh(monkeypatch):
+    op = make_gaussian_blur(1, 8, 8, 1.2)
+    prior = rbf_prior(op.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
+    want = _eigh_route_closure(prior, op, 0.05, monkeypatch)
+
+    def no_factor(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    calls = _factorisations(monkeypatch)
+    monkeypatch.setattr(priors.np.linalg, "cholesky", no_factor)
+    fn = prior.measurement_consistency(op, 0.05)
+    assert calls == _eigh_route(_PARITY_CASES["blur_1x8x8"][1])
+    rng = np.random.default_rng(30)
+    x_t, y = rng.standard_normal((2, op.n)), rng.standard_normal(op.m)
+    assert np.array_equal(fn(x_t, y, 0.5), want(x_t, y, 0.5))
+    _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -340,9 +446,9 @@ def test_parity_conditioning_is_exact_without_measurement_noise():
 )
 def test_inexact_split_conditions_as_one_block(make_prior, make_op, monkeypatch):
     prior, op = make_prior(), make_op()
-    shapes = _eigh_shapes(monkeypatch)
+    calls = _factorisations(monkeypatch)
     prior.measurement_consistency(op, 0.05)
-    assert shapes == [(op.m, op.m), (prior.n, prior.n)]
+    assert calls == _cholesky_route([(prior.n, op.m)])
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
@@ -517,7 +623,7 @@ def test_factor_form_conditioning_never_forms_the_covariance():
 
 
 def test_one_eigendecomposition_per_covariance(monkeypatch):
-    shapes, eigvalsh, spectra = _eigh_shapes(monkeypatch), np.linalg.eigvalsh, []
+    factored, eigvalsh, spectra = _factorisations(monkeypatch), np.linalg.eigvalsh, []
 
     def counting_eigvalsh(a, *args, **kwargs):
         spectra.append(a.shape)
@@ -528,13 +634,13 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
 
     # a dense Sigma is checked and factored by one eigh at construction
     prior = small_prior(11, n=16)
-    assert shapes == [(16, 16)] and spectra == []
+    assert factored == [("eigh", (16, 16))] and spectra == []
 
     # a conditioned closure: the m x m y-stage plus one n x n factor of
     # Sigma_y, and never another factor of Sigma
-    shapes.clear()
+    factored.clear()
     cond = prior.measurement_consistency(op, 0.05)
-    assert shapes == [(4, 4), (16, 16)]
+    assert factored == [("cholesky", (4, 4)), ("inv", (4, 4)), ("eigh", (16, 16))]
 
     # a square prior and operator that commute with the flips and the
     # transpose: a gram and a factor of Sigma_y for each half of ee and oo
@@ -542,21 +648,21 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
     # n x n eigh
     blur = make_gaussian_blur(1, 8, 8, 1.5)  # m = n = 64
     rbf = rbf_prior(blur.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
-    shapes.clear()
+    factored.clear()
     cond_rbf = rbf.measurement_consistency(blur, 0.05)
-    assert shapes == [(10, 10), (6, 6), (16, 16), (10, 10), (6, 6)] * 2
+    assert factored == _cholesky_route([(10, 10), (6, 6), (16, 16), (10, 10), (6, 6)])
 
     # the construction's factor of Sigma, shared by every unconditional use
-    shapes.clear()
+    factored.clear()
     prior.sample(np.random.default_rng(0), size=2)
     unc = prior.consistency()
     prior.denoise(np.zeros(prior.n), 0.5)
     prior.denoise_cov(0.5)
     prior.consistency()
-    assert shapes == [] and spectra == []
+    assert factored == [] and spectra == []
 
     # threads sharing the closures factor nothing and agree bit for bit
-    shapes.clear()
+    factored.clear()
     rng = np.random.default_rng(12)
     calls = [(fn, rng.standard_normal((3, n)), rng.standard_normal((3, m)))
              for fn, n, m in ((unc, prior.n, op.m), (cond, prior.n, op.m),
@@ -581,7 +687,7 @@ def test_one_eigendecomposition_per_covariance(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert shapes == []
+    assert factored == []
     for result in results:
         for got, want in zip(result, expected):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -593,7 +699,7 @@ def test_conditioned_closure_holds_less_than_one_dense_matrix(monkeypatch):
     # for the two, and neither A nor Sigma is kept
     op = make_gaussian_blur(1, 32, 32, 3.0)
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
-    shapes = _eigh_shapes(monkeypatch)
+    calls = _factorisations(monkeypatch)
     tracemalloc.start()
     try:
         fn = prior.measurement_consistency(op, 0.05)
@@ -601,17 +707,22 @@ def test_conditioned_closure_holds_less_than_one_dense_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert held <= 0.3 * op.n * op.n * 8, f"closure holds {held / (op.n * op.n * 8):.2f} n x n"
-    assert shapes == [(136, 136), (120, 120), (256, 256), (136, 136), (120, 120)] * 2
+    # each gram's factor is inverted in leaves of its halves' halves
+    sides = (136, 120, 256, 136, 120)
+    leaves = [(34, 34)] * 4 + [(30, 30)] * 4 + [(32, 32)] * 8 + [(34, 34)] * 4 + [(30, 30)] * 4
+    assert calls == ([("cholesky", (m, m)) for m in sides] + [("inv", leaf) for leaf in leaves]
+                     + [("eigh", (n, n)) for n in sides])
     assert fn is not None
 
 
 def test_conditioning_at_48_squared_factors_only_quarter_blocks(monkeypatch):
     op = make_gaussian_blur(1, 48, 48, 3.0)
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
-    shapes = _eigh_shapes(monkeypatch)
+    calls = _factorisations(monkeypatch)
     fn = prior.measurement_consistency(op, 0.05)
     # a quarter block for eo, which oe shares, and the halves of ee and oo
-    assert shapes == [(300, 300), (276, 276), (576, 576), (300, 300), (276, 276)] * 2
+    assert calls == _cholesky_route([(300, 300), (276, 276), (576, 576), (300, 300), (276, 276)])
+    assert _leaf_sides(300) == [37, 38] * 4 and _leaf_sides(576) == [36] * 16
     rng = np.random.default_rng(23)
     x_t, y = rng.standard_normal((2, op.n)), rng.standard_normal((2, op.m))
     assert np.all(np.isfinite(fn(x_t, y, 0.5)))
@@ -717,10 +828,10 @@ def test_dense_covariance_prior_takes_the_separable_operator_route(monkeypatch):
     # is split on both sides by the parity basis, A by its axes
     op = make_gaussian_blur(3, 6, 10, 1.2)
     prior = GaussianPrior(mean=np.full(op.n, 0.2), covariance=rbf_covariance(op.signal_shape, 1.5, 0.3))
-    shapes = _eigh_shapes(monkeypatch)
+    calls = _factorisations(monkeypatch)
     with _refuse_dense_operator(op):
         prior.measurement_consistency(op, 0.05)
-    assert shapes == [(45, 45)] * 8
+    assert calls == _cholesky_route([(45, 45)] * 4)
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
@@ -729,10 +840,10 @@ def test_dense_covariance_prior_on_a_square_grid_keeps_the_four_flip_blocks(monk
     # square grid conditions in the four parity blocks
     op = make_gaussian_blur(1, 8, 8, 1.2)
     prior = GaussianPrior(mean=np.full(op.n, 0.2), covariance=rbf_covariance(op.signal_shape, 1.5, 0.3))
-    shapes = _eigh_shapes(monkeypatch)
+    calls = _factorisations(monkeypatch)
     with _refuse_dense_operator(op):
         prior.measurement_consistency(op, 0.05)
-    assert shapes == [(16, 16)] * 8
+    assert calls == _cholesky_route([(16, 16)] * 4)
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
@@ -744,19 +855,19 @@ def test_factor_off_the_transpose_keeps_the_four_flip_blocks(monkeypatch):
     lam = rbf.factor.lam * np.linspace(1.0, 1.5, op.n)
     prior = GaussianPrior(mean=rbf.mean, factor=priors.EigenFactor(lam, rbf.factor.axes))
     assert rbf._transpose_symmetric(8) and not prior._transpose_symmetric(8)
-    shapes = _eigh_shapes(monkeypatch)
+    calls = _factorisations(monkeypatch)
     prior.measurement_consistency(op, 0.05)
-    assert shapes == [(16, 16)] * 8
+    assert calls == _cholesky_route([(16, 16)] * 4)
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
 def test_separable_operator_off_the_flips_conditions_as_one_block(monkeypatch):
     op = _shifted_blur((1, 7, 9), 1.2)
     prior = rbf_prior(op.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
-    shapes = _eigh_shapes(monkeypatch)
+    calls = _factorisations(monkeypatch)
     with _refuse_dense_operator(op):
         prior.measurement_consistency(op, 0.05)
-    assert shapes == [(op.m, op.m), (prior.n, prior.n)]
+    assert calls == _cholesky_route([(prior.n, op.m)])
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 

@@ -170,22 +170,29 @@ def test_variance_compensation_exact_measurement_edge():
 
 def test_variance_compensation_conditions_once(monkeypatch):
     # the posterior trace comes from the eigenvalues of the conditioning that
-    # also gives the samplers their closure: one gram and one Sigma_y factor
-    # per flip block of the 16 x 16 centred square, and nothing more
+    # also gives the samplers their closure: per flip block of the 16 x 16
+    # centred square, one Cholesky factor of the gram, its inverse in one
+    # leaf, and one Sigma_y factor, each kind in block order, and nothing more
     op = make_centered_square_inpaint(1, 16, 16)
     prior = rbf_prior(op.signal_shape, length_scale=3.0, variance=0.05, mean_level=0.5)
-    eigh, lock, shapes = np.linalg.eigh, threading.Lock(), []
+    lock, calls = threading.Lock(), []
 
-    def counting_eigh(a, *args, **kwargs):
-        with lock:
-            shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(priors.np.linalg, "eigh", counting_eigh)
+        def call(a, *args, **kwargs):
+            with lock:
+                calls.append((name, a.shape))
+            return real(a, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "cholesky", "inv"):
+        monkeypatch.setattr(priors.np.linalg, name, counting(name))
     schedule = make_karras_schedule(2, 0.01, 5.0)
     report = variance_compensation_check(prior, op, 0.05, schedule, gamma_grid=(0.5,),
                                          n_runs=20, seed=3)
-    assert shapes == [(48, 48)] * 4 + [(64, 64)] * 4
+    assert calls == [("cholesky", (48, 48))] * 4 + [("inv", (48, 48))] * 4 + [("eigh", (64, 64))] * 4
     # Sigma_y does not depend on y
     want = np.trace(prior.posterior(op, np.zeros(op.m), 0.05)[1])
     assert report.details["posterior_trace"] == pytest.approx(want, rel=1e-12, abs=0.0)
