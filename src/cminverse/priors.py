@@ -387,15 +387,6 @@ def _measurement_gram(cov, a_rows, sigma_y):
     return sig_at, _finite_or_raise(gram, sigma_y)
 
 
-def _measurement_eigh(gram):
-    """The eigendecomposition of a block's gram.  The eigenvectors come in
-    column-major order, the order that a column selection gives, so
-    ``_block_posterior`` selects nothing when it keeps every direction,
-    and its products round alike either way."""
-    lam, vecs = np.linalg.eigh(gram)
-    return lam, np.asfortranarray(vecs)
-
-
 # Blocks of at most this many rows are inverted by one np.linalg.inv in
 # ``_lower_inverse``; numpy has no triangular solve.
 _TRIANGLE_LEAF = 48
@@ -416,43 +407,54 @@ def _lower_inverse(low):
     return out
 
 
-def _cholesky_factors(grams):
-    """The lower Cholesky factor L of each gram, L L^T = gram, or None when
-    one gram is not positive definite at working precision."""
-    try:
-        return [np.linalg.cholesky(gram) for gram in grams]
-    except np.linalg.LinAlgError:
-        return None
+def _whitenings(grams, sigma_y, precision):
+    """For each gram G in turn, a W with W^T G W = I on the directions that
+    it keeps, each made as it is drawn; ``grams`` is emptied.
+
+    Every eigenvalue of G is at least sigma_y^2, and none exceeds the
+    largest absolute row sum over the grams.  So when sigma_y^2 is above
+    ``precision`` times that sum, the drop rule can remove nothing, and
+    W = L^-T from the Cholesky factor G = L L^T.  Otherwise, or when a gram
+    has no Cholesky factor at working precision, W = V diag(lam)^-1/2 over
+    the eigenpairs of G whose lam exceeds ``precision`` times the largest
+    over all grams (``_eigh_whitening``)."""
+    bound = max((np.abs(gram).sum(axis=1).max(initial=0.0) for gram in grams), default=0.0)
+    if sigma_y * sigma_y > bound * precision:
+        try:
+            lows = [np.linalg.cholesky(gram) for gram in grams]
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            grams.clear()
+            while lows:
+                yield _lower_inverse(lows.pop(0)).T
+            return
+    # each gram is released once it is decomposed
+    stages = [np.linalg.eigh(grams.pop(0)) for _ in range(len(grams))]
+    floor = precision * max((lam[-1] for lam, _ in stages if lam.size), default=0.0)
+    while stages:
+        yield _eigh_whitening(*stages.pop(0), floor)
 
 
-def _cholesky_posterior(cov, sig_at, low):
-    """Gain and Sigma_y of one block from its gram's Cholesky factor L:
-    root = Sigma A^T L^-T, Sigma_y = Sigma - root root^T and K = root L^-1.
-    The block of Sigma, ``cov``, is overwritten with Sigma_y's."""
-    inverse = _lower_inverse(low)
-    del low  # the caller holds no other reference
-    root = sig_at @ inverse.T
-    cov -= root @ root.T
-    cov += cov.T
-    cov *= 0.5
-    return root @ inverse, cov
-
-
-def _block_posterior(cov, sig_at, lam, vecs, floor):
-    """Gain and Sigma_y of one block from its y-stage eigendecomposition,
-    keeping the measurement directions whose variance exceeds floor.  The
-    block of Sigma, ``cov``, is overwritten with Sigma_y's."""
+def _eigh_whitening(lam, vecs, floor):
+    """V diag(lam)^-1/2 over the eigenpairs whose lam exceeds floor, made
+    in V's array when every pair is kept and else in its kept columns."""
     keep = lam > floor
     if not keep.all():
         lam, vecs = lam[keep], vecs[:, keep]
-    scale = np.sqrt(lam)
-    root = sig_at @ vecs
-    root /= scale
+    vecs /= np.sqrt(lam)
+    return vecs
+
+
+def _posterior(cov, sig_at, w):
+    """Gain and Sigma_y of one block from a whitening W of its gram:
+    root = Sigma A^T W, Sigma_y = Sigma - root root^T and K = root W^T.
+    The block of Sigma, ``cov``, is overwritten with Sigma_y's."""
+    root = sig_at @ w
     cov -= root @ root.T
     cov += cov.T
     cov *= 0.5
-    root /= scale
-    return root @ vecs.T, cov
+    return root @ w.T, cov
 
 
 class GaussianPrior:
@@ -678,15 +680,14 @@ class GaussianPrior:
         Measurement directions whose variance lies below working precision,
         m eps times the largest over all blocks, carry no information and
         are dropped, so sigma_y = 0 stays exact where A Sigma A^T is
-        numerically singular (a strong blur).  Every eigenvalue of a gram is
-        at least sigma_y^2, and none exceeds the largest absolute row sum
-        over the grams.  So when sigma_y^2 is above m eps times that sum,
-        nothing can be dropped, and each gram is factored as L L^T by
-        Cholesky (``_cholesky_posterior``); otherwise, or when a gram has
-        no Cholesky factor at working precision, each gram takes one
-        eigendecomposition and the drop rule (``_block_posterior``).  K_y
-        and Sigma_y's eigenfactor stay per block; no n x n array outlives
-        the call.
+        numerically singular (a strong blur).  Each gram G is turned into a
+        whitening W, W^T G W = I on the directions kept (``_whitenings``):
+        L^-T from a Cholesky factor where sigma_y is large enough that the
+        drop rule cannot act, else V diag(lam)^-1/2 from an
+        eigendecomposition under the drop rule.  One builder,
+        ``_posterior``, then makes every block's gain and Sigma_y from its
+        W.  K_y and Sigma_y's eigenfactor stay per block; no n x n array
+        outlives the call.
         """
         signal, split_y, covs, a_blocks = self._parity_split(operator)
         kept = list(covs)
@@ -695,21 +696,9 @@ class GaussianPrior:
         sig_ats, grams = [sig_at for sig_at, _ in stages], [gram for _, gram in stages]
         del stages
         a_mu = operator.apply(self.mean)
-        precision = a_mu.size * np.finfo(np.float64).eps
-        # a symmetric matrix's largest eigenvalue is at most its largest
-        # absolute row sum, and every eigenvalue of a gram is sigma_y^2 or more
-        bound = max((np.abs(gram).sum(axis=1).max(initial=0.0) for gram in grams), default=0.0)
-        lows = _cholesky_factors(grams) if sigma_y * sigma_y > bound * precision else None
-        if lows is not None:
-            del grams
-            # one block at a time, each factor released once its block is built
-            parts = [_cholesky_posterior(covs.pop(k), sig_ats.pop(0), lows.pop(0)) for k in kept]
-        else:
-            stages = [_measurement_eigh(grams.pop(0)) for _ in kept]
-            top = max((lam[-1] for lam, _ in stages if lam.size), default=0.0)
-            # one block at a time, each y-stage released before Sigma_y is factored
-            parts = [_block_posterior(covs.pop(k), sig_ats.pop(0), *stages.pop(0),
-                                      top * precision) for k in kept]
+        whitenings = _whitenings(grams, sigma_y, a_mu.size * np.finfo(np.float64).eps)
+        # one block at a time, each whitening released once its block is built
+        parts = [_posterior(covs.pop(k), sig_ats.pop(0), w) for k, w in zip(kept, whitenings)]
         gains = {k: _finite_or_raise(gain, sigma_y) for k, (gain, _) in zip(kept, parts)}
         factors = {k: _eigen_factor(_finite_or_raise(cov_y, sigma_y))
                    for k, (_, cov_y) in zip(kept, parts)}
@@ -749,9 +738,9 @@ class GaussianPrior:
         denoising under that prior: mean_y + G_t (x_t - mean_y) with
         G_t = Sigma_y (Sigma_y + t^2 I)^-1.  The closure conditions on y
         and factors Sigma_y once, block by block (``_condition_on_measurement``:
-        per block one factor of its measurement gram, by Cholesky where
-        sigma_y clears the drop floor and else by eigendecomposition, and
-        one eigendecomposition of its Sigma_y; four blocks of about n/4 for
+        per block one whitening of its measurement gram, from a Cholesky
+        factor where sigma_y clears the drop floor and else from an
+        eigendecomposition, and one eigendecomposition of its Sigma_y; four blocks of about n/4 for
         a flip-invariant prior and operator; on a square grid that also
         commutes with the transpose, one of about n/4 for eo, which oe
         shares, and four of about n/8 for the halves of ee and oo; else, by

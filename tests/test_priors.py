@@ -326,6 +326,20 @@ def test_parity_conditioning_matches_oracles(case, monkeypatch):
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
 
 
+@pytest.mark.parametrize("case", [case for case in _PARITY_CASES if not case.startswith("blur")])
+def test_parity_conditioning_without_measurement_noise_matches_oracles(case, monkeypatch):
+    # sigma_y = 0 takes the eigh route in every split.  A blur is left out:
+    # its gram is numerically singular, and the oracle's solve keeps other
+    # directions than the drop rule
+    make_op, sizes = _PARITY_CASES[case]
+    op = make_op()
+    prior = rbf_prior(op.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
+    calls = _factorisations(monkeypatch)
+    prior.measurement_consistency(op, 0.0)
+    assert calls == _eigh_route(sizes)
+    _check_against_oracles(prior, op, 0.0, atol=1e-8)
+
+
 def test_parity_conditioning_is_exact_without_measurement_noise():
     # sigma_y = 0 on a strong blur: A Sigma A^T is numerically singular, and
     # one drop rule across the blocks keeps what the measurement fixes
@@ -347,14 +361,18 @@ def test_parity_conditioning_is_exact_without_measurement_noise():
         assert np.all(np.isfinite(fn(x + min(t, 1.0) * rng.standard_normal(prior.n), a @ x, t)))
 
 
+def _block_grams(prior, op, sigma_y):
+    """Each block's gram, A Sigma A^T + sigma_y^2 I, in block order."""
+    _, _, covs, a_blocks = prior._parity_split(op)
+    return [priors._measurement_gram(covs[k], a_blocks[k], sigma_y)[1] for k in covs]
+
+
 def _cholesky_threshold(prior, op):
     """The sigma_y^2 at which a build turns from the eigh route to the
     Cholesky one: sigma_y^2 > bound m eps, with bound the largest absolute
     row sum over the blocks' grams, which is b + sigma_y^2 for the largest,
     b, at sigma_y = 0; so the turn is at b m eps / (1 - m eps)."""
-    _, _, covs, a_blocks = prior._parity_split(op)
-    grams = [priors._measurement_gram(covs[k], a_blocks[k], 0.0)[1] for k in covs]
-    b = max(np.abs(gram).sum(axis=1).max(initial=0.0) for gram in grams)
+    b = max(np.abs(gram).sum(axis=1).max(initial=0.0) for gram in _block_grams(prior, op, 0.0))
     precision = op.m * np.finfo(np.float64).eps
     return b * precision / (1.0 - precision)
 
@@ -383,11 +401,15 @@ def test_measurement_noise_free_strong_blur_takes_the_eigh_route(monkeypatch):
     assert calls == _eigh_route(_PARITY_CASES["blur_1x8x8"][1])
 
 
+def _no_cholesky_factor(a):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
 def _eigh_route_closure(prior, op, sigma_y, monkeypatch):
     """The closure that the eigh route builds whatever sigma_y is: the one a
     build falls back to when a gram has no Cholesky factor."""
     with monkeypatch.context() as patch:
-        patch.setattr(priors, "_cholesky_factors", lambda grams: None)
+        patch.setattr(priors.np.linalg, "cholesky", _no_cholesky_factor)
         return prior.measurement_consistency(op, sigma_y)
 
 
@@ -409,18 +431,43 @@ def test_gram_without_a_cholesky_factor_falls_back_to_eigh(monkeypatch):
     op = make_gaussian_blur(1, 8, 8, 1.2)
     prior = rbf_prior(op.signal_shape, length_scale=1.5, variance=0.3, mean_level=0.2)
     want = _eigh_route_closure(prior, op, 0.05, monkeypatch)
-
-    def no_factor(a):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
     calls = _factorisations(monkeypatch)
-    monkeypatch.setattr(priors.np.linalg, "cholesky", no_factor)
+    monkeypatch.setattr(priors.np.linalg, "cholesky", _no_cholesky_factor)
     fn = prior.measurement_consistency(op, 0.05)
     assert calls == _eigh_route(_PARITY_CASES["blur_1x8x8"][1])
     rng = np.random.default_rng(30)
     x_t, y = rng.standard_normal((2, op.n)), rng.standard_normal(op.m)
     assert np.array_equal(fn(x_t, y, 0.5), want(x_t, y, 0.5))
     _check_against_oracles(prior, op, 0.05, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "blur, length_scale, sigma_y, ranks",
+    [
+        (1.2, 1.5, 0.05, [10, 6, 16, 10, 6]),
+        (3.0, 2.0, 0.0, [6, 4, 8, 3, 2]),
+        # the oo- block keeps no direction
+        (4.0, 4.0, 0.0, [5, 3, 4, 1, 0]),
+    ],
+    ids=["cholesky", "eigh_some_dropped", "eigh_all_dropped"],
+)
+def test_whitening_is_the_identity_on_the_kept_directions(blur, length_scale, sigma_y, ranks,
+                                                         monkeypatch):
+    op = make_gaussian_blur(1, 8, 8, blur)
+    prior = rbf_prior(op.signal_shape, length_scale=length_scale, variance=0.05, mean_level=0.5)
+    grams = _block_grams(prior, op, sigma_y)
+    precision = op.m * np.finfo(np.float64).eps
+    calls = _factorisations(monkeypatch)
+    whitenings = list(priors._whitenings([gram.copy() for gram in grams], sigma_y, precision))
+    assert calls[0][0] == ("cholesky" if sigma_y else "eigh")
+    assert [w.shape for w in whitenings] == [(len(gram), r) for gram, r in zip(grams, ranks)]
+    top = max(np.linalg.eigvalsh(gram)[-1] for gram in grams)
+    for gram, w in zip(grams, whitenings):
+        # the factor of G is exact to about eps times its largest
+        # eigenvalue, and W scales that error by its column norms
+        norms = np.linalg.norm(w, axis=0)
+        error = np.abs(w.T @ gram @ w - np.eye(w.shape[1]))
+        assert np.all(error <= precision * top * np.outer(norms, norms))
 
 
 @pytest.mark.parametrize(
